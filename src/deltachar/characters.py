@@ -23,6 +23,7 @@ from .exact_arith import (
     DomainError,
     PrimeSet,
     Rational,
+    _ilog,
     hensel_quadratic_root,
     smooth_exponents,
     vp,
@@ -558,10 +559,3 @@ def honda_integrality_check(curve: WeierstrassCurve, p: int, bound: int,
         if lhs % modulus and vp(lhs % modulus, p) < s + 1:
             return False
     return True
-
-
-def _ilog(n: int, p: int) -> int:
-    out = 0
-    while p ** (out + 1) <= n:
-        out += 1
-    return out

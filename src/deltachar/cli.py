@@ -349,7 +349,7 @@ def cmd_decompose(args, cfg: RunConfig) -> str:
     try:
         data = json.loads(raw)
         c = character_from_json_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise DomainError("input is not character JSON: %s" % exc)
     rho = decompose_over_fundamental(c)
     aug = rho.augmentation()

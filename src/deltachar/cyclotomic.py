@@ -194,6 +194,21 @@ def _power_reduction_table(m: int, max_power: int) -> Tuple[Tuple[int, ...], ...
     return tuple(rows)
 
 
+def _galois_image(config: CyclotomicConfig, coeffs: Sequence, j: int) -> list:
+    """Power-basis coefficients of a(zeta^j), where a = sum_k coeffs[k] zeta^k."""
+    if math.gcd(j, config.m) != 1:
+        raise DomainError("%d is not coprime to %d" % (j, config.m))
+    j %= config.m
+    table = _power_reduction_table(config.m, j * config.degree)
+    out = [0] * config.degree
+    for k, c in enumerate(coeffs):
+        if c:
+            for idx, r in enumerate(table[j * k]):
+                if r:
+                    out[idx] += c * r
+    return out
+
+
 class CyclotomicElement:
     """An element of Q(zeta_m) as a residue polynomial with Fraction coefficients."""
 
@@ -301,18 +316,8 @@ class CyclotomicElement:
     # -- Frobenius / delta structure ---------------------------------------
     def galois(self, j: int) -> "CyclotomicElement":
         """The automorphism zeta -> zeta^j for j coprime to m."""
-        if math.gcd(j, self.config.m) != 1:
-            raise DomainError("%d is not coprime to %d" % (j, self.config.m))
-        j %= self.config.m
-        table = _power_reduction_table(self.config.m, j * self.config.degree)
-        out = [Fraction(0)] * self.config.degree
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = table[j * k]
-                for idx in range(self.config.degree):
-                    if row[idx]:
-                        out[idx] += c * row[idx]
-        return CyclotomicElement(self.config, out)
+        return CyclotomicElement(self.config,
+                                 _galois_image(self.config, self.coeffs, j))
 
     def frobenius(self, p: int) -> "CyclotomicElement":
         """The Frobenius lift at p (Galois action zeta -> zeta^p)."""
@@ -330,14 +335,6 @@ class CyclotomicElement:
 
     def __repr__(self):
         return "CyclotomicElement(m=%d, %s)" % (self.config.m, list(self.coeffs))
-
-
-def frobenius_lift(a: CyclotomicElement, p: int) -> CyclotomicElement:
-    return a.frobenius(p)
-
-
-def delta_p(a: CyclotomicElement, p: int) -> CyclotomicElement:
-    return a.delta(p)
 
 
 # ---------------------------------------------------------------------------
@@ -540,21 +537,11 @@ class PadicCyclotomic:
     # -- Frobenius / delta ---------------------------------------------------
     def frobenius(self, p: int = None) -> "PadicCyclotomic":
         """Galois substitution zeta -> zeta^q; defaults to the ring prime."""
-        q = self.p if p is None else p
-        if math.gcd(q, self.config.m) != 1:
-            raise DomainError("%d is not coprime to %d" % (q, self.config.m))
-        q %= self.config.m
         if self.config.m == 1:
             return self
-        table = _power_reduction_table(self.config.m, q * self.config.degree)
-        out = [0] * self.config.degree
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = table[q * k]
-                for idx in range(self.config.degree):
-                    if row[idx]:
-                        out[idx] += c * row[idx]
-        return PadicCyclotomic(self.config, self.p, self.precision, out)
+        q = self.p if p is None else p
+        return PadicCyclotomic(self.config, self.p, self.precision,
+                               _galois_image(self.config, self.coeffs, q))
 
     def delta(self) -> "PadicCyclotomic":
         """delta_p at the ring prime; costs one digit of precision."""

@@ -24,16 +24,6 @@ def fermat_quotient(a: Rational, p: int) -> Fraction:
     return (a - a ** p) / p
 
 
-# The operator family acts on plain rationals with phi_p = identity, so
-# delta_p is exactly the Fermat quotient; the alias keeps call sites readable.
-delta_rational = fermat_quotient
-
-
-def phi_rational(a: Rational, p: int) -> Fraction:
-    """Frobenius lift on rationals: a^p + p delta_p(a), identically a."""
-    return Fraction(ensure_p_local(a, (p,)))
-
-
 def iterated_delta(a: Rational, primes, exponents) -> Fraction:
     """Apply the normally ordered word delta_{p_1}^{e_1} ... delta_{p_d}^{e_d}.
 

@@ -38,6 +38,7 @@ from .exact_arith import (
     NonUnitError,
     PadicInt,
     PrimeSet,
+    _ilog,
     padic_log,
     rational_reconstruct,
     smooth_exponents,
@@ -50,14 +51,6 @@ GlobalValue = Union[int, Fraction, CyclotomicElement]
 
 def guard_digits(n: int) -> int:
     return -(-n // 2) + 4
-
-
-def _ilog(n: int, p: int) -> int:
-    v = 0
-    while n >= p:
-        n //= p
-        v += 1
-    return v
 
 
 class AdelePoint:

@@ -3,9 +3,11 @@
 Series are sparse dicts {exponent tuple: Fraction} kept through a stated
 total degree (`order`, inclusive).  On top of them sit the three formal
 groups the characters live on: the additive and multiplicative groups and
-the formal group of a Weierstrass curve in the uniformizer T = x/(2y), whose
-logarithm is produced from the invariant differential and normalized to
-l(T) = T + O(T^2).
+the formal group of a Weierstrass curve in the uniformizer T = x/(2y).  The
+curve's logarithm comes from one recurrence: the coefficients of w(z), with
+z = -x/y and w = -1/y, then those of the invariant differential, all in
+Z[c1..c6]; fractions enter only when the differential is integrated, and
+T = -z/2 normalizes the result to l(T) = T + O(T^2).
 
 The "star" action evaluates a symbol sum_n c_n phi_n on a series by
 phi_n * l = l(T^n).
@@ -396,57 +398,60 @@ def gm_group(order: int) -> FormalGroupLaw:
     return FormalGroupLaw("multiplicative", order, gm_log(order))
 
 
+def _curve_coefficients(curve) -> Tuple:
+    """(c1, c2, c3, c4, c6), with integral values as ints so Z-curves stay in Z."""
+    cs = (Fraction(curve.c1), Fraction(curve.c2), Fraction(curve.c3),
+          Fraction(curve.c4), Fraction(curve.c6))
+    return tuple(c.numerator if c.denominator == 1 else c for c in cs)
+
+
+def _weierstrass_w(cs: Tuple, order: int) -> Tuple[list, list]:
+    """[z^k] of w and w^2 for k <= order, where z = -x/y and w = -1/y.
+
+    w is the fixed point of  w = z^3 + c1 z w + c2 z^2 w + c3 w^2 + c4 z w^2
+    + c6 w^3  (Silverman, AEC IV.1).  As w = O(z^3), [z^k] of w^2 and w^3
+    use only coefficients of w below k - 2, so each coefficient is a
+    polynomial in the c_i with integer coefficients.
+    """
+    c1, c2, c3, c4, c6 = cs
+    w, w2, w3 = [0] * (order + 1), [0] * (order + 1), [0] * (order + 1)
+    for k in range(3, order + 1):
+        w2[k] = sum(w[i] * w[k - i] for i in range(3, k - 2))
+        w3[k] = sum(w[i] * w2[k - i] for i in range(3, k - 5))
+        w[k] = ((k == 3) + c1 * w[k - 1] + c2 * w[k - 2] + c3 * w2[k]
+                + c4 * w2[k - 1] + c6 * w3[k])
+    return w, w2
+
+
 def weierstrass_v_series(curve, order: int) -> TruncSeries:
     """The unit series v(T) with x = v/(4T^2), y = v/(8T^3) on the curve.
 
-    Solves   v^2(1 + 2 c1 T) + 8 c3 T^3 v
-               = v^3 + 4 c2 T^2 v^2 + 16 c4 T^4 v + 64 c6 T^6,
-    (the Weierstrass equation pulled through T = x/(2y)) by Newton iteration
-    starting from v = 1.
+    As x = z/w and z = -2T, v = z^3/w(z) evaluated at z = -2T.
     """
-    c1, c2, c3, c4, c6 = (Fraction(curve.c1), Fraction(curve.c2),
-                          Fraction(curve.c3), Fraction(curve.c4),
-                          Fraction(curve.c6))
-
-    def phi_and_dphi(v: TruncSeries, n: int):
-        t = TruncSeries.var(n)
-        t2, t3, t4, t6 = t * t, t ** 3, t ** 4, t ** 6
-        phi = (v * v * (1 + 2 * c1 * t) + 8 * c3 * t3 * v - v ** 3
-               - 4 * c2 * t2 * v * v - 16 * c4 * t4 * v - 64 * c6 * t6)
-        dphi = (2 * v * (1 + 2 * c1 * t) + 8 * c3 * t3 - 3 * v * v
-                - 8 * c2 * t2 * v - 16 * c4 * t4)
-        return phi, dphi
-
-    v = TruncSeries.const(1, 1, 0)
-    while v.order < order:
-        n = min(2 * v.order + 1, order)
-        v = v.with_order(n)
-        phi, dphi = phi_and_dphi(v, n)
-        v = v - phi * dphi.reciprocal()
-    return v
+    w, _ = _weierstrass_w(_curve_coefficients(curve), order + 3)
+    u = TruncSeries(1, order, {(k,): w[k + 3] * (-2) ** k
+                               for k in range(order + 1)})
+    return u.reciprocal()
 
 
 def elliptic_log(curve, order: int) -> TruncSeries:
     """The logarithm of the curve's formal group in T = x/(2y), with l'(0)=1.
 
-    The invariant differential dx/(2y + c1 x + c3) expands as
-    (T v' - 2v) / (v(1 + c1 T) + 4 c3 T^3) dT = sum beta_n T^(n-1) dT; the
-    raw leading value is beta_1 = -2 (a unit away from 2), and the series is
-    rescaled by 1/beta_1 so that l(T) = T + O(T^2).
+    With e = d/dw of the right-hand side of the w(z) equation, the invariant
+    differential is dz/(1 - e) = sum b_n z^(n-1) dz, so b_1 = 1 and
+    b_k = sum_{j>=1} e_j b_(k-j).  The b_n are integral when the curve is,
+    and T = -z/2 turns l(z) = sum b_n z^n/n into sum b_n (-2)^(n-1) T^n/n.
     """
-    v = weierstrass_v_series(curve, order)
-    t = TruncSeries.var(order)
-    c1, c3 = Fraction(curve.c1), Fraction(curve.c3)
-    num = t * v.derivative().with_order(order) - 2 * v
-    den = v * (1 + c1 * t) + 4 * c3 * t ** 3
-    omega = num * den.reciprocal()          # sum beta_n T^(n-1)
-    beta1 = omega.constant_term()
-    out = {}
-    for (k,), c in omega.coeffs.items():
-        n = k + 1
-        if n <= order:
-            out[(n,)] = c / beta1 / n
-    return TruncSeries(1, order, out)
+    cs = _curve_coefficients(curve)
+    c1, c2, c3, c4, c6 = cs
+    w, w2 = _weierstrass_w(cs, order)
+    e = [0] + [c1 * (j == 1) + c2 * (j == 2) + 2 * c3 * w[j] + 2 * c4 * w[j - 1]
+               + 3 * c6 * w2[j] for j in range(1, order)]
+    b = [0, 1]
+    for k in range(2, order + 1):
+        b.append(sum(e[j] * b[k - j] for j in range(1, k)))
+    return TruncSeries(1, order, {(n,): Fraction(b[n] * (-2) ** (n - 1), n)
+                                  for n in range(1, order + 1)})
 
 
 def elliptic_group(curve, order: int) -> FormalGroupLaw:

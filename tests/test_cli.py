@@ -161,6 +161,12 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
     _pipe(monkeypatch, "{not json")
     assert main(["decompose"]) == 2
     capsys.readouterr()
+    # a malformed symbol index is an input error, not a traceback
+    data = c.to_json_dict()
+    data["symbol"][0]["n"] = "x"
+    _pipe(monkeypatch, json.dumps(data))
+    assert main(["decompose"]) == 2
+    assert capsys.readouterr().err.startswith("error: input is not character JSON: ")
 
 
 def test_verify_suites_all_pass(capsys):

@@ -9,9 +9,7 @@ from deltachar.cyclotomic import (
     PadicCyclotomic,
     check_delta_ring_axioms,
     cyclotomic_polynomial,
-    delta_p,
     euler_phi,
-    frobenius_lift,
 )
 from deltachar.delta_calculus import fermat_quotient
 from deltachar.exact_arith import DomainError, NonUnitError, NotPLocalError
@@ -100,11 +98,11 @@ def test_ring_arithmetic_against_complex_embedding():
 def test_frobenius_is_galois_action():
     cfg = _cfg()
     z = CyclotomicElement.zeta(cfg)
-    assert frobenius_lift(z, 3) == -z  # zeta_4^3 = -zeta_4
-    assert frobenius_lift(z, 5) == z   # 5 = 1 mod 4
+    assert z.frobenius(3) == -z  # zeta_4^3 = -zeta_4
+    assert z.frobenius(5) == z   # 5 = 1 mod 4
     cfg7 = CyclotomicConfig(7, [3, 5])
     z7 = CyclotomicElement.zeta(cfg7)
-    assert frobenius_lift(z7, 3) == z7 ** 3
+    assert z7.frobenius(3) == z7 ** 3
     # composition: phi_3 phi_5 = phi_15
     rng = random.Random(17)
     a = CyclotomicElement(cfg7, [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 11]))
@@ -134,14 +132,14 @@ def test_frobenius_rejects_ramified_prime():
 def test_delta_examples():
     cfg = _cfg()
     z = CyclotomicElement.zeta(cfg)
-    assert delta_p(z, 3).is_zero()  # phi_3(zeta) = zeta^3 exactly
+    assert z.delta(3).is_zero()  # phi_3(zeta) = zeta^3 exactly
     one_plus = 1 + z
-    assert delta_p(one_plus, 3) == 1 - z
+    assert one_plus.delta(3) == 1 - z
     # on rational constants delta is the Fermat quotient
     c = CyclotomicElement.from_rational(cfg, 2)
-    assert delta_p(c, 5) == fermat_quotient(2, 5)
+    assert c.delta(5) == fermat_quotient(2, 5)
     with pytest.raises(NotPLocalError):
-        delta_p(CyclotomicElement.from_rational(cfg, Fraction(1, 3)), 3)
+        CyclotomicElement.from_rational(cfg, Fraction(1, 3)).delta(3)
 
 
 def test_delta_stays_integral():

@@ -25,6 +25,9 @@ class Curve:
 
 CURVE_11A = Curve(0, -1, 1, 0, 0)
 CURVE_37A = Curve(0, 0, 1, -1, 0)
+CURVE_53A = Curve(1, -1, 1, 0, 0)
+CURVE_389A = Curve(0, 1, 1, -2, 0)
+CURVE_RATIONAL = Curve(Fraction(1, 3), 2, Fraction(-5, 7), 1, 3)
 
 
 def T(order, index=0, nvars=1):
@@ -172,10 +175,12 @@ def _standard_log_oracle(curve, order: int) -> TruncSeries:
                                   for (n,), c in lstd.coeffs.items()})
 
 
-@pytest.mark.parametrize("curve", [CURVE_11A, CURVE_37A], ids=["11a", "37a"])
+@pytest.mark.parametrize(
+    "curve", [CURVE_11A, CURVE_37A, CURVE_53A, CURVE_389A, CURVE_RATIONAL],
+    ids=["11a", "37a", "53a", "389a", "rational"])
 def test_elliptic_log_matches_standard_parametrization(curve):
-    ours = elliptic_log(curve, 12)
-    oracle = _standard_log_oracle(curve, 12)
+    ours = elliptic_log(curve, 20)
+    oracle = _standard_log_oracle(curve, 20)
     assert ours == oracle
     assert ours.coefficient(1) == 1
 
