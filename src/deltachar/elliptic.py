@@ -1,21 +1,33 @@
-"""Weierstrass curves: exact group law, point counts, L-series coefficients.
+"""Weierstrass curves: group law, point counts, L-series coefficients.
 
 Curves are given by y^2 + c1 xy + c3 y = x^3 + c2 x^2 + c4 x + c6 with
-rational coefficients.  Point arithmetic is generic over the coordinate
-field — exact rationals or cyclotomic elements — because the evaluation
-pipeline scales points *exactly* over the global field before anything is
-reduced p-adically.  Counting over F_p is done by quadratic character sums
-(completing the square is legitimate for odd p); the test suite recounts by
-brute enumeration.
+rational coefficients.  Point arithmetic on `CurvePoint` is exact and generic
+over the coordinate field — rationals or cyclotomic elements.  The evaluation
+pipeline does not use it to reach the kernel of reduction: it scales a point
+by the reduction-group order in E(Z_p[zeta_m]/p^K) with
+`scaled_formal_parameter`, whose cost does not grow with the height of the
+scaled point; the exact group law stays as the reference it is tested
+against.  Counting over F_p is done by quadratic character sums (completing
+the square is legitimate for odd p); the test suite recounts by brute
+enumeration.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Union
 
-from .cyclotomic import CyclotomicElement
+from .cyclotomic import (
+    CyclotomicConfig,
+    CyclotomicElement,
+    PadicCyclotomic,
+    _galois_image,
+    _poly_divmod_monic,
+    _poly_mul,
+    euler_phi,
+)
 from .exact_arith import DomainError, Rational, fraction_mod, is_p_local, is_prime, vp
 
 Coord = Union[Fraction, CyclotomicElement]
@@ -251,6 +263,13 @@ def count_points_ap(curve: WeierstrassCurve, p: int) -> int:
         raise DomainError("%d is not prime" % p)
     if not curve.has_integral_reduction(p):
         raise DomainError("curve is not p-integral at %d" % p)
+    return _count_points_ap(curve.coefficients(), p)
+
+
+@lru_cache(maxsize=1024)
+def _count_points_ap(coefficients, p: int) -> int:
+    """count_points_ap for a validated (curve coefficients, p), memoized."""
+    curve = WeierstrassCurve(*coefficients)
     affine = _affine_count(curve, p)
     if vp(curve.discriminant(), p) == 0:
         return p + 1 - (affine + 1)
@@ -278,6 +297,14 @@ def frobenius_trace_power(ap: int, p: int, f: int) -> int:
     return s
 
 
+def _frobenius_orbit(p: int, m: int):
+    """p^i mod m for 0 <= i < f, where f (the residue degree) is the order of p."""
+    orbit = [1 % m]
+    while p * orbit[-1] % m != orbit[0]:
+        orbit.append(p * orbit[-1] % m)
+    return orbit
+
+
 def reduction_group_order(curve: WeierstrassCurve, p: int, m: int = 1) -> int:
     """Order of the points of E over (Z[zeta_m]/p), a product of F_{p^f} fields.
 
@@ -288,15 +315,8 @@ def reduction_group_order(curve: WeierstrassCurve, p: int, m: int = 1) -> int:
         raise DomainError("%d is not coprime to %d" % (p, m))
     if not curve.is_good(p):
         raise BadReductionError("bad reduction at %d" % p)
-    from .cyclotomic import euler_phi
-    f = 1
-    q = p % m if m > 1 else 0
-    if m > 1:
-        acc = q
-        while acc != 1 % m:
-            acc = acc * q % m
-            f += 1
-    g = euler_phi(m) // f if m > 1 else 1
+    f = len(_frobenius_orbit(p, m))
+    g = euler_phi(m) // f
     ap = count_points_ap(curve, p)
     per_factor = p ** f + 1 - frobenius_trace_power(ap, p, f)
     return per_factor ** g
@@ -358,3 +378,238 @@ def to_formal_parameter(Q: CurvePoint, p: int) -> Coord:
     if all(v >= 0 for v in _coefficient_valuations(Q.x, p)):
         raise DomainError("point does not reduce to the identity mod %d" % p)
     raise DomainError("point has mixed reduction above %d" % p)
+
+
+# ---------------------------------------------------------------------------
+# scaling into the kernel of reduction over Z_p[zeta_m]/p^K
+# ---------------------------------------------------------------------------
+
+def _mulmod(a, b, phi, modulus):
+    """a*b in (Z/modulus)[x]/(phi), on coefficient lists of length deg(phi)."""
+    if len(a) == 1:
+        return [a[0] * b[0] % modulus]
+    _, rem = _poly_divmod_monic(_poly_mul(a, b), phi)
+    return [c % modulus for c in rem] + [0] * (len(a) - len(rem))
+
+
+def _powmod(a, k, phi, modulus):
+    """a**k in (Z/modulus)[x]/(phi)."""
+    result = [1] + [0] * (len(a) - 1)
+    while k:
+        if k & 1:
+            result = _mulmod(result, a, phi, modulus)
+        a = _mulmod(a, a, phi, modulus)
+        k >>= 1
+    return result
+
+
+def _comb(*terms):
+    """sum of c*a over the (integer c, coefficient list a) pairs."""
+    return [sum(c * a[i] for c, a in terms) for i in range(len(terms[0][1]))]
+
+
+def _factor_idempotents(config: CyclotomicConfig, p: int):
+    """The primitive idempotents of Z[zeta_m]/p, one per prime above p.
+
+    They lie in the subring fixed by zeta -> zeta^p, which is F_p^g and is
+    spanned by the orbit sums of the power basis; for such a b,
+    e * (1 - (b - c)^(p-1)) keeps the factors of e on which b = c.
+    """
+    n, phi = config.degree, config.phi
+    orbit = _frobenius_orbit(p, config.m)
+    one = [1] + [0] * (n - 1)
+    idempotents = [one]
+    for k in range(1, n):
+        if len(idempotents) == n // len(orbit):
+            break
+        basis = [0] * n
+        basis[k] = 1
+        b = [sum(col) % p for col in
+             zip(*(_galois_image(config, basis, d) for d in orbit))]
+        split = []
+        for e in idempotents:
+            for c in range(p):
+                miss = _powmod([(b[0] - c) % p] + b[1:], p - 1, phi, p)
+                f = _mulmod(e, _comb((1, one), (-1, miss)), phi, p)
+                if any(f):
+                    split.append(f)
+        idempotents = split
+    return idempotents
+
+
+def _lift_idempotent(e, phi, p: int, precision: int):
+    """The idempotent mod p**precision above e (Newton: e -> 3e^2 - 2e^3)."""
+    k = 1
+    while k < precision:
+        k = min(2 * k, precision)
+        e2 = _mulmod(e, e, phi, p ** k)
+        e = _comb((3, e2), (-2, _mulmod(e2, e, phi, p ** k)))
+    return [c % p ** precision for c in e]
+
+
+class _PrecisionExhausted(Exception):
+    """A group-law step lost every digit it was given."""
+
+
+class _FactorCurve:
+    """y^2 = x^3 + A x^2 + B x + C over one local factor of Z_p[zeta_m]/p^k.
+
+    The factor is e*R for a primitive idempotent e of R = Z_p[zeta_m]/p^k; its
+    elements are coefficient lists of R, and one of them is divisible by p^j
+    in the factor exactly when all its coefficients are.  Points are
+    projective triples, primitive in the factor and taken up to units, so
+    they name the points of E(e*R), whose group law is followed exactly: a
+    triple with X = Z = 0 is the identity and proportional triples are one
+    point.  A formula output that shares a factor p^j is divided by it at
+    the cost of j digits of k; an output with no digit left raises
+    _PrecisionExhausted.  C never enters the formulas.
+    """
+
+    __slots__ = ("A", "B", "phi", "p", "k", "mod")
+
+    def __init__(self, A: int, B: int, phi, p: int, k: int):
+        self.A, self.B, self.phi, self.p = A, B, phi, p
+        self.k, self.mod = k, p ** k
+
+    def _mul(self, a, b):
+        return _mulmod(a, b, self.phi, self.mod)
+
+    def _vanishes(self, coords) -> bool:
+        return all(c % self.mod == 0 for coord in coords for c in coord)
+
+    def primitive(self, triple):
+        """The triple divided by its common p-power; None when it is 0 mod p^k."""
+        p = self.p
+        triple = [[c % self.mod for c in coord] for coord in triple]
+        e = self.k
+        for coord in triple:
+            for c in filter(None, coord):
+                v = 0
+                while c % p == 0:
+                    c //= p
+                    v += 1
+                e = min(e, v)
+                if e == 0:
+                    return triple
+        if e == self.k:
+            return None
+        self.k -= e
+        self.mod = p ** self.k
+        return [[c // p ** e for c in coord] for coord in triple]
+
+    def double(self, P):
+        X, Y, Z = P
+        if self._vanishes((X, Z)):
+            return P
+        m = self._mul
+        s = m(Y, Z)
+        ys = m(Y, s)
+        w = _comb((3, m(X, X)), (2 * self.A, m(X, Z)), (self.B, m(Z, Z)))
+        h = _comb((1, m(w, w)), (-4, m(ys, _comb((self.A, Z), (2, X)))))
+        doubled = self.primitive(
+            (_comb((2, m(h, s))),
+             _comb((1, m(w, _comb((4, m(X, ys)), (-1, h)))), (-8, m(ys, ys))),
+             _comb((8, m(m(s, s), s)))))
+        if doubled is None:
+            raise _PrecisionExhausted
+        return doubled
+
+    def add(self, P, Q):
+        X1, Y1, Z1 = P
+        X2, Y2, Z2 = Q
+        if self._vanishes((X1, Z1)):
+            return Q
+        if self._vanishes((X2, Z2)):
+            return P
+        m = self._mul
+        x1z2, x2z1, y1z2, z1z2 = m(X1, Z2), m(X2, Z1), m(Y1, Z2), m(Z1, Z2)
+        u = _comb((1, m(Y2, Z1)), (-1, y1z2))
+        v = _comb((1, x2z1), (-1, x1z2))
+        v2 = m(v, v)
+        v3 = m(v2, v)
+        w = _comb((1, m(m(u, u), z1z2)),
+                  (-1, m(v2, _comb((1, x1z2), (1, x2z1), (self.A, z1z2)))))
+        total = self.primitive(
+            (m(v, w),
+             _comb((1, m(u, _comb((1, m(v2, x1z2)), (-1, w)))),
+                   (-1, m(v3, y1z2))),
+             m(v3, z1z2)))
+        if total is not None:
+            return total
+        if self._vanishes((u, v, _comb((1, m(X1, Y2)), (-1, m(X2, Y1))))):
+            return self.double(P)
+        raise _PrecisionExhausted
+
+    def multiply(self, P, k: int):
+        result = None
+        while k:
+            if k & 1:
+                result = P if result is None else self.add(result, P)
+            k >>= 1
+            if k:
+                P = self.double(P)
+        return result
+
+
+def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
+                            config: CyclotomicConfig) -> PadicCyclotomic:
+    """t = x/(2y) of scale*Q modulo p**precision; scale*Q must reduce to O.
+
+    Equal to to_formal_parameter(scale * Q, p) reduced mod p**precision, but
+    scale*Q is computed in E(Z_p[zeta_m]/p^K), one local factor at a time, on
+    the model y^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4 (p is odd).  A point
+    with rational coordinates lies in E(Z_p), so its lists have length one
+    whatever m is.  Q enters each factor as a primitive projective triple;
+    the digits that group-law steps lose are counted, and a factor whose t
+    would keep fewer than `precision` digits is recomputed at a higher K.
+    The result lives in Q's cyclotomic ring, or in `config` for a rational Q.
+    """
+    if scale < 1:
+        raise DomainError("scale must be positive")
+    if Q.is_infinity:
+        return PadicCyclotomic.zero(config, p, precision)
+    if isinstance(Q.x, CyclotomicElement):
+        config = ring = Q.x.config
+    else:
+        ring = CyclotomicConfig(1, (p,))
+    n, phi = ring.degree, ring.phi
+    c = Q.curve
+    b2, b4, _, _ = c.b_invariants()
+    one = [1] + [0] * (n - 1)
+    # x, and y + (c1 x + c3)/2 on the completed-square model, then Z = 1
+    exact = [list(a.coeffs) if isinstance(a, CyclotomicElement) else [a]
+             for a in (Q.x, Q.y + (Q.x * c.c1 + c.c3) / 2)] + [one]
+    shift = max([0] + [-vp(a, p) for coord in exact[:2] for a in coord if a])
+    t = [0] * n
+    for e0 in _factor_idempotents(ring, p):
+        K = precision
+        while True:
+            k = K + shift
+            e = _lift_idempotent(e0, phi, p, k)
+            curve = _FactorCurve(fraction_mod(b2 / 4, p, k),
+                                 fraction_mod(b4 / 2, p, k), phi, p, k)
+            base = curve.primitive(
+                [_mulmod([fraction_mod(a * p ** shift, p, k) for a in coord],
+                         e, phi, p ** k) for coord in exact])
+            try:
+                X, Y, Z = curve.multiply(base, scale)
+            except _PrecisionExhausted:
+                K *= 2
+                continue
+            if any(z % p for z in Z):
+                raise DomainError("point does not reduce to the identity mod %d"
+                                  % p)
+            if curve.k >= precision:
+                break
+            K += precision - curve.k
+        mod = p ** curve.k
+        denominator = _comb((2, Y), (-fraction_mod(c.c1, p, curve.k), X),
+                            (-fraction_mod(c.c3, p, curve.k), Z),
+                            (1, one), (-1, e))
+        if n == 1:
+            inverse = [pow(denominator[0], -1, mod)]
+        else:
+            inverse = list(PadicCyclotomic(ring, p, curve.k, denominator)
+                           .inverse().coeffs)
+        t = _comb((1, t), (1, _mulmod(X, inverse, phi, mod)))
+    return PadicCyclotomic(config, p, precision, t)

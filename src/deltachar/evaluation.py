@@ -3,8 +3,10 @@
 The evaluation strategy is uniform: reduce the point into the kernel of
 reduction (multiplicative units are already there after the Fermat-quotient
 step; curve points get scaled by the order of the reduction group, computed
-exactly on the global model), evaluate the per-prime operator series, then
-apply the complementary symbol through Frobenius on the value.
+p-adically in E(Z_p[zeta_m]/p^K) by `elliptic.scaled_formal_parameter`, which
+returns the formal parameter of the scaled point), evaluate the per-prime
+operator series, then apply the complementary symbol through Frobenius on
+the value.
 
 All inner series run with guard digits (ceil(N/2) + 4) and the result is
 reported modulo p**N; the achieved precision is carried on the components
@@ -31,6 +33,7 @@ from .elliptic import (
     CurvePoint,
     count_points_ap,
     reduction_group_order,
+    scaled_formal_parameter,
     to_formal_parameter,
 )
 from .exact_arith import (
@@ -104,8 +107,9 @@ class AdelePoint:
                  m: int = 1) -> "AdelePoint":
         """A global curve point; components are derived at evaluation time.
 
-        Curve evaluation scales the point exactly on the global model, so an
-        elliptic adele here always carries its global witness.
+        Curve evaluation embeds the point at each prime and scales it there,
+        in E(Z_p[zeta_m]/p^K), so an elliptic adele carries its global point
+        rather than per-prime components.
         """
         config = CyclotomicConfig(m, primes)
         return cls("elliptic", config, primes, precision, None, point)
@@ -262,8 +266,7 @@ def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int,
     if config is None:
         m = point.x.config.m if isinstance(point.x, CyclotomicElement) else 1
         config = CyclotomicConfig(m, (p,))
-    work = precision + guard_digits(precision) + 1
-    ap = count_points_ap(curve, p)
+    work = _elliptic_work(precision)
     t_exact = to_formal_parameter(point, p)
     if isinstance(t_exact, CyclotomicElement):
         t = PadicCyclotomic.from_cyclotomic(t_exact, p, work)
@@ -271,7 +274,19 @@ def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int,
         t = PadicCyclotomic.from_rational(config, t_exact, p, work)
     if t.is_zero():
         return PadicCyclotomic.zero(config, p, precision)
-    log = elliptic_log(curve, work + 8)
+    return _formal_value(curve, t, precision, elliptic_log(curve, work + 8))
+
+
+def _elliptic_work(precision: int) -> int:
+    """Digits of t that the formal value at `precision` is computed from."""
+    return precision + guard_digits(precision) + 1
+
+
+def _formal_value(curve, t: PadicCyclotomic, precision: int,
+                  log: TruncSeries) -> PadicCyclotomic:
+    """The formal value at a nonzero parameter t, with the curve's logarithm."""
+    p = t.p
+    ap = count_points_ap(curve, p)
     t1 = t.frobenius()
     t2 = t1.frobenius()
     combo = (_series_value(log, t2)
@@ -286,7 +301,9 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
 
     M_k is the order of the reduction group, so M_k Q is in the kernel of
     reduction; the target is torsion-free, so zero-testing is unaffected by
-    the known scaling.
+    the known scaling.  M_k Q is never formed over Q(zeta_m): its formal
+    parameter is computed modulo a power of p in E(Z_p[zeta_m]/p^K), and the
+    curve's logarithm is built once for all primes.
     """
     if c.group != "Elliptic":
         raise DomainError("expected an elliptic character")
@@ -299,14 +316,18 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
     if point.curve.coefficients() != c.curve.coefficients():
         raise DomainError("point does not lie on the character's curve")
     rho = _twist_symbol(c)
+    work = _elliptic_work(precision)
+    log = None
     values, scalings = [], []
     for k, p in enumerate(c.primes):
         scale = reduction_group_order(c.curve, p, config.m)
-        reduced = scale * point
-        if reduced.is_infinity:
+        t = scaled_formal_parameter(point, scale, p, work, config)
+        if t.is_zero():
             value = PadicCyclotomic.zero(config, p, precision)
         else:
-            w = elliptic_formal_value(c.curve, reduced, p, precision, config)
+            if log is None:
+                log = elliptic_log(c.curve, work + 8)
+            w = _formal_value(c.curve, t, precision, log)
             sym = rho * euler_symbol_ell(c.curve, c.primes, k + 1)
             value = _apply_symbol(sym, w, c.primes).reduce_to(precision)
         values.append(value)

@@ -258,6 +258,48 @@ def test_byte_determinism(capsys):
         assert first == second
 
 
+FROZEN_EVAL_37A_29_31 = """{
+  "components": [
+    {
+      "coeffs": [
+        "111150352411299866"
+      ],
+      "p": 29,
+      "scaling": 24,
+      "zero": false
+    },
+    {
+      "coeffs": [
+        "132654126504908533"
+      ],
+      "p": 31,
+      "scaling": 36,
+      "zero": false
+    }
+  ],
+  "group": "Elliptic",
+  "point": "0,0",
+  "precision": 12,
+  "primes": [
+    29,
+    31
+  ]
+}
+"""
+
+
+def test_eval_ell_frozen_at_large_primes(capsys):
+    # `eval ell` evaluates the rational point over Q whatever --m says, so
+    # the scalings are #E(F_29) = 24 and #E(F_31) = 36
+    argv = ("eval", "ell", "--curve", "37a", "--primes", "29,31", "--m", "4",
+            "--prec", "12", "--point", "0,0")
+    assert run(capsys, *argv) == (0, FROZEN_EVAL_37A_29_31)
+    assert run(capsys, *argv, "--format", "text") == (0, (
+        "Elliptic at 0,0 mod p^12\n"
+        "p=29: [111150352411299866] (scaling 24)\n"
+        "p=31: [132654126504908533] (scaling 36)\n"))
+
+
 def test_argparse_usage_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["char", "gb"])

@@ -13,6 +13,7 @@ from deltachar.elliptic import (
     is_ordinary,
     lseries_coefficients,
     reduction_group_order,
+    scaled_formal_parameter,
     to_formal_parameter,
 )
 from deltachar.exact_arith import DomainError, vp
@@ -226,3 +227,127 @@ def test_formal_parameter_of_kernel_points():
                   CyclotomicElement.from_rational(cfg, Q.y))
     v = to_formal_parameter(R, 3)
     assert min(vp(c, 3) for c in v.coeffs if c) >= 1
+
+
+E43 = WeierstrassCurve(0, 1, 1, 0, 0)
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _assert_matches_exact(Q, scale, p, precisions, config):
+    """Compare with the reference: exact scale*Q over Q(zeta_m), then its
+    parameter reduced mod p^N; returns the last value compared."""
+    exact = to_formal_parameter(scale * Q, p)
+    for precision in precisions:
+        if isinstance(exact, CyclotomicElement):
+            want = PadicCyclotomic.from_cyclotomic(exact, p, precision)
+        else:
+            want = PadicCyclotomic.from_rational(config, exact, p, precision)
+        got = scaled_formal_parameter(Q, scale, p, precision, config)
+        assert got.precision == precision
+        assert got.coeffs == want.coeffs, (Q, scale, p, precision)
+    return got
+
+
+def test_scaled_parameter_matches_exact_scaling():
+    # rational points in E(Z_p) scaled by the reduction-group order over
+    # Z[zeta_m]/p, against the exact multiple; both 11a torsion points die
+    points = [(E11, (0, 0)), (E11, (1, -1)), (E37, (0, 0)), (E37, (1, 0)),
+              (E43, (0, 0))]
+    checked = 0
+    for curve, xy in points:
+        Q = curve.point(*xy)
+        torsion = curve is E11
+        for p in SMALL_PRIMES:
+            if not curve.is_good(p):
+                continue
+            for m in (1, 3, 4):
+                if math.gcd(p, m) != 1:
+                    continue
+                scale = reduction_group_order(curve, p, m)
+                if scale > 256:
+                    continue
+                t = _assert_matches_exact(Q, scale, p, (1, 9, 23),
+                                          CyclotomicConfig(m, (p,)))
+                assert t.is_zero() == torsion
+                checked += 1
+    assert checked > 50
+
+
+def test_scaled_parameter_at_exact_degeneracies():
+    # torsion points meet the exceptional cases of the group law exactly:
+    # for the 5-torsion of 11a the scales 75, 575 and 625 reach a partial
+    # sum equal to the base or to O, and on y^2 = x^3 - x the 2-torsion base
+    # doubles to O and O doubles again
+    for xy in ((0, 0), (1, -1)):
+        Q = E11.point(*xy)
+        for p, m in ((3, 5), (23, 3), (31, 3)):
+            scale = reduction_group_order(E11, p, m)
+            assert scale in (75, 575, 625)
+            t = _assert_matches_exact(Q, scale, p, (1, 13),
+                                      CyclotomicConfig(m, (p,)))
+            assert t.is_zero()
+    curve = WeierstrassCurve(0, 0, 0, -1, 0)
+    for xy in ((0, 0), (1, 0), (-1, 0)):
+        for p in (3, 5, 7):
+            scale = reduction_group_order(curve, p, 1)
+            t = _assert_matches_exact(curve.point(*xy), scale, p, (13,),
+                                      CyclotomicConfig(1, (p,)))
+            assert t.is_zero()
+
+
+def test_scaled_parameter_of_a_kernel_point():
+    # 7 = #E37(F_3): R = 7*(0,0) already reduces to O at 3
+    R = 7 * E37.point(0, 0)
+    for m in (1, 4):
+        config = CyclotomicConfig(m, (3,))
+        for scale in (1, 2, 7, reduction_group_order(E37, 3, m)):
+            _assert_matches_exact(R, scale, 3, (17,), config)
+    assert scaled_formal_parameter(E37.infinity(), 5, 3, 9,
+                                   CyclotomicConfig(1, (3,))).is_zero()
+
+
+def test_scaled_parameter_with_gaussian_coordinates():
+    # (x, Y') = (-5/4, 3/4) lies on the -1 twist of Y^2 = 4x^3 + b2 x^2 +
+    # 2 b4 x + b6 for 43a, so (x, (iY' - a1 x - a3)/2) is a point over Q(i)
+    # that is not defined over Q.  At p = 1 mod 4, Z_p[i] is Z_p x Z_p and
+    # E(Z[i]/p) = E(F_p)^2, so #E(F_p) already kills the point; at p = 3
+    # mod 4 it is one local ring and the scale is #E(F_(p^2)).
+    config = CyclotomicConfig(4, SMALL_PRIMES)
+    i = CyclotomicElement.zeta(config)
+    x = Fraction(-5, 4)
+    Q = E43.point(CyclotomicElement.from_rational(config, x),
+                  (i * Fraction(3, 4) - E43.c1 * x - E43.c3) / 2)
+    for p in (5, 13, 17, 29):                       # split
+        scale = reduction_group_order(E43, p, 1)
+        assert not _assert_matches_exact(Q, scale, p, (1, 12), config).is_zero()
+        _assert_matches_exact(Q, 2 * scale, p, (12,), config)
+    assert reduction_group_order(E43, 5, 4) == 100
+    _assert_matches_exact(Q, 100, 5, (12,), config)
+    # Q is conjugate to -Q, so both factors of a split prime see the same
+    # group-law steps; R is conjugate to -Q + (0,0), and at 5 and 17 the
+    # digits lost in one factor are not lost in the other
+    R = Q + E43.point(0, 0)
+    for p in (5, 17):
+        _assert_matches_exact(R, reduction_group_order(E43, p, 1), p, (1, 12),
+                              config)
+    for p in (3, 7):                                # inert
+        scale = reduction_group_order(E43, p, 4)
+        assert scale <= 64
+        _assert_matches_exact(Q, scale, p, (1, 12), config)
+    with pytest.raises(DomainError):
+        scaled_formal_parameter(Q, 1, 5, 12, config)
+    for p, scale in ((3, 3), (29, 18)):
+        with pytest.raises(DomainError):
+            to_formal_parameter(scale * Q, p)
+        with pytest.raises(DomainError):
+            scaled_formal_parameter(Q, scale, p, 12, config)
+
+
+def test_scaled_parameter_rejects_points_outside_the_kernel():
+    config = CyclotomicConfig(1, (5,))
+    with pytest.raises(DomainError):
+        scaled_formal_parameter(E37.point(0, 0), 1, 5, 10, config)
+    with pytest.raises(DomainError):
+        scaled_formal_parameter(E37.point(0, 0), 4, 5, 10, config)  # M = 8
+    with pytest.raises(DomainError):
+        scaled_formal_parameter(E37.point(0, 0), 0, 5, 10, config)

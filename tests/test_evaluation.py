@@ -197,6 +197,48 @@ def test_elliptic_nontorsion_nonzero():
         assert double.values[k] == r.values[k].times_rational(2)
 
 
+def test_elliptic_frozen_over_gaussian_residue_rings():
+    # 37a at (0,0) with m = 4: M = #E(F_29)^2 = 576 and #E(F_961) = 1008;
+    # values frozen from exact scaling over Q(i)
+    P = PrimeSet((29, 31))
+    r = eval_elliptic_character(build_elliptic_character(E37, P, 8),
+                                AdelePoint.elliptic(E37.point(0, 0), P, 12, 4),
+                                12)
+    assert r.to_json_dict() == {"precision": 12, "components": [
+        {"p": 29, "scaling": 576, "zero": False,
+         "coeffs": ["190904975432913497", "0"]},
+        {"p": 31, "scaling": 1008, "zero": False,
+         "coeffs": ["563664406983239880", "0"]}]}
+
+
+def test_elliptic_precision_monotone():
+    # evaluate at N + k, reduced to N, equals evaluate at N
+    rng = random.Random(20081)
+    E43 = WeierstrassCurve(0, 1, 1, 0, 0)
+    E389 = WeierstrassCurve(0, 1, 1, -2, 0)
+    cases = [(E37, [(0, 0)], (5, 7, 11, 13)), (E43, [(0, 0)], (3, 5, 11, 13)),
+             (E389, [(-1, 1), (0, 0)], (3, 5, 7, 11, 13))]
+    for curve, gens, ordinary in cases:
+        for _ in range(3):
+            q = curve.infinity()
+            for xy in gens:
+                q = q + rng.randint(1, 2) * curve.point(*xy)
+            primes = PrimeSet(sorted(rng.sample(ordinary, 2)))
+            m = rng.choice((1, 4) if 3 in primes else (1, 3, 4))
+            c = build_elliptic_character(curve, primes, 8)
+            n = rng.randint(4, 48)
+            base = eval_elliptic_character(
+                c, AdelePoint.elliptic(q, primes, n, m), n)
+            assert not base.is_zero()
+            for k in (1, 7):
+                finer = eval_elliptic_character(
+                    c, AdelePoint.elliptic(q, primes, n + k, m), n + k)
+                assert finer.scalings == base.scalings
+                assert ([v.reduce_to(n).coeffs for v in finer.values]
+                        == [v.coeffs for v in base.values])
+                assert all(v.precision == n for v in base.values)
+
+
 def test_elliptic_formal_group_homomorphism():
     scale = reduction_group_order(E37, 5, 1)
     q = E37.point(0, 0)
