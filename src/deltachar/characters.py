@@ -293,6 +293,8 @@ def character_from_json_dict(data: dict) -> Character:
     curve = None
     if "curve" in data:
         curve = WeierstrassCurve(*(Fraction(c) for c in data["curve"]))
+    elif data["group"] == "Elliptic":
+        raise DomainError("an elliptic character needs a curve")
     dirac = [DiracComponent(int(d["p"]), d["kind"],
                             _symbol_from_json(d["euler"]),
                             ap=None if d["ap"] is None else int(d["ap"]))

@@ -43,7 +43,7 @@ from .characters import (
 )
 from .cyclotomic import CyclotomicConfig, CyclotomicElement, check_delta_ring_axioms
 from .elliptic import WeierstrassCurve, lseries_coefficients
-from .evaluation import continuation_witness, evaluate, torsion_test
+from .evaluation import AdelePoint, continuation_witness, evaluate, torsion_test
 from .exact_arith import DomainError, PrimeSet, vp
 from .jet_rings import DeltaPolynomial, canonical_lift
 from .polys import MPoly
@@ -317,7 +317,8 @@ def cmd_eval(args, cfg: RunConfig) -> str:
         if cfg.curve is None:
             raise UsageError("eval ell needs --curve")
         c = build_elliptic_character(cfg.curve, cfg.primes, cfg.n_t)
-        point = parse_curve_point(args.point, cfg.curve)
+        point = AdelePoint.elliptic(parse_curve_point(args.point, cfg.curve),
+                                    cfg.primes, cfg.n_p, cfg.m)
     result = evaluate(c, point, cfg.n_p)
     report = {"group": c.group, "point": args.point,
               "primes": list(cfg.primes)}

@@ -6,8 +6,13 @@ coprime to m the Galois substitution zeta -> zeta^p is a Frobenius lift
 stays inside the ring.  Lifts at different primes commute, which makes the
 ring a natural home for the whole operator family at once.
 
-Two coefficient models are provided: exact rationals (CyclotomicElement) and
-fixed-precision p-adics (PadicCyclotomic).
+Two coefficient models share one dense kernel: exact rationals
+(CyclotomicElement) and residues mod p**precision (PadicCyclotomic).  Both
+multiply by reducing mod the monic Phi_m, and both invert through the same
+Galois group: a * adj(a) = N(a), where adj(a) is the product of the
+conjugates sigma_j(a), j != 1, and the norm N(a) is rational.  Over Z_p, a
+is a unit exactly when N(a) is, also when p splits: Z_p[zeta_m] is then a
+product of local rings, and N(a) is the product of the local norms.
 """
 
 from __future__ import annotations
@@ -63,53 +68,31 @@ def _poly_divmod_monic(a: Sequence, b: Sequence) -> Tuple[List, List]:
     return _trim(q), _trim(a[:db])
 
 
-def _poly_xgcd(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Extended gcd over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(map(Fraction, a)), list(map(Fraction, b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _trim(r1):
-        q, r = _poly_divmod_frac(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
+def _mulmod(a, b, phi, modulus=None):
+    """a*b mod the monic phi, on coefficient lists of length deg(phi).
+
+    Coefficients are reduced mod `modulus` when it is given; otherwise the
+    product is exact in the ring of the coefficients (Z or Q).
+    """
+    if len(a) == 1:
+        c = a[0] * b[0]
+        return [c if modulus is None else c % modulus]
+    _, rem = _poly_divmod_monic(_poly_mul(a, b), phi)
+    if modulus is not None:
+        rem = [c % modulus for c in rem]
+    return rem + [0] * (len(a) - len(rem))
 
 
-def _poly_divmod_frac(a, b):
-    a = list(map(Fraction, a))
-    b = _trim(list(map(Fraction, b)))
-    lead = b[-1]
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        coef = a[i + db] / lead
-        if coef:
-            q[i] = coef
-            for j in range(db + 1):
-                a[i + j] -= coef * b[j]
-    return _trim(q), _trim(a[:db])
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    return _trim(out)
-
-
-def _poly_divmod_fp(a, b, p):
-    """Division with remainder over F_p[x] (b nonzero)."""
-    a = [c % p for c in a]
-    lead_inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        coef = a[i + db] * lead_inv % p
-        if coef:
-            q[i] = coef
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - coef * b[j]) % p
-    return _trim(q), _trim(a[:db])
+def _powmod(a, k, phi, modulus=None):
+    """a**k mod phi, with the same coefficient rules as _mulmod."""
+    result = [1] + [0] * (len(a) - 1)
+    while k:
+        if k & 1:
+            result = _mulmod(result, a, phi, modulus)
+        k >>= 1
+        if k:
+            a = _mulmod(a, a, phi, modulus)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +162,17 @@ class CyclotomicConfig:
 
 
 @lru_cache(maxsize=None)
-def _power_reduction_table(m: int, max_power: int) -> Tuple[Tuple[int, ...], ...]:
-    """x^k mod Phi_m as integer coefficient rows, for 0 <= k <= max_power."""
-    phi = list(cyclotomic_polynomial(m))
+def _power_reduction_table(m: int) -> Tuple[Tuple[int, ...], ...]:
+    """x^k mod Phi_m as integer coefficient rows, for 0 <= k < m."""
+    phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     rows = []
     cur = [1]
-    for _ in range(max_power + 1):
+    for _ in range(m):
         rows.append(tuple(cur + [0] * (deg - len(cur))))
         cur = [0] + cur
         if len(cur) > deg:
             _, cur = _poly_divmod_monic(cur, phi)
-            cur = list(cur)
     return tuple(rows)
 
 
@@ -198,15 +180,41 @@ def _galois_image(config: CyclotomicConfig, coeffs: Sequence, j: int) -> list:
     """Power-basis coefficients of a(zeta^j), where a = sum_k coeffs[k] zeta^k."""
     if math.gcd(j, config.m) != 1:
         raise DomainError("%d is not coprime to %d" % (j, config.m))
-    j %= config.m
-    table = _power_reduction_table(config.m, j * config.degree)
+    m = config.m
+    table = _power_reduction_table(m)
     out = [0] * config.degree
     for k, c in enumerate(coeffs):
         if c:
-            for idx, r in enumerate(table[j * k]):
+            for idx, r in enumerate(table[j * k % m]):
                 if r:
                     out[idx] += c * r
     return out
+
+
+def _norm_adjugate(config: CyclotomicConfig, coeffs: Sequence, modulus=None):
+    """(adj, N) with a * adj = N, for a = sum_k coeffs[k] zeta^k.
+
+    adj is the product of the conjugates sigma_j(a) over 1 < j < m coprime
+    to m, so a * adj is the product over the whole Galois group: the norm N,
+    a rational number.  Exact, or with coefficients mod `modulus`.
+    """
+    adj = [1] + [0] * (config.degree - 1)
+    for j in range(2, config.m):
+        if math.gcd(j, config.m) == 1:
+            adj = _mulmod(adj, _galois_image(config, coeffs, j), config.phi,
+                          modulus)
+    return adj, _mulmod(list(coeffs), adj, config.phi, modulus)[0]
+
+
+def _unit_inverse(config: CyclotomicConfig, coeffs: Sequence, p: int,
+                  precision: int) -> list:
+    """The inverse of a in Z_p[zeta_m]/p^precision, as adj * N^-1."""
+    modulus = p ** precision
+    adj, norm = _norm_adjugate(config, coeffs, modulus)
+    if norm % p == 0:
+        raise NonUnitError("element is not a unit mod %d" % p)
+    r = pow(norm, -1, modulus)
+    return [c * r % modulus for c in adj]
 
 
 class CyclotomicElement:
@@ -225,11 +233,8 @@ class CyclotomicElement:
     # -- constructors ---------------------------------------------------
     @classmethod
     def zeta(cls, config: CyclotomicConfig) -> "CyclotomicElement":
-        if config.degree == 1:
-            # zeta_1 = 1, zeta_2 = -1: x reduces mod the linear Phi_m
-            root = -Fraction(config.phi[0])
-            return cls(config, [root])
-        return cls(config, [0, 1])
+        """x mod Phi_m (so zeta_1 = 1 and zeta_2 = -1)."""
+        return cls(config, _power_reduction_table(config.m)[1 % config.m])
 
     @classmethod
     def from_rational(cls, config: CyclotomicConfig, a) -> "CyclotomicElement":
@@ -264,9 +269,8 @@ class CyclotomicElement:
         if isinstance(other, (int, Fraction)):
             return CyclotomicElement(self.config, [a * other for a in self.coeffs])
         o = self._coerce(other)
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs))
-        _, rem = _poly_divmod_frac(prod, list(self.config.phi))
-        return CyclotomicElement(self.config, rem)
+        return CyclotomicElement(
+            self.config, _mulmod(self.coeffs, o.coeffs, self.config.phi))
 
     __rmul__ = __mul__
 
@@ -282,14 +286,8 @@ class CyclotomicElement:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = CyclotomicElement.from_rational(self.config, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return CyclotomicElement(
+            self.config, _powmod(self.coeffs, k, self.config.phi))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -304,14 +302,11 @@ class CyclotomicElement:
         return all(c == 0 for c in self.coeffs)
 
     def inverse(self) -> "CyclotomicElement":
+        """adj(a) / N(a), from a * adj(a) = N(a); N(a) != 0 when a != 0."""
         if self.is_zero():
             raise NonUnitError("0 is not invertible")
-        g, s, _ = _poly_xgcd(list(self.coeffs), list(self.config.phi))
-        if len(g) != 1:
-            raise NonUnitError("element shares a factor with Phi_%d" % self.config.m)
-        inv = [c / g[0] for c in s]
-        _, rem = _poly_divmod_frac(inv, list(self.config.phi))
-        return CyclotomicElement(self.config, rem)
+        adj, norm = _norm_adjugate(self.config, self.coeffs)
+        return CyclotomicElement(self.config, [c / norm for c in adj])
 
     # -- Frobenius / delta structure ---------------------------------------
     def galois(self, j: int) -> "CyclotomicElement":
@@ -429,23 +424,17 @@ class PadicCyclotomic:
         if isinstance(other, Fraction):
             return self.times_rational(other)
         n, a, b = self._align(other)
-        prod = _poly_mul(list(a.coeffs), list(b.coeffs))
-        _, rem = _poly_divmod_monic(prod, list(self.config.phi))
-        return PadicCyclotomic(self.config, self.p, n, rem)
+        return PadicCyclotomic(self.config, self.p, n,
+                               _mulmod(a.coeffs, b.coeffs, self.config.phi))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = PadicCyclotomic.one(self.config, self.p, self.precision)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return PadicCyclotomic(self.config, self.p, self.precision,
+                               _powmod(self.coeffs, k, self.config.phi,
+                                       self.modulus))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -492,41 +481,17 @@ class PadicCyclotomic:
         return PadicCyclotomic(self.config, self.p, precision, self.coeffs)
 
     def is_unit(self) -> bool:
-        g, _ = self._fp_xgcd()
-        return len(g) == 1
-
-    def _fp_xgcd(self):
-        """gcd(self mod p, Phi_m mod p) over F_p[x] with one cofactor.
-
-        Returns (g, t) with t * self = g (mod Phi_m, p).
-        """
-        p = self.p
-        r0 = _trim([c % p for c in self.config.phi])
-        r1 = _trim([c % p for c in self.coeffs])
-        t0, t1 = [], [1]
-        while r1:
-            q, r = _poly_divmod_fp(r0, r1, p)
-            r0, r1 = r1, r
-            nt = [c % p for c in _poly_sub(t0, _poly_mul(q, t1))]
-            t0, t1 = t1, _trim(nt)
-        return r0, t0
+        """Whether the norm N(a) is prime to p."""
+        return _norm_adjugate(self.config, self.coeffs, self.p)[1] % self.p != 0
 
     def inverse(self) -> "PadicCyclotomic":
-        """Unit inversion: invert mod p, then Newton-lift to full precision."""
-        g, t = self._fp_xgcd()
-        if len(g) != 1:
-            raise NonUnitError("element is not a unit mod %d" % self.p)
-        ginv = pow(g[0], -1, self.p)
-        b = [c * ginv % self.p for c in t]
-        b += [0] * (self.config.degree - len(b))
-        cur = PadicCyclotomic(self.config, self.p, 1, b)
-        prec = 1
-        while prec < self.precision:
-            prec = min(2 * prec, self.precision)
-            bb = PadicCyclotomic(self.config, self.p, prec, cur.coeffs)
-            a = self.reduce_to(prec) if self.precision > prec else self
-            cur = bb * (2 - a * bb)
-        return cur
+        """adj(a) * N(a)^-1, from a * adj(a) = N(a); a must be a unit.
+
+        N(a) is a unit exactly when a is, whether p is inert or splits.
+        """
+        return PadicCyclotomic(self.config, self.p, self.precision,
+                               _unit_inverse(self.config, self.coeffs, self.p,
+                                             self.precision))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

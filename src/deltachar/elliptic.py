@@ -24,11 +24,12 @@ from .cyclotomic import (
     CyclotomicElement,
     PadicCyclotomic,
     _galois_image,
-    _poly_divmod_monic,
-    _poly_mul,
+    _mulmod,
+    _powmod,
+    _unit_inverse,
     euler_phi,
 )
-from .exact_arith import DomainError, Rational, fraction_mod, is_p_local, is_prime, vp
+from .exact_arith import DomainError, fraction_mod, is_p_local, is_prime, vp
 
 Coord = Union[Fraction, CyclotomicElement]
 
@@ -49,12 +50,15 @@ class BadReductionError(DomainError):
 class WeierstrassCurve:
     """An elliptic curve y^2 + c1 xy + c3 y = x^3 + c2 x^2 + c4 x + c6 over Q."""
 
-    __slots__ = ("c1", "c2", "c3", "c4", "c6")
+    __slots__ = ("c1", "c2", "c3", "c4", "c6", "_discriminant")
 
     def __init__(self, c1, c2, c3, c4, c6):
         self.c1, self.c2, self.c3, self.c4, self.c6 = (
             Fraction(c1), Fraction(c2), Fraction(c3), Fraction(c4), Fraction(c6))
-        if self.discriminant() == 0:
+        b2, b4, b6, b8 = self.b_invariants()
+        self._discriminant = (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6
+                              + 9 * b2 * b4 * b6)
+        if self._discriminant == 0:
             raise SingularCurveError("discriminant vanishes")
 
     @classmethod
@@ -77,8 +81,7 @@ class WeierstrassCurve:
         return b2, b4, b6, b8
 
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return self._discriminant
 
     def __eq__(self, other):
         return (isinstance(other, WeierstrassCurve)
@@ -94,7 +97,7 @@ class WeierstrassCurve:
     def is_good(self, p: int) -> bool:
         if not self.has_integral_reduction(p):
             raise DomainError("curve is not p-integral at %d" % p)
-        return vp(self.discriminant(), p) == 0
+        return vp(self._discriminant, p) == 0
 
     # -- points -------------------------------------------------------------
     def infinity(self) -> "CurvePoint":
@@ -384,25 +387,6 @@ def to_formal_parameter(Q: CurvePoint, p: int) -> Coord:
 # scaling into the kernel of reduction over Z_p[zeta_m]/p^K
 # ---------------------------------------------------------------------------
 
-def _mulmod(a, b, phi, modulus):
-    """a*b in (Z/modulus)[x]/(phi), on coefficient lists of length deg(phi)."""
-    if len(a) == 1:
-        return [a[0] * b[0] % modulus]
-    _, rem = _poly_divmod_monic(_poly_mul(a, b), phi)
-    return [c % modulus for c in rem] + [0] * (len(a) - len(rem))
-
-
-def _powmod(a, k, phi, modulus):
-    """a**k in (Z/modulus)[x]/(phi)."""
-    result = [1] + [0] * (len(a) - 1)
-    while k:
-        if k & 1:
-            result = _mulmod(result, a, phi, modulus)
-        a = _mulmod(a, a, phi, modulus)
-        k >>= 1
-    return result
-
-
 def _comb(*terms):
     """sum of c*a over the (integer c, coefficient list a) pairs."""
     return [sum(c * a[i] for c, a in terms) for i in range(len(terms[0][1]))]
@@ -602,14 +586,9 @@ def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
             if curve.k >= precision:
                 break
             K += precision - curve.k
-        mod = p ** curve.k
         denominator = _comb((2, Y), (-fraction_mod(c.c1, p, curve.k), X),
                             (-fraction_mod(c.c3, p, curve.k), Z),
                             (1, one), (-1, e))
-        if n == 1:
-            inverse = [pow(denominator[0], -1, mod)]
-        else:
-            inverse = list(PadicCyclotomic(ring, p, curve.k, denominator)
-                           .inverse().coeffs)
-        t = _comb((1, t), (1, _mulmod(X, inverse, phi, mod)))
+        inverse = _unit_inverse(ring, denominator, p, curve.k)
+        t = _comb((1, t), (1, _mulmod(X, inverse, phi, p ** curve.k)))
     return PadicCyclotomic(config, p, precision, t)

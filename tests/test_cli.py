@@ -167,6 +167,12 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
     _pipe(monkeypatch, json.dumps(data))
     assert main(["decompose"]) == 2
     assert capsys.readouterr().err.startswith("error: input is not character JSON: ")
+    # an elliptic character without its curve is an input error as well
+    data = c.to_json_dict()
+    data["group"] = "Elliptic"
+    _pipe(monkeypatch, json.dumps(data))
+    assert main(["decompose"]) == 2
+    assert capsys.readouterr().err.startswith("error: input is not character JSON: ")
 
 
 def test_verify_suites_all_pass(capsys):
@@ -289,15 +295,29 @@ FROZEN_EVAL_37A_29_31 = """{
 
 
 def test_eval_ell_frozen_at_large_primes(capsys):
-    # `eval ell` evaluates the rational point over Q whatever --m says, so
-    # the scalings are #E(F_29) = 24 and #E(F_31) = 36
-    argv = ("eval", "ell", "--curve", "37a", "--primes", "29,31", "--m", "4",
+    # without --m the point is scaled over Z_p: by #E(F_29) = 24 and
+    # #E(F_31) = 36
+    argv = ("eval", "ell", "--curve", "37a", "--primes", "29,31",
             "--prec", "12", "--point", "0,0")
     assert run(capsys, *argv) == (0, FROZEN_EVAL_37A_29_31)
     assert run(capsys, *argv, "--format", "text") == (0, (
         "Elliptic at 0,0 mod p^12\n"
         "p=29: [111150352411299866] (scaling 24)\n"
         "p=31: [132654126504908533] (scaling 36)\n"))
+    # with --m 4 it is scaled over Z_p[i]: by #E(F_29)^2 = 576 and
+    # #E(F_961) = 1008, with the values that
+    # test_elliptic_frozen_over_gaussian_residue_rings freezes
+    rc, doc = run_json(capsys, *argv, "--m", "4")
+    assert rc == 0
+    assert doc["components"] == [
+        {"p": 29, "scaling": 576, "zero": False,
+         "coeffs": ["190904975432913497", "0"]},
+        {"p": 31, "scaling": 1008, "zero": False,
+         "coeffs": ["563664406983239880", "0"]}]
+    assert run(capsys, *argv, "--m", "4", "--format", "text") == (0, (
+        "Elliptic at 0,0 mod p^12\n"
+        "p=29: [190904975432913497, 0] (scaling 576)\n"
+        "p=31: [563664406983239880, 0] (scaling 1008)\n"))
 
 
 def test_argparse_usage_exits_1(capsys):
@@ -308,3 +328,101 @@ def test_argparse_usage_exits_1(capsys):
         main(["frobnicate"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def _fuzz_argv(rng, tmp_path):
+    """A random command line with small values, now and then malformed."""
+    def pick(good, bad):
+        return rng.choice(bad if rng.random() < 0.1 else good)
+
+    points = (["2", "-1", "1/2", "3", "z^1", "z^3", "0,0", "1,0", "1,-1"],
+              ["0", "x", "1,2,3", "", "z^x"])
+    flags = {
+        "--primes": (["3,5", "5,7", "3", "3,5,7"],
+                     ["2,3", "4", "5,3", "3,3", "x", ""]),
+        "--m": (["1", "3", "4"], ["2", "0", "-1", "x"]),
+        "--order": (["2", "4", "8"], ["1", "0", "-3", "x"]),
+        "--prec": (["2", "4", "8"], ["1", "0", "-3", "x"]),
+        "--curve": (["11a", "37a", "0,0,1,-1,0"],
+                    ["0,0,0,0,0", "1,2", "x", "99z"]),
+        "--format": (["json", "csv", "text"], ["xml"]),
+        "--seed": (["0", "1"], ["x"]),
+        "--output": ([str(tmp_path / "out.txt")],
+                     [str(tmp_path / "no" / "out")]),
+        "--config": ([str(tmp_path / "ok.cfg")],
+                     [str(tmp_path / "missing.cfg"), str(tmp_path / "junk.cfg")]),
+    }
+    command = pick(["char", "eval", "verify", "decompose"], ["frobnicate", ""])
+    argv = [command]
+    if command == "char":
+        argv.append(pick(["ga", "gm", "ell"], ["gb"]))
+        if rng.random() < 0.3:
+            argv += ["--symbol", pick(["1", "phi_3 - 1"], ["phi3", "x"])]
+    elif command == "eval":
+        argv += [pick(["gm", "ell"], ["ga"]), "--point", pick(*points)]
+        if rng.random() < 0.3:
+            argv.append("--kernel-test")
+    elif command == "verify":
+        argv += [pick(["axioms", "additivity", "integrality", "honda",
+                       "claim2", "jets"], ["nope"]),
+                 "--group", pick(["ga", "gm", "ell"], ["gx"]),
+                 "--samples", pick(["1", "2"], ["0", "-1"]),
+                 "--depth", pick(["2", "3"], ["0", "x"]),
+                 "--bound", pick(["6", "20"], ["0", "-1"])]
+        if rng.random() < 0.5:
+            argv += ["--prime", pick(["3", "5"], ["4", "-7"])]
+    elif command == "decompose":
+        for _ in range(rng.randint(0, 2)):
+            argv += ["--point", pick(*points)]
+        argv += ["--bound", pick(["1000"], ["1", "0"])]
+    for flag in rng.sample(sorted(flags), rng.randint(0, 4)):
+        argv += [flag, pick(*flags[flag])]
+    if "--curve" not in argv and rng.random() < 0.8:
+        argv += ["--curve", pick(*flags["--curve"])]
+    # keep every run small: the defaults of --order and --prec are not
+    for flag in ("--order", "--prec"):
+        if flag not in argv:
+            argv += [flag, "6"]
+    return argv
+
+
+def _fuzz_character_json(rng):
+    """Character JSON, valid or broken in one random place."""
+    sym = full_symbol_gm(P35)
+    c = Character("Gm", P35, sym, sym.star(gm_log(8)))
+    data = c.to_json_dict()
+    choice = rng.randrange(10)
+    if choice == 0:
+        return rng.choice(["{not json", "[]", "null", '"x"', "1", ""])
+    if choice == 1:
+        del data[rng.choice(sorted(data))]
+    elif choice == 2:
+        data[rng.choice(sorted(data))] = rng.choice([None, "x", 3, [], {}])
+    elif choice == 3:
+        data["group"] = rng.choice(["Elliptic", "Ga", "Gx"])
+    elif choice == 4:
+        data["symbol"][0][rng.choice(["n", "num", "den"])] = rng.choice(
+            ["x", "0", "-1", None, "1/0"])
+    elif choice == 5:
+        data["primes"] = rng.choice([[5, 3], [2, 3], [9], [], "3,5"])
+    elif choice == 6:
+        data["curve"] = rng.choice([["0", "0", "0", "0", "0"], ["x"],
+                                    ["0", "-1", "1", "0", "0"]])
+    return json.dumps(data)
+
+
+def test_cli_fuzz_exits_cleanly(capsys, monkeypatch, tmp_path):
+    # every failure is one of the documented exit codes and never a traceback
+    (tmp_path / "ok.cfg").write_text("primes = 5,7\n")
+    (tmp_path / "junk.cfg").write_text("primes = x\nno equals sign\n")
+    rng = random.Random(20080805)
+    for _ in range(200):
+        argv = _fuzz_argv(rng, tmp_path)
+        _pipe(monkeypatch, _fuzz_character_json(rng))
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv

@@ -153,6 +153,12 @@ def test_delta_stays_integral():
             assert a.delta(p).is_p_local()
 
 
+# (m, primes): for each m a prime that splits completely (p = 1 mod m) and
+# one of larger residue degree (inert for m = 3, 4, 5; m = 8, 12 have none)
+INVERSE_CASES = [(1, (3, 5)), (3, (7, 5)), (4, (5, 3)), (5, (11, 3)),
+                 (8, (17, 3)), (12, (13, 5))]
+
+
 def test_inverse():
     cfg = _cfg()
     z = CyclotomicElement.zeta(cfg)
@@ -161,6 +167,21 @@ def test_inverse():
     assert (a / a) == 1
     with pytest.raises(NonUnitError):
         CyclotomicElement.from_rational(cfg, 0).inverse()
+    rng = random.Random(43)
+    for m, primes in INVERSE_CASES:
+        cfg = CyclotomicConfig(m, sorted(primes))
+        for _ in range(10):
+            a = CyclotomicElement(cfg, [Fraction(rng.randint(-9, 9),
+                                                 rng.choice([1, 2, 7]))
+                                        for _ in range(cfg.degree)])
+            if a.is_zero():
+                continue
+            assert a * a.inverse() == 1
+            assert a.inverse().inverse() == a
+    # zeta - 2 has norm 5 in Q(i): its inverse is (-zeta - 2)/5
+    cfg = CyclotomicConfig(4, [5])
+    a = CyclotomicElement.zeta(cfg) - 2
+    assert a.inverse() == CyclotomicElement(cfg, [Fraction(-2, 5), Fraction(-1, 5)])
 
 
 def test_axiom_report_on_random_cyclotomic_pairs():
@@ -224,6 +245,35 @@ def test_padic_cyclotomic_inverse():
     assert not a.is_unit()
     with pytest.raises(NonUnitError):
         a.inverse()
+    for m, primes in INVERSE_CASES:
+        cfg = CyclotomicConfig(m, sorted(primes))
+        for p in primes:
+            # the units of Z[zeta_m]/p form a group of exponent p^f - 1
+            f = next(f for f in range(1, m + 1) if (p ** f - 1) % m == 0)
+            units = 0
+            for _ in range(12):
+                n = rng.randint(1, 20)
+                a = PadicCyclotomic(cfg, p, n, [rng.randint(0, p ** n - 1)
+                                                for _ in range(cfg.degree)])
+                unit = a.reduce_to(1) ** (p ** f - 1) == 1
+                assert a.is_unit() == unit
+                if unit:
+                    assert a * a.inverse() == 1
+                    units += 1
+                else:
+                    with pytest.raises(NonUnitError):
+                        a.inverse()
+            assert units
+            assert not PadicCyclotomic(cfg, p, 5, [p]).is_unit()
+            assert PadicCyclotomic(cfg, p, 5, [1 + p]).inverse() == \
+                PadicCyclotomic.from_rational(cfg, Fraction(1, 1 + p), p, 5)
+    # zeta - 2 vanishes in only one of the two factors of Z_5[i]
+    cfg = CyclotomicConfig(4, [5])
+    a = PadicCyclotomic(cfg, 5, 8, [-2, 1])
+    assert not a.is_unit()
+    with pytest.raises(NonUnitError):
+        a.inverse()
+    assert not a.reduce_to(1).is_zero()
 
 
 def test_padic_cyclotomic_valuation_and_division():
