@@ -256,9 +256,6 @@ class Character:
         self.dirac = list(dirac or [])
         self.order = order if order is not None else symbol_order(symbol, primes)
 
-    def log_series(self, order: int) -> TruncSeries:
-        return group_log(self.group, order, self.curve)
-
     def to_json_dict(self) -> dict:
         out = {
             "group": self.group,

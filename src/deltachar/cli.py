@@ -29,6 +29,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .characters import (
     SymbolPoly,
@@ -346,7 +347,7 @@ def cmd_eval(args, cfg: RunConfig) -> str:
 
 
 def cmd_decompose(args, cfg: RunConfig) -> str:
-    raw = open(args.input).read() if args.input else sys.stdin.read()
+    raw = Path(args.input).read_text() if args.input else sys.stdin.read()
     try:
         data = json.loads(raw)
         c = character_from_json_dict(data)

@@ -167,12 +167,11 @@ def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
 
     This is (1/p) log of (phi u)/u^p; the series form keeps every partial
     sum p-integral.  Input must carry at least one digit beyond `precision`
-    (the Fermat quotient costs it).
+    (the Fermat quotient costs it).  A non-unit raises NonUnitError from
+    the division by u^p.
     """
     if u.p != p:
         raise DomainError("component lives at %d, not %d" % (u.p, p))
-    if not u.is_unit():
-        raise NonUnitError("multiplicative evaluation needs a unit")
     if u.precision < precision + 1:
         raise DomainError("need precision %d, component has %d"
                           % (precision + 1, u.precision))

@@ -1,21 +1,20 @@
 """Jet rings for a family of primes: delta-polynomials, prolongations, lifts.
 
-An element is stored internally as a polynomial in the commuting coordinates
-phi^i x (one shift operator per prime; `i` is a multi-index), because there
-each delta operator is simply "shift, subtract the p-th power, divide by p".
-Externally the same element is presented in the delta-generators
-d^i x = delta_{p_1}^{i_1} ... delta_{p_d}^{i_d} x (primes ascending, so the
-smallest prime acts last); the two coordinate systems are related by an
-invertible triangular change of variables, done here by memoized recursion.
-Integrality of the delta-generator expansion is what makes the jet rings
-defined over the P-local integers, and apply_delta checks it.
+An element is stored as a polynomial in the delta-generators
+d^i x = delta_{p_1}^{i_1} ... delta_{p_d}^{i_d} x (`i` a multi-index, primes
+ascending, so the smallest prime acts last), the normal order the commutation
+relations fix.  It lies in the P-local jet ring exactly when its coefficients
+are P-local, which apply_delta checks by a scan.  The commuting coordinates
+phi^i x, where a Frobenius lift just shifts the index, serve only as an
+invertible triangular change of variables (memoized recursion); through it
+each image phi_p(d^i x) is written in the delta-generators once and memoized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .delta_calculus import iterated_delta
 from .exact_arith import DomainError, PrimeSet, ensure_p_local
@@ -64,6 +63,7 @@ def generator_name(name: str, idx: MultiIndex, primes: PrimeSet) -> str:
 
 _DELTA_IN_PHI: Dict[Tuple[PrimeSet, str, MultiIndex], MPoly] = {}
 _PHI_IN_DELTA: Dict[Tuple[PrimeSet, str, MultiIndex], MPoly] = {}
+_PHI_IMAGE: Dict[Tuple[PrimeSet, int, str, MultiIndex], MPoly] = {}
 
 
 def _delta_generator_as_phi(primes: PrimeSet, name: str, idx: MultiIndex) -> MPoly:
@@ -108,6 +108,17 @@ def _phi_shift(poly: MPoly, k: int) -> MPoly:
         lambda var: (var[0], var[1], _bump(var[2], k)) if var[0] == _PHI else var)
 
 
+def _phi_image(primes: PrimeSet, k: int, name: str, idx: MultiIndex) -> MPoly:
+    """phi_{p_k}(d^i x) written in the delta-generators (integral coefficients)."""
+    key = (primes, k, name, idx)
+    if key not in _PHI_IMAGE:
+        shifted = _phi_shift(_delta_generator_as_phi(primes, name, idx), k)
+        _PHI_IMAGE[key] = shifted.substitute(
+            {var: _phi_as_delta_generators(primes, var[1], var[2])
+             for var in shifted.variables()})
+    return _PHI_IMAGE[key]
+
+
 # ---------------------------------------------------------------------------
 # delta-polynomials
 # ---------------------------------------------------------------------------
@@ -115,29 +126,26 @@ def _phi_shift(poly: MPoly, k: int) -> MPoly:
 class DeltaPolynomial:
     """An element of the jet algebra over the primes P.
 
-    `poly` is the internal phi-coordinate polynomial.  Elements created from
-    base polynomials or delta-generators carry `integral=True`, meaning they
-    lie in the P-local delta-polynomial ring; apply_delta preserves and
-    verifies that flag.
+    `poly` is a polynomial in the delta-generators ("delta", name, i), and the
+    element lies in the P-local delta-polynomial ring exactly when the
+    denominators of its coefficients are prime to P.
     """
 
-    __slots__ = ("primes", "poly", "integral")
+    __slots__ = ("primes", "poly")
 
-    def __init__(self, primes: PrimeSet, poly: MPoly, integral: bool = False):
+    def __init__(self, primes: PrimeSet, poly: MPoly):
         self.primes = primes
         self.poly = poly
-        self.integral = integral
 
     # -- constructors --------------------------------------------------------
     @classmethod
     def variable(cls, primes: PrimeSet, name: str) -> "DeltaPolynomial":
-        idx = _zero_index(len(primes))
-        return cls(primes, MPoly.variable((_PHI, name, idx)), True)
+        return cls(primes, MPoly.variable((_DEL, name, _zero_index(len(primes)))))
 
     @classmethod
     def constant(cls, primes: PrimeSet, value) -> "DeltaPolynomial":
         ensure_p_local(value, primes)
-        return cls(primes, MPoly.const(value), True)
+        return cls(primes, MPoly.const(value))
 
     @classmethod
     def delta_generator(cls, primes: PrimeSet, name: str,
@@ -145,7 +153,7 @@ class DeltaPolynomial:
         if len(idx) != len(primes):
             raise DomainError("multi-index length %d != %d primes"
                               % (len(idx), len(primes)))
-        return cls(primes, _delta_generator_as_phi(primes, name, tuple(idx)), True)
+        return cls(primes, MPoly.variable((_DEL, name, tuple(idx))))
 
     @classmethod
     def from_base_polynomial(cls, primes: PrimeSet, poly: MPoly) -> "DeltaPolynomial":
@@ -153,21 +161,14 @@ class DeltaPolynomial:
         if not poly.denominators_coprime_to(primes):
             raise DomainError("coefficients are not P-local")
         idx = _zero_index(len(primes))
-        lifted = poly.map_variables(lambda v: (_PHI, v, idx))
-        return cls(primes, lifted, True)
+        return cls(primes, poly.map_variables(lambda v: (_DEL, v, idx)))
 
     @classmethod
     def from_delta_generators(cls, primes: PrimeSet, poly: MPoly) -> "DeltaPolynomial":
         """Interpret an MPoly in ("delta", name, idx) variables."""
-        sub = {var: _delta_generator_as_phi(primes, var[1], var[2])
-               for var in poly.variables()}
-        return cls(primes, poly.substitute(sub),
-                   poly.denominators_coprime_to(primes))
+        return cls(primes, poly)
 
     # -- ring structure -------------------------------------------------------
-    def _wrap(self, poly: MPoly, integral: bool) -> "DeltaPolynomial":
-        return DeltaPolynomial(self.primes, poly, integral)
-
     def _coerce(self, other):
         if isinstance(other, DeltaPolynomial):
             if other.primes != self.primes:
@@ -181,18 +182,18 @@ class DeltaPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._wrap(self.poly + o.poly, self.integral and o.integral)
+        return DeltaPolynomial(self.primes, self.poly + o.poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(-self.poly, self.integral)
+        return DeltaPolynomial(self.primes, -self.poly)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._wrap(self.poly - o.poly, self.integral and o.integral)
+        return DeltaPolynomial(self.primes, self.poly - o.poly)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -201,12 +202,12 @@ class DeltaPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._wrap(self.poly * o.poly, self.integral and o.integral)
+        return DeltaPolynomial(self.primes, self.poly * o.poly)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        return self._wrap(self.poly ** k, self.integral)
+        return DeltaPolynomial(self.primes, self.poly ** k)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -221,20 +222,16 @@ class DeltaPolynomial:
 
     # -- presentations --------------------------------------------------------
     def delta_expansion(self) -> MPoly:
-        """The element rewritten in the delta-generators d^i x."""
-        sub = {var: _phi_as_delta_generators(self.primes, var[1], var[2])
-               for var in self.poly.variables()}
-        return self.poly.substitute(sub)
+        """The element in the delta-generators d^i x (its stored form)."""
+        return self.poly
 
     def is_p_local(self) -> bool:
-        return self.delta_expansion().denominators_coprime_to(self.primes)
+        return self.poly.denominators_coprime_to(self.primes)
 
     def describe(self) -> str:
         """Human-readable delta-generator form."""
-        expansion = self.delta_expansion()
-        named = expansion.map_variables(
-            lambda var: generator_name(var[1], var[2], self.primes))
-        return repr(named)
+        return repr(self.poly.map_variables(
+            lambda var: generator_name(var[1], var[2], self.primes)))
 
     def __repr__(self):
         return "DeltaPolynomial(%s)" % self.describe()
@@ -243,14 +240,15 @@ class DeltaPolynomial:
     def apply_phi(self, p: int) -> "DeltaPolynomial":
         """The Frobenius lift attached to p (identity on coefficients)."""
         k = self.primes.index_of(p)
-        return self._wrap(_phi_shift(self.poly, k), self.integral)
+        return DeltaPolynomial(self.primes, self.poly.substitute(
+            {var: _phi_image(self.primes, k, var[1], var[2])
+             for var in self.poly.variables()}))
 
     def apply_delta(self, p: int) -> "DeltaPolynomial":
-        """delta_p f = (phi_p f - f^p)/p, verified P-local when f was."""
-        k = self.primes.index_of(p)
-        num = _phi_shift(self.poly, k) - self.poly ** p
-        out = self._wrap(num / p, self.integral)
-        if self.integral and not out.is_p_local():
+        """delta_p f = (phi_p f - f^p)/p, verified P-local when f is."""
+        out = DeltaPolynomial(self.primes,
+                              (self.apply_phi(p).poly - self.poly ** p) / p)
+        if self.is_p_local() and not out.is_p_local():
             raise DomainError("delta produced a non-P-local coefficient")
         return out
 

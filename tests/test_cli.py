@@ -2,6 +2,7 @@ import io
 import json
 import random
 import sys
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -175,6 +176,21 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: input is not character JSON: ")
 
 
+def test_decompose_input_file_matches_stdin(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gm.json"
+    assert main(["char", "gm", "--primes", "3,5", "--order", "30",
+                 "--output", str(path)]) == 0
+    argv = ["decompose", "--point", "2", "--prec", "10"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, from_file = run(capsys, *argv, "--input", str(path))
+    assert rc == 0
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    _pipe(monkeypatch, path.read_text())
+    rc, from_stdin = run(capsys, *argv)
+    assert rc == 0 and from_file == from_stdin
+
+
 def test_verify_suites_all_pass(capsys):
     for argv in (
         ["verify", "axioms", "--primes", "3,5,7", "--samples", "12"],
@@ -187,6 +203,7 @@ def test_verify_suites_all_pass(capsys):
          "--bound", "100"],
         ["verify", "claim2", "--primes", "3,5", "--samples", "3"],
         ["verify", "jets", "--samples", "10"],
+        ["verify", "jets", "--primes", "3,5,7"],
     ):
         rc, doc = run_json(capsys, *argv)
         assert rc == 0, argv

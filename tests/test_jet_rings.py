@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from deltachar import jet_rings
 from deltachar.delta_calculus import commutator_polynomial, fermat_quotient, iterated_delta
 from deltachar.exact_arith import DomainError, NotPLocalError, PrimeSet
 from deltachar.jet_rings import (
@@ -69,7 +70,7 @@ def test_base_polynomial_lift_requires_local_coefficients():
     with pytest.raises(DomainError):
         DeltaPolynomial.from_base_polynomial(P3, xv / 3)
     f = DeltaPolynomial.from_base_polynomial(P3, xv ** 2 + xv / 2)
-    assert f.integral
+    assert f.is_p_local()
 
 
 def _random_element(rng, primes, max_terms=3, allow_mixed=False):
@@ -93,6 +94,67 @@ def test_delta_stability_on_random_elements():
         for p in P35:
             g = f.apply_delta(p)     # raises if a coefficient fails to be P-local
             assert g.is_p_local()
+
+
+def _phi_coordinates(f):
+    return f.poly.substitute({v: _delta_generator_as_phi(f.primes, v[1], v[2])
+                              for v in f.poly.variables()})
+
+
+def _delta_coordinates(primes, poly):
+    return poly.substitute({v: _phi_as_delta_generators(primes, v[1], v[2])
+                            for v in poly.variables()})
+
+
+def _phi_shift_reference(poly, k):
+    return poly.map_variables(
+        lambda v: (v[0], v[1], v[2][:k] + (v[2][k] + 1,) + v[2][k + 1:]))
+
+
+def test_operators_match_phi_coordinate_route():
+    # reference: shift the whole element in the phi-coordinates, where phi_p
+    # is an index bump, then expand it back into the delta-generators.  The
+    # p-th power is taken after the expansion, a ring homomorphism, because
+    # expanding (phi-form)^7 of d3(d5(x)) alone takes seconds.
+    P357 = PrimeSet((3, 5, 7))
+    rng = random.Random(4127)
+    for primes, mixed, count in ((P35, (1, 1), 10), (P357, (1, 1, 0), 4)):
+        d = len(primes)
+        idxs = [(0,) * d] + [tuple(int(j == k) for j in range(d))
+                             for k in range(d)]
+        for n in range(count):
+            poly = MPoly()
+            for j in range(rng.randrange(1, 4)):
+                mono = MPoly.const(Fraction(rng.randrange(-5, 6),
+                                            rng.choice((1, 2))))
+                for _ in range(rng.randrange(0, 3)):
+                    mono = mono * MPoly.variable(("delta", "x", rng.choice(idxs)))
+                if j == 0 and n % 2 == 0:
+                    mono = mono * MPoly.variable(("delta", "x", mixed))
+                poly = poly + mono
+            f = DeltaPolynomial.from_delta_generators(primes, poly)
+            phi_form = _phi_coordinates(f)
+            assert _delta_coordinates(primes, phi_form) == f.poly
+            for k, p in enumerate(primes):
+                shifted = _delta_coordinates(
+                    primes, _phi_shift_reference(phi_form, k))
+                assert f.apply_phi(p).poly == shifted
+                assert f.apply_delta(p).poly == (shifted - f.poly ** p) / p
+
+
+def test_apply_delta_rejects_non_local_result(monkeypatch):
+    # a Frobenius image without its factor p (phi_3(x) = x^3 + d3(x)) makes
+    # delta_3(x) = d3(x)/3; the coefficient scan must catch it
+    x = MPoly.variable(("delta", "x", (0,)))
+    d1 = MPoly.variable(("delta", "x", (1,)))
+    monkeypatch.setattr(jet_rings, "_phi_image", lambda primes, k, name, idx: x ** 3 + d1)
+    f = DeltaPolynomial.variable(P3, "x")
+    with pytest.raises(DomainError):
+        f.apply_delta(3)
+    # an input that is not P-local is not checked
+    g = DeltaPolynomial.from_delta_generators(P3, x / 3)
+    assert not g.is_p_local()
+    assert not g.apply_delta(3).is_p_local()
 
 
 def test_commutation_identity_on_jet_elements():
