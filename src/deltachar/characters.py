@@ -193,9 +193,9 @@ def _check_index(primes: PrimeSet, k: int):
 
 
 def _ordinary_ap(curve: WeierstrassCurve, p: int) -> int:
-    if not curve.is_good(p):
+    ap = count_points_ap(curve, p)         # validates p and integrality
+    if vp(curve.discriminant(), p):
         raise DomainError("bad reduction at %d" % p)
-    ap = count_points_ap(curve, p)
     if ap % p == 0:
         raise DomainError("supersingular reduction at %d (a_p = %d)" % (p, ap))
     return ap

@@ -13,6 +13,8 @@ Galois group: a * adj(a) = N(a), where adj(a) is the product of the
 conjugates sigma_j(a), j != 1, and the norm N(a) is rational.  Over Z_p, a
 is a unit exactly when N(a) is, also when p splits: Z_p[zeta_m] is then a
 product of local rings, and N(a) is the product of the local norms.
+A power series with integer coefficients is summed at an element on the
+same kernel, by Horner's rule (`_series_mod`).
 """
 
 from __future__ import annotations
@@ -93,6 +95,19 @@ def _powmod(a, k, phi, modulus=None):
         if k:
             a = _mulmod(a, a, phi, modulus)
     return result
+
+
+def _series_mod(ints, x, phi, modulus):
+    """sum_{j>=1} ints[j-1] * x^j mod (phi, modulus), by Horner's rule.
+
+    `ints` are integers (the series coefficients, already reduced) and `x` is
+    a coefficient list of length deg(phi); one multiply-reduce per term.
+    """
+    acc = [0] * len(x)
+    for c in reversed(ints):
+        acc[0] += c
+        acc = _mulmod(acc, x, phi, modulus)
+    return acc
 
 
 # ---------------------------------------------------------------------------

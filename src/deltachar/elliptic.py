@@ -29,7 +29,7 @@ from .cyclotomic import (
     _unit_inverse,
     euler_phi,
 )
-from .exact_arith import DomainError, fraction_mod, is_p_local, is_prime, vp
+from .exact_arith import DomainError, fraction_mod, is_prime, vp
 
 Coord = Union[Fraction, CyclotomicElement]
 
@@ -50,7 +50,7 @@ class BadReductionError(DomainError):
 class WeierstrassCurve:
     """An elliptic curve y^2 + c1 xy + c3 y = x^3 + c2 x^2 + c4 x + c6 over Q."""
 
-    __slots__ = ("c1", "c2", "c3", "c4", "c6", "_discriminant")
+    __slots__ = ("c1", "c2", "c3", "c4", "c6", "_discriminant", "_denominators")
 
     def __init__(self, c1, c2, c3, c4, c6):
         self.c1, self.c2, self.c3, self.c4, self.c6 = (
@@ -60,6 +60,7 @@ class WeierstrassCurve:
                               + 9 * b2 * b4 * b6)
         if self._discriminant == 0:
             raise SingularCurveError("discriminant vanishes")
+        self._denominators = math.prod(c.denominator for c in self.coefficients())
 
     @classmethod
     def from_label(cls, label: str) -> "WeierstrassCurve":
@@ -92,7 +93,8 @@ class WeierstrassCurve:
 
     # -- reduction ---------------------------------------------------------
     def has_integral_reduction(self, p: int) -> bool:
-        return all(is_p_local(c, (p,)) for c in self.coefficients())
+        """Whether the prime p divides no coefficient denominator."""
+        return self._denominators % p != 0
 
     def is_good(self, p: int) -> bool:
         if not self.has_integral_reduction(p):

@@ -11,6 +11,13 @@ the value.
 All inner series run with guard digits (ceil(N/2) + 4) and the result is
 reported modulo p**N; the achieved precision is carried on the components
 rather than assumed.
+
+Each per-prime series (the curve's formal logarithm, the log-series of
+delta_p u / u^p) is summed by one Horner pass on integer residues
+(`cyclotomic._series_mod`): its rational coefficients are reduced to
+integers once per (series, p), those with p in the denominator after
+scaling by p^S, where S digits of t are spent (see `_series_value`).  No
+term is formed as an object.
 """
 
 from __future__ import annotations
@@ -28,7 +35,12 @@ from .characters import (
     full_symbol_elliptic,
     full_symbol_gm,
 )
-from .cyclotomic import CyclotomicConfig, CyclotomicElement, PadicCyclotomic
+from .cyclotomic import (
+    CyclotomicConfig,
+    CyclotomicElement,
+    PadicCyclotomic,
+    _series_mod,
+)
 from .elliptic import (
     CurvePoint,
     count_points_ap,
@@ -165,10 +177,12 @@ class EvaluationResult:
 def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
     """sum_n (-1)^(n-1) (p^(n-1)/n) (delta_p u / u^p)^n, modulo p**precision.
 
-    This is (1/p) log of (phi u)/u^p; the series form keeps every partial
-    sum p-integral.  Input must carry at least one digit beyond `precision`
-    (the Fermat quotient costs it).  A non-unit raises NonUnitError from
-    the division by u^p.
+    This is (1/p) log of (phi u)/u^p; the series form keeps every
+    coefficient p-integral (v_p(n) <= n - 1), so each is reduced once to an
+    integer mod p^K, K the precision of w = delta_p u / u^p, and the sum is
+    one Horner pass at w (`_series_mod`).  Input must carry at least one
+    digit beyond `precision` (the Fermat quotient costs it).  A non-unit
+    raises NonUnitError from the division by u^p.
     """
     if u.p != p:
         raise DomainError("component lives at %d, not %d" % (u.p, p))
@@ -176,36 +190,61 @@ def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
         raise DomainError("need precision %d, component has %d"
                           % (precision + 1, u.precision))
     w = u.delta() / (u ** p)
-    total = PadicCyclotomic.zero(u.config, p, w.precision)
-    power = None
+    modulus = w.modulus
+    ints = []
     n = 1
     while n - 1 - _ilog(n, p) <= precision:
-        power = w if power is None else power * w
-        total = total + power.times_rational(
-            Fraction((-1) ** (n - 1) * p ** (n - 1), n))
+        s, unit = _split_prime(n, p)
+        ints.append((-1) ** (n - 1) * pow(p, n - 1 - s, modulus)
+                    * pow(unit, -1, modulus) % modulus)
         n += 1
+    total = PadicCyclotomic(w.config, p, w.precision,
+                            _series_mod(ints, w.coeffs, w.config.phi, modulus))
     return total.reduce_to(min(precision, total.precision))
+
+
+def _split_prime(n: int, p: int) -> Tuple[int, int]:
+    """(s, u) with n = p^s * u and u prime to p, for an integer n >= 1."""
+    s = 0
+    while n % p == 0:
+        n //= p
+        s += 1
+    return s, n
 
 
 def _series_value(series: TruncSeries, t: PadicCyclotomic) -> PadicCyclotomic:
     """Evaluate a univariate series at an element of positive valuation.
 
-    Coefficients may carry powers of p in their denominators (logarithms do);
-    each is cleared against the valuation of t**j before the modular multiply.
+    Coefficients may carry powers of p in their denominators (logarithms
+    do).  With s_j = v_p(den c_j), S the largest s_j and K the precision of
+    t, the integers a_j = p^S c_j mod p^(K+S) are reduced once, as
+    numerator * p^(S-s_j) * (den c_j / p^s_j)^-1, and summed at t's
+    residues by Horner's rule (`_series_mod`).  The sum is p^S times the
+    value, so it divides by p^S exactly (each a_j t^j has valuation
+    >= S - s_j + j v(t) >= S).  Any lift of t will do: moving t by p^K moves
+    a_j t^j by at least K + (j-1) v(t) + S - s_j >= K digits, so the value
+    is known to K - S digits, the precision returned.  Terms with
+    j v(t) >= K + S vanish mod p^(K+S) and are not summed.
     """
-    if t.min_valuation() < 1:
+    p, K = t.p, t.precision
+    v = t.min_valuation()
+    if v < 1:
         raise DomainError("series evaluation needs valuation >= 1")
-    total = PadicCyclotomic.zero(t.config, t.p, t.precision)
-    power = PadicCyclotomic.one(t.config, t.p, t.precision)
-    for j in range(1, series.order + 1):
-        power = power * t
-        c = series.coefficient(j)
-        if not c:
-            continue
-        s = vp(c.denominator, t.p)
-        term = power.divide_by_prime_power(s) if s else power
-        total = total + term.times_rational(c * t.p ** s)
-    return total
+    coeffs = [series.coeffs.get((j,), 0) for j in range(1, series.order + 1)]
+    split = [_split_prime(c.denominator, p) for c in coeffs]
+    for j, (s, _) in enumerate(split, 1):
+        if s > j * v:
+            raise DomainError("element is not divisible by %d^%d" % (p, s))
+    S = max((s for s, _ in split), default=0)
+    if K - S < 1:
+        raise DomainError("no precision left")
+    if t.is_zero():
+        return PadicCyclotomic.zero(t.config, p, K - S)
+    modulus = p ** (K + S)
+    ints = [c.numerator * p ** (S - s) * pow(unit, -1, modulus) % modulus
+            for c, (s, unit) in zip(coeffs[:(K + S - 1) // v], split)]
+    total = _series_mod(ints, t.coeffs, t.config.phi, modulus)
+    return PadicCyclotomic(t.config, p, K - S, [c // p ** S for c in total])
 
 
 def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic,
@@ -283,15 +322,19 @@ def _elliptic_work(precision: int) -> int:
 
 def _formal_value(curve, t: PadicCyclotomic, precision: int,
                   log: TruncSeries) -> PadicCyclotomic:
-    """The formal value at a nonzero parameter t, with the curve's logarithm."""
+    """The formal value at a nonzero parameter t, with the curve's logarithm.
+
+    The logarithm has rational coefficients and Frobenius is a ring
+    automorphism of Z_p[zeta_m], so l(phi t) = phi(l(t)): the series is
+    summed once, at t, and its conjugates are Galois images of the sum.
+    They agree with the sums at the residues of phi t and phi^2 t to the
+    K - S digits `_series_value` returns, by the same lift argument.
+    """
     p = t.p
     ap = count_points_ap(curve, p)
-    t1 = t.frobenius()
-    t2 = t1.frobenius()
-    combo = (_series_value(log, t2)
-             - _series_value(log, t1).times_rational(ap)
-             + _series_value(log, t).times_rational(p))
-    w = combo.divide_by_prime_power(1)
+    l0 = _series_value(log, t)
+    l1 = l0.frobenius()
+    w = (l1.frobenius() - l1 * ap + l0 * p).divide_by_prime_power(1)
     return w.reduce_to(min(precision, w.precision))
 
 

@@ -48,6 +48,17 @@ def _prime_power(primes: PrimeSet, idx: MultiIndex) -> int:
     return out
 
 
+def _generator_key(primes: PrimeSet, name: str, idx: MultiIndex):
+    """The MPoly variable of d^i x, after checking the multi-index."""
+    if len(idx) != len(primes):
+        raise DomainError("multi-index length %d != %d primes"
+                          % (len(idx), len(primes)))
+    if not all(isinstance(e, int) and e >= 0 for e in idx):
+        raise DomainError("multi-index %r is not of non-negative integers"
+                          % (tuple(idx),))
+    return (_DEL, name, tuple(idx))
+
+
 def generator_name(name: str, idx: MultiIndex, primes: PrimeSet) -> str:
     """Display form of d^i x, e.g. d3(d5(x)) for i=(1,1), P=(3,5)."""
     out = name
@@ -150,10 +161,7 @@ class DeltaPolynomial:
     @classmethod
     def delta_generator(cls, primes: PrimeSet, name: str,
                         idx: MultiIndex) -> "DeltaPolynomial":
-        if len(idx) != len(primes):
-            raise DomainError("multi-index length %d != %d primes"
-                              % (len(idx), len(primes)))
-        return cls(primes, MPoly.variable((_DEL, name, tuple(idx))))
+        return cls(primes, MPoly.variable(_generator_key(primes, name, idx)))
 
     @classmethod
     def from_base_polynomial(cls, primes: PrimeSet, poly: MPoly) -> "DeltaPolynomial":
@@ -166,6 +174,11 @@ class DeltaPolynomial:
     @classmethod
     def from_delta_generators(cls, primes: PrimeSet, poly: MPoly) -> "DeltaPolynomial":
         """Interpret an MPoly in ("delta", name, idx) variables."""
+        for var in poly.variables():
+            if not (isinstance(var, tuple) and len(var) == 3 and var[0] == _DEL
+                    and isinstance(var[2], tuple)):
+                raise DomainError("%r is not a delta-generator key" % (var,))
+            _generator_key(primes, var[1], var[2])
         return cls(primes, poly)
 
     # -- ring structure -------------------------------------------------------

@@ -7,6 +7,8 @@ from deltachar.cyclotomic import (
     CyclotomicConfig,
     CyclotomicElement,
     PadicCyclotomic,
+    _mulmod,
+    _series_mod,
     check_delta_ring_axioms,
     cyclotomic_polynomial,
     euler_phi,
@@ -300,3 +302,21 @@ def test_padic_cyclotomic_rejects_ramified():
     cfg = CyclotomicConfig(9, [5])
     with pytest.raises(DomainError):
         PadicCyclotomic.from_rational(cfg, 1, 3, 4)
+
+
+def test_series_mod_matches_power_sum():
+    # Horner against sum_j ints[j-1] * x^j with the powers built one by one
+    rng = random.Random(7)
+    for m in (1, 3, 4, 8, 12):
+        phi = cyclotomic_polynomial(m)
+        deg = len(phi) - 1
+        for modulus in (5 ** 9, 7 ** 20, 13 ** 4):
+            for n in (0, 1, 2, 17):
+                ints = [rng.randrange(-modulus, modulus) for _ in range(n)]
+                x = [rng.randrange(modulus) for _ in range(deg)]
+                want = [0] * deg
+                power = [1] + [0] * (deg - 1)
+                for c in ints:
+                    power = _mulmod(power, x, phi, modulus)
+                    want = [(w + c * e) % modulus for w, e in zip(want, power)]
+                assert _series_mod(ints, x, phi, modulus) == want

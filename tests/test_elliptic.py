@@ -99,6 +99,19 @@ def test_ordinary_and_supersingular():
         count_points_ap(E11, 4)
 
 
+def test_integral_reduction_reads_the_denominators():
+    curve = WeierstrassCurve(Fraction(1, 3), 2, Fraction(-5, 7), 1, Fraction(3, 49))
+    for p in (3, 5, 7, 11, 13):
+        want = all(c.denominator % p for c in curve.coefficients())
+        assert curve.has_integral_reduction(p) == want
+    for p in (3, 7):
+        with pytest.raises(DomainError, match="curve is not p-integral at %d" % p):
+            count_points_ap(curve, p)
+        with pytest.raises(DomainError, match="curve is not p-integral at %d" % p):
+            curve.is_good(p)
+    assert E11.has_integral_reduction(11) and not E11.is_good(11)
+
+
 def test_five_torsion_chain_on_11a():
     P = E11.point(0, 0)
     chain = [P]

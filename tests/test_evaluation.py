@@ -11,9 +11,11 @@ from deltachar.characters import (
     full_symbol_gm,
 )
 from deltachar.cyclotomic import CyclotomicConfig, CyclotomicElement, PadicCyclotomic
-from deltachar.elliptic import WeierstrassCurve, reduction_group_order
+from deltachar.elliptic import WeierstrassCurve, count_points_ap, reduction_group_order
 from deltachar.evaluation import (
     AdelePoint,
+    _formal_value,
+    _series_value,
     eval_elliptic_character,
     eval_gm_character,
     eval_gm_ode,
@@ -29,9 +31,11 @@ from deltachar.exact_arith import (
     NonUnitError,
     PadicInt,
     PrimeSet,
+    _ilog,
     padic_log,
+    vp,
 )
-from deltachar.series_fgl import gm_log
+from deltachar.series_fgl import TruncSeries, elliptic_log, gm_log
 
 P35 = PrimeSet((3, 5))
 P57 = PrimeSet((5, 7))
@@ -80,6 +84,140 @@ def test_gm_ode_values():
         eval_gm_ode(two, 5, 10)
     with pytest.raises(DomainError):
         eval_gm_ode(two, 3, 14)  # no digit left for the Fermat quotient
+
+
+# -- the series kernel against term-by-term evaluation ---------------------
+
+def _series_reference(series, t):
+    """Sum c_j t^j one term at a time, clearing p^s_j against t^j."""
+    if t.min_valuation() < 1:
+        raise DomainError("series evaluation needs valuation >= 1")
+    total = PadicCyclotomic.zero(t.config, t.p, t.precision)
+    power = PadicCyclotomic.one(t.config, t.p, t.precision)
+    for j in range(1, series.order + 1):
+        power = power * t
+        c = series.coefficient(j)
+        if not c:
+            continue
+        s = vp(c.denominator, t.p)
+        term = power.divide_by_prime_power(s) if s else power
+        total = total + term.times_rational(c * t.p ** s)
+    return total
+
+
+def _gm_ode_reference(u, p, precision):
+    """eval_gm_ode one term at a time, with the powers of w as objects."""
+    w = u.delta() / (u ** p)
+    total = PadicCyclotomic.zero(u.config, p, w.precision)
+    power = None
+    n = 1
+    while n - 1 - _ilog(n, p) <= precision:
+        power = w if power is None else power * w
+        total = total + power.times_rational(F((-1) ** (n - 1) * p ** (n - 1), n))
+        n += 1
+    return total.reduce_to(min(precision, total.precision))
+
+
+# (m, primes): split primes (p = 1 mod m) and inert or partly split ones
+SERIES_RINGS = [(1, (3, 5)), (3, (7, 5)), (4, (5, 3)), (8, (17, 3)),
+                (12, (13, 5))]
+
+
+def _random_element(rng, config, p, precision, valuation):
+    deg = config.degree
+    coeffs = [p ** valuation * rng.randrange(p ** precision) for _ in range(deg)]
+    coeffs[rng.randrange(deg)] = p ** valuation * rng.randrange(1, p)
+    return PadicCyclotomic(config, p, precision, coeffs)
+
+
+def test_series_value_matches_term_by_term():
+    rng = random.Random(6301)
+    for m, primes in SERIES_RINGS:
+        config = CyclotomicConfig(m, PrimeSet(sorted(primes)))
+        for p in primes:
+            for v in (1, 1, 2):
+                k = rng.randint(6, 30)
+                order = rng.randint(1, 3 * k)
+                coeffs = {}
+                for j in range(1, order + 1):
+                    if rng.random() < 0.2:
+                        continue            # some zero coefficients
+                    s = rng.randint(0, min(j * v, k - 1, 4))
+                    if v == 1 and j <= 3 and rng.random() < 0.5:
+                        s = j               # s_j = j at v(t) = 1
+                    unit = rng.choice([u for u in (1, 2, 7, 11, 26) if u % p])
+                    coeffs[(j,)] = F(rng.randrange(-p ** 6, p ** 6) or 1,
+                                     p ** s * unit)
+                series = TruncSeries(1, order, coeffs)
+                t = _random_element(rng, config, p, k, v)
+                top = max((vp(c.denominator, p) for c in coeffs.values()),
+                          default=0)
+                if k - top < 1:
+                    continue
+                got = _series_value(series, t)
+                want = _series_reference(series, t)
+                assert got.precision == want.precision == k - top
+                assert got.coeffs == want.coeffs, (m, p, v, k)
+
+
+def test_series_value_on_elliptic_logs():
+    # the logarithm's own coefficients b_n (-2)^(n-1)/n, and the formal value
+    # against the three term-by-term sums at t, phi t and phi^2 t
+    rng = random.Random(4409)
+    curves = [E11, E37, WeierstrassCurve(0, 1, 1, 0, 0),
+              WeierstrassCurve(F(1, 3), 2, F(-5, 7), 1, 3)]
+    for curve in curves:
+        for m, primes in SERIES_RINGS:
+            config = CyclotomicConfig(m, PrimeSet(sorted(primes)))
+            for p in primes:
+                if not curve.has_integral_reduction(p) or not curve.is_good(p):
+                    continue
+                k = rng.randint(8, 40)
+                log = elliptic_log(curve, k + 8)
+                t = _random_element(rng, config, p, k, rng.choice((1, 1, 2)))
+                got = _series_value(log, t)
+                want = _series_reference(log, t)
+                assert (got.precision, got.coeffs) == (want.precision, want.coeffs)
+                ap = count_points_ap(curve, p)
+                t1 = t.frobenius()
+                combo = (_series_reference(log, t1.frobenius())
+                         - _series_reference(log, t1).times_rational(ap)
+                         + want.times_rational(p)).divide_by_prime_power(1)
+                value = _formal_value(curve, t, k, log)
+                assert value.precision == combo.precision
+                assert value.coeffs == combo.coeffs
+
+
+def test_series_value_domain_errors():
+    config = CyclotomicConfig(4, P35)
+    series = TruncSeries(1, 4, {(1,): F(1), (2,): F(1, 9), (4,): F(5, 3)})
+    unit = PadicCyclotomic(config, 3, 10, [1, 3])
+    with pytest.raises(DomainError):
+        _series_value(series, unit)             # v(t) < 1
+    t = PadicCyclotomic(config, 3, 10, [3, 9])
+    with pytest.raises(DomainError):
+        _series_value(TruncSeries(1, 2, {(1,): F(1, 9)}), t)   # s_1 > v(t)
+    assert _series_value(series, t) == _series_reference(series, t)
+    with pytest.raises(DomainError):
+        _series_value(series, PadicCyclotomic(config, 3, 2, [3, 9]))  # K - S < 1
+    zero = PadicCyclotomic.zero(config, 3, 10)
+    assert _series_value(series, zero).precision == 8
+
+
+def test_gm_ode_matches_term_by_term():
+    rng = random.Random(1601)
+    for m, primes in SERIES_RINGS:
+        config = CyclotomicConfig(m, PrimeSet(sorted(primes)))
+        for p in primes:
+            for n in (1, 7, 40, 160):
+                work = n + 1 + rng.randint(0, 3)
+                coeffs = [rng.randrange(p ** work) for _ in range(config.degree)]
+                u = PadicCyclotomic(config, p, work, coeffs)
+                while not u.is_unit():
+                    u = u + 1
+                got = eval_gm_ode(u, p, n)
+                want = _gm_ode_reference(u, p, n)
+                assert (got.precision, got.coeffs) == (want.precision, want.coeffs)
 
 
 def test_gm_kernel_at_torsion():

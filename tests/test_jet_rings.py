@@ -157,6 +157,21 @@ def test_apply_delta_rejects_non_local_result(monkeypatch):
     assert not g.apply_delta(3).is_p_local()
 
 
+def test_from_delta_generators_rejects_bad_keys():
+    # a multi-index of the wrong length, a plain key, a negative index and
+    # a phi-coordinate are refused up front, not by apply_delta or describe
+    x = MPoly.variable(("delta", "x", (0, 0)))
+    for key in (("delta", "x", (1,)), "x", ("delta", "x", (1, -1)),
+                ("phi", "x", (0, 0))):
+        with pytest.raises(DomainError):
+            DeltaPolynomial.from_delta_generators(P35, x + MPoly.variable(key))
+    with pytest.raises(DomainError):
+        DeltaPolynomial.delta_generator(P35, "x", (1,))
+    f = DeltaPolynomial.from_delta_generators(
+        P35, MPoly.variable(("delta", "x", (1, 1))))
+    assert f.describe() == "d3(d5(x))"
+
+
 def test_commutation_identity_on_jet_elements():
     # fixed representatives of degree <= 3: the identity is polynomial, so a
     # wide polynomial gains nothing but runtime (the C-substitution needs the
