@@ -15,6 +15,7 @@ the c_n are P-local.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -24,10 +25,12 @@ from .exact_arith import (
     PrimeSet,
     Rational,
     _ilog,
+    _json_int,
     hensel_quadratic_root,
     smooth_exponents,
     vp,
 )
+from .polys import _ZERO, _add_into, _combine, _convolve, _coprime_to, _scale
 from .series_fgl import TruncSeries, elliptic_group, elliptic_log, gm_group, gm_log, star_apply
 
 
@@ -47,6 +50,13 @@ class SymbolPoly:
         self.coeffs = clean
 
     @classmethod
+    def _from_clean(cls, coeffs: Dict[int, Fraction]) -> "SymbolPoly":
+        """Store a clean kernel dict as it is (no coercion, no zero scan)."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def one(cls) -> "SymbolPoly":
         return cls({1: 1})
 
@@ -55,21 +65,20 @@ class SymbolPoly:
         return cls({n: coefficient})
 
     def coefficient(self, n: int) -> Fraction:
-        return self.coeffs.get(n, Fraction(0))
+        return self.coeffs.get(n, _ZERO)
 
     def support(self) -> Tuple[int, ...]:
         return tuple(sorted(self.coeffs))
 
     def augmentation(self) -> Fraction:
         """The sum of all coefficients (image under phi_n -> 1)."""
-        return sum(self.coeffs.values(), Fraction(0))
+        return sum(self.coeffs.values(), _ZERO)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_p_local(self, primes: Iterable[int]) -> bool:
-        ps = tuple(primes)
-        return all(all(c.denominator % p for p in ps) for c in self.coeffs.values())
+        return _coprime_to(self.coeffs, primes)
 
     def is_smooth(self, primes: PrimeSet) -> bool:
         return all(smooth_exponents(n, primes) is not None for n in self.coeffs)
@@ -78,15 +87,12 @@ class SymbolPoly:
         o = _as_symbol(other)
         if o is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for n, c in o.coeffs.items():
-            out[n] = out.get(n, Fraction(0)) + c
-        return SymbolPoly(out)
+        return SymbolPoly._from_clean(_combine(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymbolPoly({n: -c for n, c in self.coeffs.items()})
+        return SymbolPoly._from_clean(_scale(self.coeffs, -1))
 
     def __sub__(self, other):
         o = _as_symbol(other)
@@ -99,15 +105,12 @@ class SymbolPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SymbolPoly({n: c * other for n, c in self.coeffs.items()})
+            return SymbolPoly._from_clean(_scale(self.coeffs, other))
         o = _as_symbol(other)
         if o is None:
             return NotImplemented
-        out: Dict[int, Fraction] = {}
-        for n, c in self.coeffs.items():
-            for m, d in o.coeffs.items():
-                out[n * m] = out.get(n * m, Fraction(0)) + c * d
-        return SymbolPoly(out)
+        return SymbolPoly._from_clean(
+            _convolve(self.coeffs, o.coeffs, operator.mul))
 
     __rmul__ = __mul__
 
@@ -280,26 +283,27 @@ class Character:
 
 
 def _symbol_from_json(rows: Iterable[dict]) -> SymbolPoly:
-    return SymbolPoly({int(t["n"]): Fraction(int(t["num"]), int(t["den"]))
+    return SymbolPoly({_json_int(t["n"]): Fraction(_json_int(t["num"]),
+                                                   _json_int(t["den"]))
                        for t in rows})
 
 
 def character_from_json_dict(data: dict) -> Character:
-    """Inverse of Character.to_json_dict."""
-    primes = PrimeSet(data["primes"])
+    """Inverse of Character.to_json_dict; integer fields go through `_json_int`."""
+    primes = PrimeSet(_json_int(p) for p in data["primes"])
     curve = None
     if "curve" in data:
         curve = WeierstrassCurve(*(Fraction(c) for c in data["curve"]))
     elif data["group"] == "Elliptic":
         raise DomainError("an elliptic character needs a curve")
-    dirac = [DiracComponent(int(d["p"]), d["kind"],
+    dirac = [DiracComponent(_json_int(d["p"]), d["kind"],
                             _symbol_from_json(d["euler"]),
-                            ap=None if d["ap"] is None else int(d["ap"]))
+                            ap=None if d["ap"] is None else _json_int(d["ap"]))
              for d in data.get("dirac", [])]
     return Character(data["group"], primes, _symbol_from_json(data["symbol"]),
                      TruncSeries.from_json_dict(data["series"]),
                      curve=curve, dirac=dirac,
-                     order=tuple(int(n) for n in data["order"]))
+                     order=tuple(_json_int(n) for n in data["order"]))
 
 
 def symbol_order(symbol: SymbolPoly, primes: PrimeSet) -> Tuple[int, ...]:
@@ -445,25 +449,6 @@ def check_additivity(c: Character, depth: int) -> bool:
 # Euler-factor division and decomposition
 # ---------------------------------------------------------------------------
 
-def _split_by_phi_power(L: SymbolPoly, p: int) -> Dict[int, Dict[int, Fraction]]:
-    """View L as a polynomial in phi_p: exponent -> {p-free index: coeff}."""
-    out: Dict[int, Dict[int, Fraction]] = {}
-    for n, c in L.coeffs.items():
-        e = vp(n, p)
-        m = n // p ** e
-        out.setdefault(e, {})[m] = c
-    return out
-
-
-def _join_phi_power(parts: Dict[int, Dict[int, Fraction]], p: int) -> SymbolPoly:
-    out: Dict[int, Fraction] = {}
-    for e, row in parts.items():
-        for m, c in row.items():
-            if c:
-                out[m * p ** e] = out.get(m * p ** e, Fraction(0)) + c
-    return SymbolPoly(out)
-
-
 def divide_by_euler_factor(L: SymbolPoly, factor) -> Tuple[SymbolPoly, SymbolPoly]:
     """Long division by a monic-in-phi_p Euler factor.
 
@@ -474,25 +459,19 @@ def divide_by_euler_factor(L: SymbolPoly, factor) -> Tuple[SymbolPoly, SymbolPol
     kind = factor[0]
     p = factor[1]
     if kind == "gm":
-        deg, tail = 1, {0: Fraction(p)}          # phi_p - p: subtract p*phi^0
+        deg, tail = 1, {1: Fraction(p)}          # phi_p = p + (phi_p - p)
     elif kind == "ell":
-        ap = factor[2]
-        deg, tail = 2, {1: Fraction(ap), 0: Fraction(-p)}
+        deg, tail = 2, {p: Fraction(factor[2]), 1: Fraction(-p)}
     else:
         raise DomainError("unknown Euler factor kind %r" % (kind,))
-    rows = _split_by_phi_power(L, p)
-    quotient: Dict[int, Dict[int, Fraction]] = {}
-    while rows and max(rows) >= deg:
-        e = max(rows)
-        lead = rows.pop(e)
-        quotient[e - deg] = lead
-        # subtract lead * (phi^e - tail): the phi^e term cancels, the lower
-        # rows (which may be new) get lead * tail added back
-        for off, scale in tail.items():
-            target = rows.setdefault(e - deg + off, {})
-            for m, c in lead.items():
-                target[m] = target.get(m, Fraction(0)) + c * scale
-    return _join_phi_power(quotient, p), _join_phi_power(rows, p)
+    rem, quotient = dict(L.coeffs), {}
+    # from the top phi_p-degree e down: the terms of degree e, divided by
+    # phi_p^deg, join the quotient, and times `tail` (degree < e) stay in rem
+    for e in range(max((vp(n, p) for n in rem), default=0), deg - 1, -1):
+        lead = {n // p ** deg: rem.pop(n) for n in list(rem) if vp(n, p) == e}
+        quotient.update(lead)
+        _add_into(rem, _convolve(lead, tail, operator.mul).items())
+    return SymbolPoly._from_clean(quotient), SymbolPoly._from_clean(rem)
 
 
 def decompose_over_fundamental(c: Character) -> SymbolPoly:

@@ -13,6 +13,10 @@ environment variable honoured is DELTACHAR_OUTDIR, which prefixes a relative
 --output path.  Output is byte-deterministic for fixed (argv, config, seed):
 keys sorted, integers rendered as decimal strings, no timestamps.
 
+Limits, checked before any arithmetic (a value outside them exits 1):
+--order 2..5000, --prec 2..2000, --m 1..500, verify --bound at most 5000,
+each at least ten times the largest value tests and examples use.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 domain error
 (supersingular or bad-reduction prime, invalid point, input that is not a
 character), 3 property-suite failure.
@@ -54,6 +58,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_PROPERTY = 3
+_MAX_ORDER, _MAX_PREC, _MAX_M, _MAX_BOUND = 5000, 2000, 500, 5000
 
 
 class UsageError(Exception):
@@ -194,8 +199,12 @@ class RunConfig:
                  "seed")
 
     def __init__(self, primes, curve, m, n_t, n_p, output, format, seed):
-        if n_t < 2 or n_p < 2:
-            raise DomainError("series order and precision must be >= 2")
+        for name, value, low, top in (("series order", n_t, 2, _MAX_ORDER),
+                                      ("precision", n_p, 2, _MAX_PREC),
+                                      ("m", m, 1, _MAX_M)):
+            if not low <= value <= top:
+                raise DomainError("%s %d is outside the limits %d..%d"
+                                  % (name, value, low, top))
         if format not in ("json", "csv", "text"):
             raise DomainError("format must be json, csv, or text")
         for p in primes:
@@ -212,6 +221,9 @@ class RunConfig:
 
 
 def build_run_config(args) -> RunConfig:
+    if args.command == "verify" and (args.bound or 0) > _MAX_BOUND:
+        raise DomainError("--bound %d is above the limit %d"
+                          % (args.bound, _MAX_BOUND))
     table = load_config_file(args.config) if args.config else {}
 
     def pick(name, default):

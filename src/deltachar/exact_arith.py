@@ -33,6 +33,13 @@ class ExactDivisionError(ArithmeticError):
     """Division that was promised to be exact left a remainder."""
 
 
+def _json_int(value) -> int:
+    """An integer JSON field (an int or a string of one), never a float or bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise DomainError("%r is not an integer" % (value,))
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # primality / prime sets
 # ---------------------------------------------------------------------------

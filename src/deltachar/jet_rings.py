@@ -105,11 +105,9 @@ def _phi_as_delta_generators(primes: PrimeSet, name: str, idx: MultiIndex) -> MP
         scale = _prime_power(primes, idx)
         rest = _delta_generator_as_phi(primes, name, idx) - \
             MPoly.variable((_PHI, name, idx)) / scale
-        sub = {}
-        for var in rest.variables():
-            _, vname, vidx = var
-            sub[var] = _phi_as_delta_generators(primes, vname, vidx)
-        out = scale * (MPoly.variable((_DEL, name, idx)) - rest.substitute(sub))
+        out = scale * (MPoly.variable((_DEL, name, idx)) - rest.substitute(
+            {var: _phi_as_delta_generators(primes, var[1], var[2])
+             for var in rest.variables()}))
     _PHI_IN_DELTA[key] = out
     return out
 

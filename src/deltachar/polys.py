@@ -1,4 +1,10 @@
-"""Sparse exact multivariate polynomials.
+"""Sparse exact multivariate polynomials, and the sparse-coefficient kernel.
+
+The kernel (`_add_into`, `_combine`, `_scale`, `_convolve`, `_power`,
+`_coprime_to`) acts on {key: Fraction} dicts that store no zero; a missing
+coefficient reads as the shared `_ZERO`.  `MPoly`, `series_fgl.TruncSeries`
+and `characters.SymbolPoly` are built on it: constructors coerce outside
+input, and `_from_clean` stores kernel output as it is.
 
 Monomials are stored as sorted tuples of (variable, exponent) pairs mapping to
 Fraction coefficients; variables are arbitrary (mutually sortable) hashable
@@ -9,9 +15,63 @@ keys, which lets the jet-ring module use structured names like
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 Monomial = Tuple[Tuple[object, int], ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _add_into(out: Dict, terms: Iterable, factor=None) -> Dict:
+    """out += factor * terms in place, for (key, coefficient) pairs."""
+    get = out.get
+    for key, c in terms:
+        s = get(key, _ZERO) + (c if factor is None else c * factor)
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _combine(a: Dict, b: Dict) -> Dict:
+    return _add_into(dict(a), b.items())
+
+
+def _scale(a: Dict, factor) -> Dict:
+    return {k: c * factor for k, c in a.items()} if factor else {}
+
+
+def _convolve(a: Dict, b: Dict, key_mul: Callable,
+              cut: Optional[int] = None) -> Dict:
+    """sum a[k] b[l] at key_mul(k, l); with `cut`, keys are exponent tuples
+    and pairs of total degree above `cut` are skipped."""
+    out: Dict = {}
+    graded = [(0 if cut is None else sum(k), k, c) for k, c in b.items()]
+    for k1, c1 in a.items():
+        room = 0 if cut is None else cut - sum(k1)
+        _add_into(out, ((key_mul(k1, k2), c2) for d, k2, c2 in graded
+                        if d <= room), c1)
+    return out
+
+
+def _power(a: Dict, k: int, key_mul: Callable, one: Dict,
+           cut: Optional[int] = None) -> Dict:
+    """a**k (k >= 0) by binary powering under `_convolve`."""
+    result = dict(one)
+    while k:
+        if k & 1:
+            result = _convolve(result, a, key_mul, cut)
+        k >>= 1
+        if k:
+            a = _convolve(a, a, key_mul, cut)
+    return result
+
+
+def _coprime_to(a: Dict, primes: Iterable[int]) -> bool:
+    ps = tuple(primes)
+    return all(all(c.denominator % p for p in ps) for c in a.values())
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -51,22 +111,21 @@ class MPoly:
     def variable(cls, name) -> "MPoly":
         return cls({((name, 1),): Fraction(1)})
 
+    @classmethod
+    def _from_clean(cls, coeffs: Dict[Monomial, Fraction]) -> "MPoly":
+        """Store a clean kernel dict as it is (no coercion, no zero scan)."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
     # -- ring structure -------------------------------------------------
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return MPoly(out)
+        return MPoly._from_clean(_combine(self.coeffs, self._coerce(other).coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({m: -c for m, c in self.coeffs.items()})
+        return MPoly._from_clean(_scale(self.coeffs, -1))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -76,37 +135,18 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return MPoly()
-            return MPoly({m: c * other for m, c in self.coeffs.items()})
-        out: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return MPoly(out)
+            return MPoly._from_clean(_scale(self.coeffs, other))
+        return MPoly._from_clean(_convolve(self.coeffs, other.coeffs, _mono_mul))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return MPoly._from_clean(_power(self.coeffs, k, _mono_mul, {(): _ONE}))
 
     def __truediv__(self, c):
-        c = Fraction(c)
-        return MPoly({m: co / c for m, co in self.coeffs.items()})
+        return MPoly._from_clean(_scale(self.coeffs, 1 / Fraction(c)))
 
     @staticmethod
     def _coerce(x) -> "MPoly":
@@ -133,17 +173,16 @@ class MPoly:
         return max((sum(e for _, e in m) for m in self.coeffs), default=0)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.coeffs.get(tuple(sorted(mono)), Fraction(0))
+        return self.coeffs.get(tuple(sorted(mono)), _ZERO)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((), Fraction(0))
+        return self.coeffs.get((), _ZERO)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
     def denominators_coprime_to(self, primes: Iterable[int]) -> bool:
-        ps = tuple(primes)
-        return all(all(c.denominator % p for p in ps) for c in self.coeffs.values())
+        return _coprime_to(self.coeffs, primes)
 
     def terms(self):
         """Deterministic iteration: graded, then by monomial key."""
@@ -159,27 +198,22 @@ class MPoly:
             if new in out:
                 raise ValueError("variable renaming collided on %r" % (new,))
             out[new] = c
-        return MPoly(out)
+        return MPoly._from_clean(out)
 
     def substitute(self, assignment: Dict) -> "MPoly":
         """Replace variables by polynomials/constants (missing ones stay)."""
         powers: Dict = {}   # (variable, exponent) -> cached power
-
-        def power(v, e):
-            if (v, e) not in powers:
-                powers[(v, e)] = MPoly._coerce(assignment[v]) ** e
-            return powers[(v, e)]
-
-        result = MPoly()
+        out: Dict[Monomial, Fraction] = {}
         for mono, c in self.coeffs.items():
-            term = MPoly.const(c)
+            term = {tuple((v, e) for v, e in mono if v not in assignment): c}
             for v, e in mono:
                 if v in assignment:
-                    term = term * power(v, e)
-                else:
-                    term = term * MPoly({((v, e),): Fraction(1)})
-            result = result + term
-        return result
+                    if (v, e) not in powers:
+                        powers[(v, e)] = _power(MPoly._coerce(assignment[v]).coeffs,
+                                                e, _mono_mul, {(): _ONE})
+                    term = _convolve(term, powers[(v, e)], _mono_mul)
+            _add_into(out, term.items())
+        return MPoly._from_clean(out)
 
     def evaluate(self, assignment: Dict):
         """Evaluate with values from any commutative ring (needs +, *, **).

@@ -1,8 +1,9 @@
 """Truncated power series with exact coefficients, and formal group laws.
 
 Series are sparse dicts {exponent tuple: Fraction} kept through a stated
-total degree (`order`, inclusive).  On top of them sit the three formal
-groups the characters live on: the additive and multiplicative groups and
+total degree (`order`, inclusive), computed on the sparse-coefficient kernel
+of `polys` (a product is `_convolve` cut at `order`).  On top of them sit
+the three formal groups the characters live on: the additive and multiplicative groups and
 the formal group of a Weierstrass curve in the uniformizer T = x/(2y).  The
 curve's logarithm comes from one recurrence: the coefficients of w(z), with
 z = -x/y and w = -1/y, then those of the invariant differential, all in
@@ -16,11 +17,17 @@ phi_n * l = l(T^n).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exact_arith import DomainError
+from .exact_arith import DomainError, _json_int
+from .polys import _ONE, _ZERO, _add_into, _combine, _convolve, _coprime_to, _power, _scale
 
 Expt = Tuple[int, ...]
+
+
+def _exp_add(e1: Expt, e2: Expt) -> Expt:
+    return tuple(map(add, e1, e2))
 
 
 class TruncSeries:
@@ -60,6 +67,22 @@ class TruncSeries:
         exps[index] = 1
         return cls(nvars, order, {tuple(exps): Fraction(1)})
 
+    @classmethod
+    def _from_clean(cls, nvars: int, order: int, coeffs: Dict) -> "TruncSeries":
+        """Store a clean kernel dict as it is; its degrees must be <= order."""
+        out = object.__new__(cls)
+        out.nvars, out.order, out.coeffs = nvars, order, coeffs
+        return out
+
+    def _cut(self, order: int) -> "TruncSeries":
+        """The same coefficients read at `order`: those above it dropped."""
+        if order < 0:
+            raise DomainError("bad series shape")
+        coeffs = self.coeffs
+        if order < self.order:
+            coeffs = {e: c for e, c in coeffs.items() if sum(e) <= order}
+        return TruncSeries._from_clean(self.nvars, order, coeffs)
+
     # -- ring ops -----------------------------------------------------------
     def _check(self, other: "TruncSeries") -> int:
         if self.nvars != other.nvars:
@@ -69,25 +92,17 @@ class TruncSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TruncSeries.const(other, self.nvars, self.order)
-        n = self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return TruncSeries(self.nvars, n, out)
+        n = self._check(other)   # the sum is known to the lower order only
+        return TruncSeries._from_clean(self.nvars, n, _combine(
+            self._cut(n).coeffs, other._cut(n).coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.nvars, self.order,
-                           {e: -c for e, c in self.coeffs.items()})
+        return TruncSeries._from_clean(self.nvars, self.order,
+                                       _scale(self.coeffs, -1))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries.const(other, self.nvars, self.order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -95,45 +110,23 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return TruncSeries(self.nvars, self.order)
-            return TruncSeries(self.nvars, self.order,
-                               {e: c * other for e, c in self.coeffs.items()})
+            return TruncSeries._from_clean(self.nvars, self.order,
+                                           _scale(self.coeffs, other))
         n = self._check(other)
-        out: Dict[Expt, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            if d1 > n:
-                continue
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > n:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return TruncSeries(self.nvars, n, out)
+        return TruncSeries._from_clean(
+            self.nvars, n, _convolve(self.coeffs, other.coeffs, _exp_add, n))
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        c = Fraction(c)
-        return TruncSeries(self.nvars, self.order,
-                           {e: co / c for e, co in self.coeffs.items()})
+        return TruncSeries._from_clean(self.nvars, self.order,
+                                       _scale(self.coeffs, 1 / Fraction(c)))
 
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative series power")
-        result = TruncSeries.const(1, self.nvars, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return TruncSeries._from_clean(self.nvars, self.order, _power(
+            self.coeffs, k, _exp_add, {(0,) * self.nvars: _ONE}, self.order))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -141,9 +134,7 @@ class TruncSeries:
         if not isinstance(other, TruncSeries) or self.nvars != other.nvars:
             return NotImplemented
         n = min(self.order, other.order)
-        a = {e: c for e, c in self.coeffs.items() if sum(e) <= n}
-        b = {e: c for e, c in other.coeffs.items() if sum(e) <= n}
-        return a == b
+        return self._cut(n).coeffs == other._cut(n).coeffs
 
     __hash__ = None
 
@@ -154,15 +145,15 @@ class TruncSeries:
     def coefficient(self, *exps: int) -> Fraction:
         if len(exps) == 1 and isinstance(exps[0], (tuple, list)):
             exps = tuple(exps[0])
-        return self.coeffs.get(tuple(exps), Fraction(0))
+        return self.coeffs.get(tuple(exps), _ZERO)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.nvars, Fraction(0))
+        return self.coeffs.get((0,) * self.nvars, _ZERO)
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise DomainError("cannot extend a truncated series")
-        return TruncSeries(self.nvars, order, self.coeffs)
+        return self._cut(order)
 
     def with_order(self, order: int) -> "TruncSeries":
         """Reinterpret at a higher order (missing coefficients read as 0).
@@ -170,12 +161,10 @@ class TruncSeries:
         Only meaningful inside iterations that are about to correct the high
         part (Newton); not for honest data.
         """
-        return TruncSeries(self.nvars, order, self.coeffs)
+        return self._cut(order)
 
     def denominators_coprime_to(self, primes) -> bool:
-        ps = tuple(primes)
-        return all(all(c.denominator % p for p in ps)
-                   for c in self.coeffs.values())
+        return _coprime_to(self.coeffs, primes)
 
     def terms(self) -> List[Tuple[Expt, Fraction]]:
         """Graded-lexicographic, deterministic."""
@@ -195,8 +184,9 @@ class TruncSeries:
     def from_json_dict(cls, data: Mapping) -> "TruncSeries":
         coeffs = {}
         for t in data["terms"]:
-            coeffs[tuple(t["exp"])] = Fraction(int(t["num"]), int(t["den"]))
-        return cls(int(data["vars"]), int(data["order"]), coeffs)
+            coeffs[tuple(_json_int(e) for e in t["exp"])] = Fraction(
+                _json_int(t["num"]), _json_int(t["den"]))
+        return cls(_json_int(data["vars"]), _json_int(data["order"]), coeffs)
 
     # -- calculus ---------------------------------------------------------
     def derivative(self) -> "TruncSeries":
@@ -206,7 +196,7 @@ class TruncSeries:
         for (n,), c in self.coeffs.items():
             if n:
                 out[(n - 1,)] = c * n
-        return TruncSeries(1, max(self.order - 1, 0), out)
+        return TruncSeries._from_clean(1, max(self.order - 1, 0), out)
 
     def reciprocal(self) -> "TruncSeries":
         """1/f for f with invertible constant term, by Newton doubling."""
@@ -224,41 +214,27 @@ class TruncSeries:
         """Substitute args[i] for the i-th variable (constant terms must vanish)."""
         if len(args) != self.nvars:
             raise DomainError("need %d substitution arguments" % self.nvars)
-        for g in args:
-            if g.constant_term():
-                raise DomainError("substituted series must vanish at the origin")
         nvars = args[0].nvars
+        if any(g.nvars != nvars for g in args):
+            raise DomainError("mixed variable counts")
+        if any(g.constant_term() for g in args):
+            raise DomainError("substituted series must vanish at the origin")
         order = min([self.order] + [g.order for g in args])
-        if self.nvars == 1:
-            g = args[0].truncate(order) if args[0].order > order else args[0]
-            acc = TruncSeries.zero(nvars, order)
-            for k in range(order, 0, -1):
-                acc = acc * g + TruncSeries.const(self.coefficient((k,)), nvars, order)
-            acc = acc * g  # no constant term in self beyond c0
-            c0 = self.constant_term()
-            if c0:
-                acc = acc + c0
-            return acc
-        # multivariate: evaluate monomials with cached powers
-        pows: Dict[Tuple[int, int], TruncSeries] = {}
-
-        def power(i: int, e: int) -> TruncSeries:
-            key = (i, e)
-            if key not in pows:
-                pows[key] = args[i].truncate(min(args[i].order, order)) ** e \
-                    if e else TruncSeries.const(1, nvars, order)
-            return pows[key]
-
-        total = TruncSeries.zero(nvars, order)
+        origin = (0,) * nvars
+        powers = [[{origin: _ONE}] for _ in args]    # powers[i][e] = args[i]**e
+        total: Dict[Expt, Fraction] = {}
         for exps, c in self.coeffs.items():
             if sum(exps) > order:
                 continue
-            term = TruncSeries.const(c, nvars, order)
+            term = {origin: c}
             for i, e in enumerate(exps):
+                row = powers[i]
+                while len(row) <= e:
+                    row.append(_convolve(row[-1], args[i].coeffs, _exp_add, order))
                 if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
+                    term = _convolve(term, row[e], _exp_add, order)
+            _add_into(total, term.items())
+        return TruncSeries._from_clean(nvars, order, total)
 
     def compositional_inverse(self) -> "TruncSeries":
         """g with f(g) = T, for univariate f = c1 T + ... with c1 != 0."""
@@ -288,7 +264,7 @@ class TruncSeries:
             exps = [0] * nvars
             exps[index] = n
             out[tuple(exps)] = c
-        return TruncSeries(nvars, self.order, out)
+        return TruncSeries._from_clean(nvars, self.order, out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -316,18 +292,10 @@ def star_apply(symbol: Mapping[int, Fraction], f: TruncSeries) -> TruncSeries:
     for n, cn in symbol.items():
         if n < 1:
             raise DomainError("symbol indices must be positive")
-        if not cn:
-            continue
-        for (j,), c in f.coeffs.items():
-            jn = j * n
-            if jn > f.order:
-                continue
-            s = out.get((jn,), Fraction(0)) + Fraction(cn) * c
-            if s:
-                out[(jn,)] = s
-            else:
-                out.pop((jn,), None)
-    return TruncSeries(1, f.order, out)
+        if cn:
+            _add_into(out, (((j * n,), c) for (j,), c in f.coeffs.items()
+                            if j * n <= f.order), Fraction(cn))
+    return TruncSeries._from_clean(1, f.order, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import random
@@ -10,11 +11,22 @@ import pytest
 from deltachar.characters import (
     Character,
     SymbolPoly,
+    build_elliptic_character,
+    build_gm_character,
     character_from_json_dict,
     full_symbol_gm,
     gm_ode_symbol,
 )
-from deltachar.cli import format_symbol, main, parse_symbol
+from deltachar.cli import (
+    _MAX_BOUND,
+    _MAX_M,
+    _MAX_ORDER,
+    _MAX_PREC,
+    format_symbol,
+    main,
+    parse_symbol,
+)
+from deltachar.elliptic import WeierstrassCurve
 from deltachar.exact_arith import DomainError, PrimeSet
 from deltachar.series_fgl import gm_log
 
@@ -174,6 +186,32 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
     _pipe(monkeypatch, json.dumps(data))
     assert main(["decompose"]) == 2
     assert capsys.readouterr().err.startswith("error: input is not character JSON: ")
+    # integer fields refuse floats and booleans rather than truncating them
+    gm = build_gm_character(P35, 8).to_json_dict()
+    ell = build_elliptic_character(WeierstrassCurve.from_label("37a"),
+                                   PrimeSet((5, 7)), 8).to_json_dict()
+    for base, path, value in (
+            (gm, ("primes",), [3.9, 5]),
+            (gm, ("primes", 1), 5.0),
+            (gm, ("order", 0), 1.0),
+            (gm, ("symbol", 0, "n"), 1.5),
+            (gm, ("symbol", 0, "n"), True),
+            (gm, ("symbol", 0, "num"), -1.0),
+            (gm, ("dirac", 0, "p"), 3.0),
+            (gm, ("dirac", 1, "euler", 0, "n"), 1.5),
+            (gm, ("series", "vars"), 1.0),
+            (gm, ("series", "order"), 8.5),
+            (gm, ("series", "terms", 0, "exp"), [1.5]),
+            (ell, ("dirac", 0, "ap"), float(ell["dirac"][0]["ap"]))):
+        data = copy.deepcopy(base)
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        _pipe(monkeypatch, json.dumps(data))
+        assert main(["decompose"]) == 2, path
+        assert capsys.readouterr().err.startswith(
+            "error: input is not character JSON: "), path
 
 
 def test_decompose_input_file_matches_stdin(tmp_path, capsys, monkeypatch):
@@ -357,9 +395,10 @@ def _fuzz_argv(rng, tmp_path):
     flags = {
         "--primes": (["3,5", "5,7", "3", "3,5,7"],
                      ["2,3", "4", "5,3", "3,3", "x", ""]),
-        "--m": (["1", "3", "4"], ["2", "0", "-1", "x"]),
-        "--order": (["2", "4", "8"], ["1", "0", "-3", "x"]),
-        "--prec": (["2", "4", "8"], ["1", "0", "-3", "x"]),
+        "--m": (["1", "3", "4"], ["2", "0", "-1", "x", str(_MAX_M + 1)]),
+        "--order": (["2", "4", "8"],
+                    ["1", "0", "-3", "x", str(_MAX_ORDER + 1)]),
+        "--prec": (["2", "4", "8"], ["1", "0", "-3", "x", str(_MAX_PREC + 1)]),
         "--curve": (["11a", "37a", "0,0,1,-1,0"],
                     ["0,0,0,0,0", "1,2", "x", "99z"]),
         "--format": (["json", "csv", "text"], ["xml"]),
@@ -385,7 +424,7 @@ def _fuzz_argv(rng, tmp_path):
                  "--group", pick(["ga", "gm", "ell"], ["gx"]),
                  "--samples", pick(["1", "2"], ["0", "-1"]),
                  "--depth", pick(["2", "3"], ["0", "x"]),
-                 "--bound", pick(["6", "20"], ["0", "-1"])]
+                 "--bound", pick(["6", "20"], ["0", "-1", str(_MAX_BOUND + 1)])]
         if rng.random() < 0.5:
             argv += ["--prime", pick(["3", "5"], ["4", "-7"])]
     elif command == "decompose":
@@ -443,3 +482,16 @@ def test_cli_fuzz_exits_cleanly(capsys, monkeypatch, tmp_path):
         err = capsys.readouterr().err
         assert rc in (0, 1, 2, 3), argv
         assert "Traceback" not in err, argv
+    # a value over its limit, from a flag or the config file, is a usage
+    # error before any arithmetic starts
+    (tmp_path / "big.cfg").write_text("prec = %d\n" % (_MAX_PREC + 1))
+    for argv in (["char", "gm", "--order", str(_MAX_ORDER + 1)],
+                 ["eval", "gm", "--point", "2", "--prec", str(_MAX_PREC + 1)],
+                 ["eval", "gm", "--point", "2", "--config",
+                  str(tmp_path / "big.cfg")],
+                 ["eval", "gm", "--point", "2", "--m", str(_MAX_M + 1)],
+                 ["verify", "integrality", "--bound", str(_MAX_BOUND + 1)],
+                 ["verify", "honda", "--curve", "37a", "--primes", "5,7",
+                  "--bound", str(_MAX_BOUND + 1)]):
+        assert main(argv) == 1, argv
+        assert "limit" in capsys.readouterr().err, argv

@@ -377,6 +377,41 @@ def test_elliptic_precision_monotone():
                 assert all(v.precision == n for v in base.values)
 
 
+def test_gm_precision_monotone():
+    # evaluate at N + k, reduced to N, equals evaluate at N, on rational
+    # units, roots of unity and cyclotomic units at m in {1, 4, 8}
+    rng = random.Random(20082)
+    for m in (1, 4, 8):
+        for primes in ((3, 5), (5, 7, 11)):
+            ps = PrimeSet(primes)
+            c = build_gm_character(ps, 4)
+            config = CyclotomicConfig(m, ps)
+            zeta = CyclotomicElement.zeta(config)
+            rationals = [F(a, b) for a, b in ((2, 1), (-4, 7), (13, 2))
+                         if all(a % p and b % p for p in primes)]
+            roots = [-zeta ** rng.randrange(m)]
+            units = []
+            while m > 1 and len(units) < 2:
+                u = sum((rng.randint(-3, 3) * zeta ** j for j in range(1, 3)),
+                        CyclotomicElement.from_rational(config, rng.randint(-3, 3)))
+                try:
+                    AdelePoint.multiplicative(u, ps, 2, m)
+                except NonUnitError:
+                    continue
+                if not torsion_test(u):
+                    units.append(u)
+            for value in rationals + roots + units:
+                n = 60 if value is roots[0] else rng.randint(2, 60)
+                base = evaluate(c, AdelePoint.multiplicative(value, ps, n, m), n)
+                assert all(v.precision == n for v in base.values)
+                assert base.is_zero() == (value is roots[0])
+                for k in (1, 7):
+                    finer = evaluate(
+                        c, AdelePoint.multiplicative(value, ps, n + k, m), n + k)
+                    assert ([v.reduce_to(n).coeffs for v in finer.values]
+                            == [v.coeffs for v in base.values])
+
+
 def test_elliptic_formal_group_homomorphism():
     scale = reduction_group_order(E37, 5, 1)
     q = E37.point(0, 0)

@@ -1,0 +1,291 @@
+"""The three sparse algebras (MPoly, TruncSeries, SymbolPoly) against naive
+dict references, on seeded random inputs, with their stored-form invariants:
+every stored coefficient is a nonzero Fraction, and a series stores no
+exponent above its order."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from deltachar.characters import SymbolPoly
+from deltachar.exact_arith import DomainError
+from deltachar.polys import MPoly
+from deltachar.series_fgl import TruncSeries, star_apply
+
+VARS = ("a", "b", "c")
+
+
+def rand_coeff(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+
+
+def ref_add(x, y):
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_mul(x, y, key_mul, keep=lambda k: True):
+    out = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            k = key_mul(k1, k2)
+            if keep(k):
+                out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def assert_clean(coeffs):
+    for c in coeffs.values():
+        assert type(c) is Fraction and c != 0
+
+
+# ---------------------------------------------------------------------------
+# MPoly
+# ---------------------------------------------------------------------------
+
+def mono_mul(m1, m2):
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def rand_mpoly(rng, terms=5):
+    coeffs = {}
+    for _ in range(rng.randint(0, terms)):
+        mono = tuple(sorted((v, rng.randint(1, 3))
+                            for v in rng.sample(VARS, rng.randint(0, 2))))
+        coeffs[mono] = rand_coeff(rng)
+    return MPoly(coeffs)
+
+
+def mpoly_cases(seed, count=40):
+    rng = random.Random(seed)
+    return [(rand_mpoly(rng), rand_mpoly(rng), rand_mpoly(rng))
+            for _ in range(count)]
+
+
+def test_mpoly_matches_dict_reference():
+    for a, b, _ in mpoly_cases(1):
+        s, p = a + b, a * b
+        assert s.coeffs == ref_add(a.coeffs, b.coeffs)
+        assert p.coeffs == ref_mul(a.coeffs, b.coeffs, mono_mul)
+        assert (a - b).coeffs == ref_add(a.coeffs, {k: -c for k, c in b.coeffs.items()})
+        for r in (s, p, a - b, -a, a * 3, 3 * a, a * Fraction(-2, 7), a / 5,
+                  a + 2, 2 - a, a ** 3):
+            assert_clean(r.coeffs)
+
+
+def test_mpoly_ring_laws():
+    one = MPoly.const(1)
+    for a, b, c in mpoly_cases(2):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a * one == a and a + MPoly() == a
+        assert (a + (-a)).coeffs == {} and (a - a).coeffs == {}
+        assert (a * 0).coeffs == {} and (a * MPoly()).coeffs == {}
+        assert a ** 0 == one and a ** 3 == a * a * a
+        assert (a / 3) * 3 == a and Fraction(1, 2) * a + a / 2 == a
+    with pytest.raises(ValueError):
+        MPoly.variable("a") ** -1
+
+
+def test_mpoly_constructor_coerces_and_drops_zeros():
+    p = MPoly({(): 0, (("a", 1),): 2, (("b", 1),): Fraction(0, 3)})
+    assert p.coeffs == {(("a", 1),): Fraction(2)}
+    assert type(p.coeffs[(("a", 1),)]) is Fraction
+    assert p.coefficient((("b", 1),)) == 0 and p.constant_term() == 0
+
+
+def test_mpoly_substitute_against_evaluate():
+    rng = random.Random(3)
+    for a, b, c in mpoly_cases(3, 25):
+        point = {v: rand_coeff(rng) for v in VARS}
+        # full assignment by constants: a constant polynomial
+        assert a.substitute(point) == MPoly.const(a.evaluate(point))
+        # polynomials for some variables, the rest kept
+        assign = {"a": b, "c": c + 1}
+        sub = a.substitute(assign)
+        assert_clean(sub.coeffs)
+        inner = dict(point, a=b.evaluate(point), c=(c + 1).evaluate(point))
+        assert sub.evaluate(point) == a.evaluate(inner)
+        assert a.substitute({}) == a
+
+
+def test_mpoly_map_variables():
+    x, y = MPoly.variable("x"), MPoly.variable("y")
+    f = 3 * x * y ** 2 + x - 2
+    g = f.map_variables(lambda v: v.upper())
+    assert g == 3 * MPoly.variable("X") * MPoly.variable("Y") ** 2 \
+        + MPoly.variable("X") - 2
+    with pytest.raises(ValueError, match="collided"):
+        (x + y).map_variables(lambda v: "z")
+
+
+def test_mpoly_p_locality_scan():
+    x = MPoly.variable("x")
+    assert (x / 7 + Fraction(1, 2)).denominators_coprime_to((3, 5))
+    assert not (x / 15).denominators_coprime_to((3, 7))
+    assert MPoly().denominators_coprime_to((3,))
+
+
+# ---------------------------------------------------------------------------
+# TruncSeries
+# ---------------------------------------------------------------------------
+
+def exp_add(e1, e2):
+    return tuple(x + y for x, y in zip(e1, e2))
+
+
+def rand_series(rng, nvars, order):
+    coeffs = {}
+    for _ in range(rng.randint(0, 8)):
+        e = tuple(rng.randint(0, order) for _ in range(nvars))
+        coeffs[e] = rand_coeff(rng)
+    return TruncSeries(nvars, order, coeffs)
+
+
+def series_cases(seed, count=30):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nvars = rng.choice((1, 1, 2))
+        out.append(tuple(rand_series(rng, nvars, rng.randint(0, 7))
+                         for _ in range(3)))
+    return out
+
+
+def assert_series_clean(s):
+    assert_clean(s.coeffs)
+    for e in s.coeffs:
+        assert len(e) == s.nvars and sum(e) <= s.order
+
+
+def test_series_matches_dict_reference():
+    for a, b, _ in series_cases(4):
+        n = min(a.order, b.order)
+        low = lambda e: sum(e) <= n  # noqa: E731
+        s, p = a + b, a * b
+        assert s.order == p.order == n
+        assert s.coeffs == {e: c for e, c in ref_add(a.coeffs, b.coeffs).items()
+                            if low(e)}
+        assert p.coeffs == ref_mul(a.coeffs, b.coeffs, exp_add, low)
+        for r in (s, p, b + a, a - b, -a, a * 2, a * Fraction(3, 4), a / 7,
+                  a + 1, 1 - a, a ** 3, a.truncate(a.order // 2),
+                  a.with_order(a.order + 3)):
+            assert_series_clean(r)
+
+
+def test_series_ring_laws():
+    for a, b, c in series_cases(5):
+        one = TruncSeries.const(1, a.nvars, a.order)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a * one == a
+        assert (a + (-a)).coeffs == {} and (a - a).coeffs == {}
+        assert (a * 0).coeffs == {}
+        assert a ** 3 == a * a * a and a ** 0 == one
+
+
+def test_series_add_keeps_lower_order():
+    hi = TruncSeries(1, 6, {(k,): Fraction(k + 1) for k in range(7)})
+    lo = TruncSeries(1, 2, {(1,): Fraction(-2)})
+    for s in (hi + lo, lo + hi, hi - lo, lo - hi):
+        assert s.order == 2
+        assert_series_clean(s)
+    assert (hi + lo).coeffs == {(0,): 1, (2,): 3}
+    assert (lo - hi).coeffs == {(0,): -1, (1,): -4, (2,): -3}
+
+
+def test_series_constructor_validates():
+    s = TruncSeries(1, 3, {(0,): 0, (2,): 5, (5,): 1})
+    assert s.coeffs == {(2,): Fraction(5)} and type(s.coeffs[(2,)]) is Fraction
+    assert s.coefficient(1) == 0 and s.constant_term() == 0
+    with pytest.raises(DomainError):
+        TruncSeries(2, 3, {(1,): 1})
+    with pytest.raises(DomainError):
+        TruncSeries(1, 3, {(-1,): 1})
+    with pytest.raises(DomainError):
+        TruncSeries(1, -1)
+
+
+def test_series_compose_against_naive_powers():
+    rng = random.Random(6)
+    for _ in range(20):
+        nargs = rng.choice((1, 2))
+        nvars = rng.choice((1, 2))
+        order = rng.randint(1, 6)
+        f = rand_series(rng, nargs, order)
+        args = []
+        for _ in range(nargs):
+            g = rand_series(rng, nvars, rng.randint(1, 7))
+            args.append(g - g.constant_term())
+        got = f.compose(args)
+        assert_series_clean(got)
+        n = min([order] + [g.order for g in args])
+        assert got.order == n
+        want = TruncSeries.zero(nvars, n)
+        for e, c in f.coeffs.items():
+            term = TruncSeries.const(c, nvars, n)
+            for g, k in zip(args, e):
+                for _ in range(k):
+                    term = term * g.truncate(n)
+            want = want + term
+        assert got == want and got.coeffs == want.coeffs
+    with pytest.raises(DomainError, match="mixed variable counts"):
+        TruncSeries.var(3, 0, 2).compose([TruncSeries.var(3), TruncSeries.var(3, 1, 2)])
+
+
+def test_series_reciprocal_and_star():
+    rng = random.Random(7)
+    for _ in range(15):
+        order = rng.randint(0, 12)
+        f = rand_series(rng, 1, order) + rng.choice((1, -2, Fraction(3, 5)))
+        if not f.constant_term():
+            continue
+        r = f.reciprocal()
+        assert_series_clean(r)
+        assert (f * r).coeffs == {(0,): 1} and r.order == order
+        symbol = {n: rand_coeff(rng) for n in rng.sample(range(1, 6), 3)}
+        got = star_apply(symbol, f)
+        want = {}
+        for n, cn in symbol.items():
+            for (j,), c in f.coeffs.items():
+                if j * n <= order:
+                    want[(j * n,)] = want.get((j * n,), 0) + cn * c
+        assert got.coeffs == {e: c for e, c in want.items() if c}
+        assert_series_clean(got)
+
+
+# ---------------------------------------------------------------------------
+# SymbolPoly
+# ---------------------------------------------------------------------------
+
+def rand_symbol(rng):
+    return SymbolPoly({n: rand_coeff(rng)
+                       for n in rng.sample(range(1, 13), rng.randint(0, 4))})
+
+
+def test_symbols_match_dict_reference_and_ring_laws():
+    rng = random.Random(8)
+    for _ in range(40):
+        a, b, c = rand_symbol(rng), rand_symbol(rng), rand_symbol(rng)
+        s, p = a + b, a * b
+        assert s.coeffs == ref_add(a.coeffs, b.coeffs)
+        assert p.coeffs == ref_mul(a.coeffs, b.coeffs, lambda n, m: n * m)
+        for r in (s, p, a - b, -a, a * 3, a * Fraction(2, 9), a / 4, a + 1,
+                  1 - a):
+            assert_clean(r.coeffs)
+        assert a * b == b * a and (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + (-a)).coeffs == {} and (a - a).is_zero()
+        assert (a * 0).coeffs == {}
+        assert a.is_p_local((3, 7)) == all(
+            c.denominator % 3 and c.denominator % 7 for c in a.coeffs.values())
