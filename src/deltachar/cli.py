@@ -15,7 +15,10 @@ keys sorted, integers rendered as decimal strings, no timestamps.
 
 Limits, checked before any arithmetic (a value outside them exits 1):
 --order 2..5000, --prec 2..2000, --m 1..500, verify --bound at most 5000,
-each at least ten times the largest value tests and examples use.
+verify --depth 1..120, verify --samples 1..400, each at least ten times the
+largest value tests and examples use; --primes at most 6 primes, each at
+most 1000 (the fundamental symbol has up to 3^|P| terms), and for verify
+claim2, which builds the Gm logarithm to order p^3, p^3 at most 5000.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 domain error
 (supersingular or bad-reduction prime, invalid point, input that is not a
@@ -59,6 +62,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_PROPERTY = 3
 _MAX_ORDER, _MAX_PREC, _MAX_M, _MAX_BOUND = 5000, 2000, 500, 5000
+_MAX_DEPTH, _MAX_SAMPLES, _MAX_PRIMES, _MAX_PRIME = 120, 400, 6, 1000
 
 
 class UsageError(Exception):
@@ -201,7 +205,10 @@ class RunConfig:
     def __init__(self, primes, curve, m, n_t, n_p, output, format, seed):
         for name, value, low, top in (("series order", n_t, 2, _MAX_ORDER),
                                       ("precision", n_p, 2, _MAX_PREC),
-                                      ("m", m, 1, _MAX_M)):
+                                      ("m", m, 1, _MAX_M),
+                                      ("number of primes", len(primes), 1,
+                                       _MAX_PRIMES),
+                                      ("prime", max(primes), 3, _MAX_PRIME)):
             if not low <= value <= top:
                 raise DomainError("%s %d is outside the limits %d..%d"
                                   % (name, value, low, top))
@@ -221,9 +228,15 @@ class RunConfig:
 
 
 def build_run_config(args) -> RunConfig:
-    if args.command == "verify" and (args.bound or 0) > _MAX_BOUND:
-        raise DomainError("--bound %d is above the limit %d"
-                          % (args.bound, _MAX_BOUND))
+    if args.command == "verify":
+        if (args.bound or 0) > _MAX_BOUND:
+            raise DomainError("--bound %d is above the limit %d"
+                              % (args.bound, _MAX_BOUND))
+        for flag, value, top in (("--depth", args.depth, _MAX_DEPTH),
+                                 ("--samples", args.samples, _MAX_SAMPLES)):
+            if not 1 <= value <= top:
+                raise DomainError("%s %d is outside the limits 1..%d"
+                                  % (flag, value, top))
     table = load_config_file(args.config) if args.config else {}
 
     def pick(name, default):
@@ -233,6 +246,11 @@ def build_run_config(args) -> RunConfig:
         return table.get(name, default)
 
     primes = PrimeSet(int(p) for p in str(pick("primes", "3,5")).split(","))
+    if args.command == "verify" and args.suite == "claim2":
+        for p in primes:
+            if p ** 3 > _MAX_ORDER:
+                raise DomainError("claim2 builds a series of order %d^3, above"
+                                  " the --order limit %d" % (p, _MAX_ORDER))
     curve_text = pick("curve", None)
     curve = parse_curve(str(curve_text)) if curve_text is not None else None
     output = pick("output", None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from .cyclotomic import (
     CyclotomicConfig,
@@ -189,15 +189,6 @@ class CurvePoint:
             k >>= 1
         return result
 
-    def order(self, bound: int = 16) -> Optional[int]:
-        """Smallest k <= bound with k*self = O, or None (heuristic probe)."""
-        acc = self
-        for k in range(1, bound + 1):
-            if acc.is_infinity:
-                return k
-            acc = acc + self
-        return None
-
     def __repr__(self):
         if self.is_infinity:
             return "CurvePoint(infinity)"
@@ -310,21 +301,49 @@ def _frobenius_orbit(p: int, m: int):
     return orbit
 
 
+def _residue_field_count(curve: WeierstrassCurve, p: int, m: int):
+    """(#E(F_{p^f}), f), f the order of p mod m: the count at one place above p.
+
+    #E(F_{p^f}) = p^f + 1 - (alpha^f + beta^f), from a_p; p is good and
+    prime to m.
+    """
+    f = len(_frobenius_orbit(p, m))
+    ap = count_points_ap(curve, p)
+    return p ** f + 1 - frobenius_trace_power(ap, p, f), f
+
+
 def reduction_group_order(curve: WeierstrassCurve, p: int, m: int = 1) -> int:
     """Order of the points of E over (Z[zeta_m]/p), a product of F_{p^f} fields.
 
-    f is the multiplicative order of p mod m and there are phi(m)/f factors;
-    each contributes #E(F_{p^f}) = p^f + 1 - (alpha^f + beta^f).
+    f is the multiplicative order of p mod m and there are phi(m)/f factors,
+    each contributing #E(F_{p^f}).
     """
     if math.gcd(p, m) != 1:
         raise DomainError("%d is not coprime to %d" % (p, m))
     if not curve.is_good(p):
         raise BadReductionError("bad reduction at %d" % p)
-    f = len(_frobenius_orbit(p, m))
-    g = euler_phi(m) // f
-    ap = count_points_ap(curve, p)
-    per_factor = p ** f + 1 - frobenius_trace_power(ap, p, f)
-    return per_factor ** g
+    count, f = _residue_field_count(curve, p, m)
+    return count ** (euler_phi(m) // f)
+
+
+def torsion_multiple(curve: WeierstrassCurve, m: int = 1) -> int:
+    """A multiple g of the order of every torsion point of E(Q(zeta_m)).
+
+    g is the gcd of #E(F_{l^f}) at the first three good odd primes l prime
+    to m.  Such an l is unramified in Q(zeta_m), so e = 1 < l - 1, and
+    reduction at a place above l is injective on the whole torsion subgroup
+    (AEC VII.3.1, with IV.6.1 for the l-part); that subgroup therefore
+    embeds in E(F_{l^f}) for each l.  A point Q is torsion exactly when
+    g*Q = O.
+    """
+    g, found, l = 0, 0, 3
+    while found < 3:
+        if (m % l and is_prime(l) and curve.has_integral_reduction(l)
+                and curve.is_good(l)):
+            g = math.gcd(g, _residue_field_count(curve, l, m)[0])
+            found += 1
+        l += 2
+    return g
 
 
 def lseries_coefficients(curve: WeierstrassCurve, bound: int) -> Dict[int, int]:

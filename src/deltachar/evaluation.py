@@ -8,9 +8,19 @@ returns the formal parameter of the scaled point), evaluate the per-prime
 operator series, then apply the complementary symbol through Frobenius on
 the value.
 
-All inner series run with guard digits (ceil(N/2) + 4) and the result is
-reported modulo p**N; the achieved precision is carried on the components
-rather than assumed.
+Every per-prime value is (1/p) l(x), l a logarithm (its n-th coefficient
+has v_p >= -v_p(n)) and v_p(x) >= 1: x = p delta_p u / u^p for a unit u, or
+the formal parameter t of the scaled curve point.  Term n then has valuation
+at least n - floor(log_p n), nondecreasing in n, and one helper derives every
+budget from that bound (`exact_arith.log_budget`): the series stops at the
+last n with n - floor(log_p n) <= N at the smallest prime of P, so later
+terms vanish mod p**(N+1) at every prime; t gets N + 1 + floor(log_p order)
+digits, one for the division by p and the rest for the divisions by
+n <= order; a unit gets N + 1, the Fermat quotient's one digit (the Gm
+coefficients p^(n-1)/n are p-integral).
+`_series_value` reports only the digits its argument and order fix, so a
+short budget fails the final reduction to N digits instead of giving wrong
+ones.
 
 Each per-prime series (the curve's formal logarithm, the log-series of
 delta_p u / u^p) is summed by one Horner pass on integer residues
@@ -47,6 +57,7 @@ from .elliptic import (
     reduction_group_order,
     scaled_formal_parameter,
     to_formal_parameter,
+    torsion_multiple,
 )
 from .exact_arith import (
     DomainError,
@@ -54,6 +65,7 @@ from .exact_arith import (
     PadicInt,
     PrimeSet,
     _ilog,
+    log_budget,
     padic_log,
     rational_reconstruct,
     smooth_exponents,
@@ -62,10 +74,6 @@ from .exact_arith import (
 from .series_fgl import TruncSeries, elliptic_log
 
 GlobalValue = Union[int, Fraction, CyclotomicElement]
-
-
-def guard_digits(n: int) -> int:
-    return -(-n // 2) + 4
 
 
 class AdelePoint:
@@ -88,7 +96,7 @@ class AdelePoint:
         if isinstance(value, CyclotomicElement):
             m = value.config.m
         config = CyclotomicConfig(m, primes)
-        work = precision + guard_digits(precision) + 2
+        work = precision + 1            # the Fermat quotient costs one digit
         components = []
         for p in primes:
             if isinstance(value, CyclotomicElement):
@@ -177,12 +185,14 @@ class EvaluationResult:
 def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
     """sum_n (-1)^(n-1) (p^(n-1)/n) (delta_p u / u^p)^n, modulo p**precision.
 
-    This is (1/p) log of (phi u)/u^p; the series form keeps every
-    coefficient p-integral (v_p(n) <= n - 1), so each is reduced once to an
-    integer mod p^K, K the precision of w = delta_p u / u^p, and the sum is
-    one Horner pass at w (`_series_mod`).  Input must carry at least one
-    digit beyond `precision` (the Fermat quotient costs it).  A non-unit
-    raises NonUnitError from the division by u^p.
+    With w = delta_p u / u^p this is (1/p) log(1 + p w), (1/p) log of
+    (phi u)/u^p, so the terms through `log_budget`'s order suffice.  Every
+    coefficient p^(n-1)/n is p-integral (v_p(n) <= n - 1): each is reduced
+    once to an integer mod p^K, K the precision of w, and moving w by
+    p^precision moves no term below p^precision, so w is needed to
+    `precision` digits.  The sum is one Horner pass at w (`_series_mod`).
+    Input must carry one digit beyond `precision` (the Fermat quotient costs
+    it).  A non-unit raises NonUnitError from the division by u^p.
     """
     if u.p != p:
         raise DomainError("component lives at %d, not %d" % (u.p, p))
@@ -191,16 +201,15 @@ def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
                           % (precision + 1, u.precision))
     w = u.delta() / (u ** p)
     modulus = w.modulus
+    order, _ = log_budget(precision, (p,))
     ints = []
-    n = 1
-    while n - 1 - _ilog(n, p) <= precision:
+    for n in range(1, order + 1):
         s, unit = _split_prime(n, p)
         ints.append((-1) ** (n - 1) * pow(p, n - 1 - s, modulus)
                     * pow(unit, -1, modulus) % modulus)
-        n += 1
     total = PadicCyclotomic(w.config, p, w.precision,
                             _series_mod(ints, w.coeffs, w.config.phi, modulus))
-    return total.reduce_to(min(precision, total.precision))
+    return total.reduce_to(precision)
 
 
 def _split_prime(n: int, p: int) -> Tuple[int, int]:
@@ -213,7 +222,7 @@ def _split_prime(n: int, p: int) -> Tuple[int, int]:
 
 
 def _series_value(series: TruncSeries, t: PadicCyclotomic) -> PadicCyclotomic:
-    """Evaluate a univariate series at an element of positive valuation.
+    """Evaluate a logarithm-type series at an element of positive valuation.
 
     Coefficients may carry powers of p in their denominators (logarithms
     do).  With s_j = v_p(den c_j), S the largest s_j and K the precision of
@@ -222,9 +231,13 @@ def _series_value(series: TruncSeries, t: PadicCyclotomic) -> PadicCyclotomic:
     residues by Horner's rule (`_series_mod`).  The sum is p^S times the
     value, so it divides by p^S exactly (each a_j t^j has valuation
     >= S - s_j + j v(t) >= S).  Any lift of t will do: moving t by p^K moves
-    a_j t^j by at least K + (j-1) v(t) + S - s_j >= K digits, so the value
-    is known to K - S digits, the precision returned.  Terms with
-    j v(t) >= K + S vanish mod p^(K+S) and are not summed.
+    a_j t^j by at least K + (j-1) v(t) + S - s_j >= K digits, so the sum
+    fixes K - S digits.  Terms with j v(t) >= K + S vanish mod p^(K+S) and
+    are not summed.  The terms beyond the series' order are not known; for
+    a logarithm (v_p(c_j) >= -v_p(j)) term j has valuation at least
+    j v(t) - floor(log_p j), which never decreases with j, so they cannot
+    change the first (order+1) v(t) - floor(log_p(order+1)) digits.  The
+    precision returned is the smaller of the two counts.
     """
     p, K = t.p, t.precision
     v = t.min_valuation()
@@ -244,7 +257,9 @@ def _series_value(series: TruncSeries, t: PadicCyclotomic) -> PadicCyclotomic:
     ints = [c.numerator * p ** (S - s) * pow(unit, -1, modulus) % modulus
             for c, (s, unit) in zip(coeffs[:(K + S - 1) // v], split)]
     total = _series_mod(ints, t.coeffs, t.config.phi, modulus)
-    return PadicCyclotomic(t.config, p, K - S, [c // p ** S for c in total])
+    tail = (series.order + 1) * v - _ilog(series.order + 1, p)
+    return PadicCyclotomic(t.config, p, min(K - S, tail),
+                           [c // p ** S for c in total])
 
 
 def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic,
@@ -283,11 +298,9 @@ def eval_gm_character(c: Character, q, precision: int) -> EvaluationResult:
     if not isinstance(q, AdelePoint):
         q = AdelePoint.multiplicative(q, c.primes, precision)
     rho = _twist_symbol(c)
-    work = precision + guard_digits(precision)
     values = []
     for k, p in enumerate(c.primes):
-        u = q.component(k)
-        ode = eval_gm_ode(u, p, min(work, u.precision - 1))
+        ode = eval_gm_ode(q.component(k), p, precision)
         sym = rho * euler_symbol_gm(c.primes, k + 1)
         values.append(_apply_symbol(sym, ode, c.primes).reduce_to(precision))
     return EvaluationResult(c.primes, values, precision)
@@ -304,7 +317,7 @@ def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int,
     if config is None:
         m = point.x.config.m if isinstance(point.x, CyclotomicElement) else 1
         config = CyclotomicConfig(m, (p,))
-    work = _elliptic_work(precision)
+    order, (work,) = log_budget(precision, (p,))
     t_exact = to_formal_parameter(point, p)
     if isinstance(t_exact, CyclotomicElement):
         t = PadicCyclotomic.from_cyclotomic(t_exact, p, work)
@@ -312,12 +325,7 @@ def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int,
         t = PadicCyclotomic.from_rational(config, t_exact, p, work)
     if t.is_zero():
         return PadicCyclotomic.zero(config, p, precision)
-    return _formal_value(curve, t, precision, elliptic_log(curve, work + 8))
-
-
-def _elliptic_work(precision: int) -> int:
-    """Digits of t that the formal value at `precision` is computed from."""
-    return precision + guard_digits(precision) + 1
+    return _formal_value(curve, t, precision, elliptic_log(curve, order))
 
 
 def _formal_value(curve, t: PadicCyclotomic, precision: int,
@@ -345,7 +353,8 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
     reduction; the target is torsion-free, so zero-testing is unaffected by
     the known scaling.  M_k Q is never formed over Q(zeta_m): its formal
     parameter is computed modulo a power of p in E(Z_p[zeta_m]/p^K), and the
-    curve's logarithm is built once for all primes.
+    curve's logarithm is built once for all primes, to the order
+    `log_budget` gives at the smallest one.
     """
     if c.group != "Elliptic":
         raise DomainError("expected an elliptic character")
@@ -358,17 +367,17 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
     if point.curve.coefficients() != c.curve.coefficients():
         raise DomainError("point does not lie on the character's curve")
     rho = _twist_symbol(c)
-    work = _elliptic_work(precision)
+    order, digits = log_budget(precision, c.primes)
     log = None
     values, scalings = [], []
     for k, p in enumerate(c.primes):
         scale = reduction_group_order(c.curve, p, config.m)
-        t = scaled_formal_parameter(point, scale, p, work, config)
+        t = scaled_formal_parameter(point, scale, p, digits[k], config)
         if t.is_zero():
             value = PadicCyclotomic.zero(config, p, precision)
         else:
             if log is None:
-                log = elliptic_log(c.curve, work + 8)
+                log = elliptic_log(c.curve, order)
             w = _formal_value(c.curve, t, precision, log)
             sym = rho * euler_symbol_ell(c.curve, c.primes, k + 1)
             value = _apply_symbol(sym, w, c.primes).reduce_to(precision)
@@ -389,14 +398,20 @@ def evaluate(c: Character, q, precision: int) -> EvaluationResult:
 # torsion, closed form, continuation
 # ---------------------------------------------------------------------------
 
-def torsion_test(q, bound: int = 16) -> bool:
-    """Is the global point torsion: root of unity, or killed by some k <= bound."""
+def torsion_test(q) -> bool:
+    """Is the global point torsion?  Exact for units and curve points alike.
+
+    A unit of Q(zeta_m) is torsion when it is a root of unity, of order
+    dividing lcm(2, m); a curve point over Q or Q(zeta_m) when g*Q = O for
+    the multiple g of every torsion order from `torsion_multiple`.
+    """
     if isinstance(q, AdelePoint):
         if q.point is None:
             raise DomainError("torsion test needs a global point")
         q = q.point
     if isinstance(q, CurvePoint):
-        return q.order(bound) is not None
+        m = q.x.config.m if isinstance(q.x, CyclotomicElement) else 1
+        return (torsion_multiple(q.curve, m) * q).is_infinity
     if isinstance(q, CyclotomicElement):
         e = math.lcm(2, q.config.m)
         return q ** e == CyclotomicElement.from_rational(q.config, 1)

@@ -4,15 +4,16 @@ Everything in this package computes with exact integers and rationals for as
 long as possible; reduction modulo a prime power happens once, at the end of a
 computation.  This module provides the shared pieces: prime sets, p-adic
 valuations and locality checks, a fixed-precision p-adic integer, the p-adic
-logarithm, quadratic Hensel lifting, the Moebius function, and rational
-reconstruction from residues at several primes.
+logarithm and the precision budget of every logarithm series, quadratic
+Hensel lifting, the Moebius function, and rational reconstruction from
+residues at several primes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -341,6 +342,24 @@ def _ilog(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def log_budget(precision: int, primes: Sequence[int]) -> Tuple[int, List[int]]:
+    """(order, digits) that give (1/p) l(x) mod p**precision at each prime.
+
+    For a logarithm l = sum c_n x^n (v_p(c_n) >= -v_p(n)) and v_p(x) >= 1,
+    term n has valuation >= n - floor(log_p n), nondecreasing in n and in p:
+    the bound padic_log stops on, as in Mazur-Stein-Tate (2006).  `order` is
+    the last n with n - floor(log_p n) <= precision at the smallest prime, so
+    later terms vanish mod p**(precision + 1) at every prime; x is needed to
+    digits = precision + 1 + floor(log_p order) at each, since the kept
+    terms divide by at most that power of p.
+    """
+    p = min(primes)
+    order = precision
+    while order + 1 - _ilog(order + 1, p) <= precision:
+        order += 1
+    return order, [precision + 1 + _ilog(order, q) for q in primes]
 
 
 def hensel_quadratic_root(a: Rational, p: int, precision: int) -> PadicInt:

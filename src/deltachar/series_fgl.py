@@ -43,8 +43,10 @@ class TruncSeries:
         self.coeffs: Dict[Expt, Fraction] = {}
         if coeffs:
             for exps, c in coeffs.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
+                exps = tuple(exps)
+                # type, not int(): a float or bool exponent would be truncated
+                if len(exps) != nvars or any(type(e) is not int or e < 0
+                                             for e in exps):
                     raise DomainError("bad exponent %r" % (exps,))
                 if sum(exps) > order:
                     continue

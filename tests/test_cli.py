@@ -19,9 +19,12 @@ from deltachar.characters import (
 )
 from deltachar.cli import (
     _MAX_BOUND,
+    _MAX_DEPTH,
     _MAX_M,
     _MAX_ORDER,
     _MAX_PREC,
+    _MAX_PRIMES,
+    _MAX_SAMPLES,
     format_symbol,
     main,
     parse_symbol,
@@ -485,6 +488,9 @@ def test_cli_fuzz_exits_cleanly(capsys, monkeypatch, tmp_path):
     # a value over its limit, from a flag or the config file, is a usage
     # error before any arithmetic starts
     (tmp_path / "big.cfg").write_text("prec = %d\n" % (_MAX_PREC + 1))
+    many = ",".join(str(p) for p in
+                    (3, 5, 7, 11, 13, 17, 19, 23)[:_MAX_PRIMES + 1])
+    (tmp_path / "many.cfg").write_text("primes = %s\n" % many)
     for argv in (["char", "gm", "--order", str(_MAX_ORDER + 1)],
                  ["eval", "gm", "--point", "2", "--prec", str(_MAX_PREC + 1)],
                  ["eval", "gm", "--point", "2", "--config",
@@ -492,6 +498,14 @@ def test_cli_fuzz_exits_cleanly(capsys, monkeypatch, tmp_path):
                  ["eval", "gm", "--point", "2", "--m", str(_MAX_M + 1)],
                  ["verify", "integrality", "--bound", str(_MAX_BOUND + 1)],
                  ["verify", "honda", "--curve", "37a", "--primes", "5,7",
-                  "--bound", str(_MAX_BOUND + 1)]):
+                  "--bound", str(_MAX_BOUND + 1)],
+                 ["verify", "additivity", "--depth", str(_MAX_DEPTH + 1)],
+                 ["verify", "additivity", "--depth", "0"],
+                 ["verify", "jets", "--samples", str(_MAX_SAMPLES + 1)],
+                 ["verify", "axioms", "--samples", "0"],
+                 ["char", "gm", "--primes", many],
+                 ["char", "gm", "--config", str(tmp_path / "many.cfg")],
+                 ["eval", "gm", "--point", "2", "--primes", "3,1009"],
+                 ["verify", "claim2", "--primes", "3,19"]):
         assert main(argv) == 1, argv
         assert "limit" in capsys.readouterr().err, argv

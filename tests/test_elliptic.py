@@ -15,6 +15,7 @@ from deltachar.elliptic import (
     reduction_group_order,
     scaled_formal_parameter,
     to_formal_parameter,
+    torsion_multiple,
 )
 from deltachar.exact_arith import DomainError, vp
 
@@ -121,21 +122,38 @@ def test_five_torsion_chain_on_11a():
     assert (chain[2].x, chain[2].y) == (1, 0)
     assert (chain[3].x, chain[3].y) == (0, -1)
     assert chain[4].is_infinity
-    assert P.order() == 5
+    assert not any(Q.is_infinity for Q in chain[:4])
     assert (5 * P).is_infinity
     assert 2 * P == chain[1]
     assert -P == E11.point(0, -1)
 
 
+def test_torsion_multiple_kills_exactly_the_torsion():
+    # g = gcd #E(F_{l^f}) over the first three good odd primes l prime to m
+    assert torsion_multiple(E11) == math.gcd(5, 5, 10) == 5
+    assert torsion_multiple(E11, 4) == 5          # l = 3, 5, 7 with f = 2, 1, 2
+    assert torsion_multiple(E11, 5) == 75         # l = 3, 7, 13 with f = 4
+    assert torsion_multiple(E37) == 1
+    P = E11.point(0, 0)
+    assert (5 * P).is_infinity and not (3 * P).is_infinity
+    Q = E37.point(0, 0)
+    assert not (torsion_multiple(E37) * Q).is_infinity
+    # y^2 = x^3 - x has all of E[2] = {O, (0,0), (1,0), (-1,0)} over Q, so
+    # 4 divides g
+    curve = WeierstrassCurve(0, 0, 0, -1, 0)
+    assert torsion_multiple(curve) % 4 == 0
+    for x in (0, 1, -1):
+        assert (torsion_multiple(curve) * curve.point(x, 0)).is_infinity
+
+
 def test_37a_generator_is_not_torsion():
     P = E37.point(0, 0)
     assert (P + P) == E37.point(1, 0)
-    assert P.order(bound=16) is None
-    # double-and-add agrees with repeated addition
+    # double-and-add agrees with repeated addition, and never reaches O
     acc = E37.infinity()
-    for k in range(1, 14):
+    for k in range(1, 17):
         acc = acc + P
-        assert acc == k * P
+        assert acc == k * P and not acc.is_infinity
     assert 0 * P == E37.infinity()
     assert (-3) * P == -(3 * P)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,12 @@ from deltachar.characters import (
     full_symbol_gm,
 )
 from deltachar.cyclotomic import CyclotomicConfig, CyclotomicElement, PadicCyclotomic
-from deltachar.elliptic import WeierstrassCurve, count_points_ap, reduction_group_order
+from deltachar.elliptic import (
+    WeierstrassCurve,
+    count_points_ap,
+    is_ordinary,
+    reduction_group_order,
+)
 from deltachar.evaluation import (
     AdelePoint,
     _formal_value,
@@ -32,6 +38,7 @@ from deltachar.exact_arith import (
     PadicInt,
     PrimeSet,
     _ilog,
+    log_budget,
     padic_log,
     vp,
 )
@@ -49,7 +56,7 @@ E37 = WeierstrassCurve.from_label("37a")
 def test_adele_construction():
     a = AdelePoint.multiplicative(2, P35, 10)
     assert [c.p for c in a.components] == [3, 5]
-    assert a.components[0].precision > 10  # guard digits present
+    assert a.components[0].precision == 11  # one digit for the Fermat quotient
     az = AdelePoint.multiplicative(Z4, P35, 10)
     assert az.config.m == 4
     with pytest.raises(NonUnitError):
@@ -156,8 +163,12 @@ def test_series_value_matches_term_by_term():
                     continue
                 got = _series_value(series, t)
                 want = _series_reference(series, t)
-                assert got.precision == want.precision == k - top
-                assert got.coeffs == want.coeffs, (m, p, v, k)
+                assert want.precision == k - top
+                # terms past the order may move digits from the tail bound on
+                tail = (order + 1) * v - _ilog(order + 1, p)
+                assert got.precision == min(k - top, tail)
+                assert got.coeffs == want.reduce_to(got.precision).coeffs, (
+                    m, p, v, k)
 
 
 def test_series_value_on_elliptic_logs():
@@ -186,6 +197,28 @@ def test_series_value_on_elliptic_logs():
                 value = _formal_value(curve, t, k, log)
                 assert value.precision == combo.precision
                 assert value.coeffs == combo.coeffs
+
+
+def test_series_value_cut_below_budget():
+    # at p = 13 and N = 12 the budget keeps T^13, whose coefficient has 13 in
+    # its denominator; a logarithm cut shorter reports fewer digits, and the
+    # digits it drops are ones the cut gets wrong
+    config = CyclotomicConfig(1, PrimeSet((13,)))
+    order, (digits,) = log_budget(12, (13,))
+    assert (order, digits) == (13, 14)
+    full = elliptic_log(E37, order)
+    assert vp(full.coefficient(13), 13) == -1
+    t = PadicCyclotomic(config, 13, digits, [13 * 5 + 13 ** 2 * 7])
+    whole = _series_value(full, t)
+    assert whole.precision == 13
+    for cut in range(1, order):
+        short = _series_value(elliptic_log(E37, cut), t)
+        assert short.precision == cut + 1 - _ilog(cut + 1, 13) < 13
+        assert short.coeffs == whole.reduce_to(short.precision).coeffs
+    # summed to full precision, the cut at T^12 is wrong in the 13th digit
+    wrong = _series_reference(elliptic_log(E37, 12), t)
+    assert wrong.reduce_to(12) == whole.reduce_to(12)
+    assert wrong.reduce_to(13) != whole
 
 
 def test_series_value_domain_errors():
@@ -377,6 +410,33 @@ def test_elliptic_precision_monotone():
                 assert all(v.precision == n for v in base.values)
 
 
+def test_elliptic_precision_at_primes_above_n():
+    # primes larger than N, where the logarithm's T^p term (p in its
+    # denominator) is still inside the budget: evaluate at N equals evaluate
+    # at N + 7 reduced to N, at every prime pair, m in {1, 4}, N in {2, 5, 12}
+    E43 = WeierstrassCurve(0, 1, 1, 0, 0)
+    cases = [("37a", E37, (0, 0)), ("37a", E37, (1, 0)), ("43a", E43, (0, 0))]
+    seen = set()
+    for label, curve, xy in cases:
+        ordinary = [p for p in (13, 17, 19, 23, 29, 31) if is_ordinary(curve, p)]
+        q = curve.point(*xy)
+        for primes in itertools.combinations(ordinary, 2):
+            ps = PrimeSet(primes)
+            c = build_elliptic_character(curve, ps, 8)
+            for m in (1, 4):
+                for n in (2, 5, 12):
+                    base = evaluate(c, AdelePoint.elliptic(q, ps, n, m), n)
+                    finer = evaluate(c, AdelePoint.elliptic(q, ps, n + 7, m),
+                                     n + 7)
+                    assert not base.is_zero()
+                    assert all(v.precision == n for v in base.values)
+                    assert ([v.reduce_to(n).coeffs for v in finer.values]
+                            == [v.coeffs for v in base.values]), (
+                        xy, primes, m, n)
+                    seen.add((label, xy, primes, m, n))
+    assert ("37a", (0, 0), (13, 23), 4, 12) in seen
+
+
 def test_gm_precision_monotone():
     # evaluate at N + k, reduced to N, equals evaluate at N, on rational
     # units, roots of unity and cyclotomic units at m in {1, 4, 8}
@@ -442,9 +502,18 @@ def test_torsion_test():
     assert torsion_test(Z4) and torsion_test(-Z4) and torsion_test(F(-1))
     assert not torsion_test(F(2)) and not torsion_test(2 + 3 * Z4)
     assert torsion_test(E11.point(0, 0))
-    assert not torsion_test(E11.point(0, 0), bound=3)
     assert not torsion_test(E37.point(0, 0))
     assert torsion_test(E37.infinity())
+    assert torsion_test(AdelePoint.elliptic(E11.point(1, -1), P35, 10, 4))
+    # over Q(i): (i, 0) on y^2 = x^3 + x is 2-torsion, and so is its sum
+    # with (0, 0); 37a's generator stays nontorsion with coordinates in Q(i)
+    zero = CyclotomicElement.from_rational(CFG4, 0)
+    curve = WeierstrassCurve(0, 0, 0, 1, 0)
+    two = curve.point(Z4, zero)
+    assert torsion_test(two) and torsion_test(two + curve.point(zero, zero))
+    assert torsion_test(E11.point(zero, zero))
+    q = E37.point(zero, zero)
+    assert not torsion_test(q) and not torsion_test(q + q)
 
 
 def test_precision_audit():

@@ -50,6 +50,14 @@ def test_series_arithmetic_and_truncation():
     assert bool(f - f) is False
 
 
+def test_series_rejects_non_integer_exponents():
+    # a float or bool exponent is refused, never truncated to an integer
+    for exps in ((1.5,), (True,), (1.0,), ("1",), (-1,), (1, 2)):
+        with pytest.raises(DomainError):
+            TruncSeries(1, 3, {exps: 1})
+    assert TruncSeries(1, 3, {(2,): 1}).coefficient(2) == 1
+
+
 def test_series_reciprocal_geometric():
     t = T(8)
     inv = (1 - t).reciprocal()
