@@ -4,7 +4,7 @@ Curves are given by y^2 + c1 xy + c3 y = x^3 + c2 x^2 + c4 x + c6 with
 rational coefficients.  Point arithmetic on `CurvePoint` is exact and generic
 over the coordinate field — rationals or cyclotomic elements.  The evaluation
 pipeline does not use it to reach the kernel of reduction: it scales a point
-by the reduction-group order in E(Z_p[zeta_m]/p^K) with
+by the point count of its residue field in E(Z_p[zeta_m]/p^K) with
 `scaled_formal_parameter`, whose cost does not grow with the height of the
 scaled point; the exact group law stays as the reference it is tested
 against.  Counting over F_p is done by quadratic character sums (completing
@@ -50,7 +50,8 @@ class BadReductionError(DomainError):
 class WeierstrassCurve:
     """An elliptic curve y^2 + c1 xy + c3 y = x^3 + c2 x^2 + c4 x + c6 over Q."""
 
-    __slots__ = ("c1", "c2", "c3", "c4", "c6", "_discriminant", "_denominators")
+    __slots__ = ("c1", "c2", "c3", "c4", "c6", "_discriminant", "_denominators",
+                 "_ap")
 
     def __init__(self, c1, c2, c3, c4, c6):
         self.c1, self.c2, self.c3, self.c4, self.c6 = (
@@ -61,6 +62,7 @@ class WeierstrassCurve:
         if self._discriminant == 0:
             raise SingularCurveError("discriminant vanishes")
         self._denominators = math.prod(c.denominator for c in self.coefficients())
+        self._ap = {}               # a_p by validated prime (count_points_ap)
 
     @classmethod
     def from_label(cls, label: str) -> "WeierstrassCurve":
@@ -253,13 +255,17 @@ def count_points_ap(curve: WeierstrassCurve, p: int) -> int:
 
     Good reduction: a_p = p + 1 - #E(F_p).  Bad reduction: a_p = p - #E_ns(F_p)
     with E_ns the smooth locus (including infinity), which lands in {-1, 0, 1}
-    for split/additive/non-split types.
+    for split/additive/non-split types.  Validated and stored once per
+    (curve object, p); `_count_points_ap` shares counts between objects.
     """
-    if not is_prime(p):
-        raise DomainError("%d is not prime" % p)
-    if not curve.has_integral_reduction(p):
-        raise DomainError("curve is not p-integral at %d" % p)
-    return _count_points_ap(curve.coefficients(), p)
+    ap = curve._ap.get(p)
+    if ap is None:
+        if not is_prime(p):
+            raise DomainError("%d is not prime" % p)
+        if not curve.has_integral_reduction(p):
+            raise DomainError("curve is not p-integral at %d" % p)
+        ap = curve._ap[p] = _count_points_ap(curve.coefficients(), p)
+    return ap
 
 
 @lru_cache(maxsize=1024)

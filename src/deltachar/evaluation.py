@@ -2,11 +2,22 @@
 
 The evaluation strategy is uniform: reduce the point into the kernel of
 reduction (multiplicative units are already there after the Fermat-quotient
-step; curve points get scaled by the order of the reduction group, computed
-p-adically in E(Z_p[zeta_m]/p^K) by `elliptic.scaled_formal_parameter`, which
-returns the formal parameter of the scaled point), evaluate the per-prime
-operator series, then apply the complementary symbol through Frobenius on
-the value.
+step; a curve point Q is scaled p-adically in E(Z_p[zeta_m']/p^K) by
+`elliptic.scaled_formal_parameter`, which returns the formal parameter of
+the scaled point), evaluate the per-prime operator series, then apply the
+complementary symbol through Frobenius on the value.
+
+A curve point is scaled by N = #E(F_{p^f'}), the count of the residue field
+of its own ring Z[zeta_m'] (m' = 1 for a rational point, f' the order of p
+mod m'), not by the reported M = #E(F_{p^f})^(phi(m)/f) of the adele's
+level m.  N kills the reduction of Q, and the formal logarithm is
+additive on the kernel of reduction, l(k R) = k l(R) (AEC IV.5-6), so
+psi(M Q) = (M/N) psi(N Q): the value at N Q is multiplied by the integer
+M/N, which costs no digit.  The group law thus stops where N Q enters the
+kernel, instead of doubling on inside it, where each step loses about
+6 v(t) digits (the route of Mazur-Stein-Tate 2006).  M/N is an integer
+when m' divides m: then f' divides f, E(F_{p^f'}) is a subgroup of
+E(F_{p^f}), and #E(F_{p^f}) divides M.  Otherwise Q is scaled by M itself.
 
 Every per-prime value is (1/p) l(x), l a logarithm (its n-th coefficient
 has v_p >= -v_p(n)) and v_p(x) >= 1: x = p delta_p u / u^p for a unit u, or
@@ -53,6 +64,7 @@ from .cyclotomic import (
 )
 from .elliptic import (
     CurvePoint,
+    _residue_field_count,
     count_points_ap,
     reduction_group_order,
     scaled_formal_parameter,
@@ -262,6 +274,11 @@ def _series_value(series: TruncSeries, t: PadicCyclotomic) -> PadicCyclotomic:
                            [c // p ** S for c in total])
 
 
+def _ring_level(point: CurvePoint) -> int:
+    """The m' of Q(zeta_m') holding the point's coordinates; 1 if rational."""
+    return point.x.config.m if isinstance(point.x, CyclotomicElement) else 1
+
+
 def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic,
                   primes: PrimeSet) -> PadicCyclotomic:
     """sum_n c_n phi_n(value): Frobenius word by the factorization of n."""
@@ -315,8 +332,7 @@ def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int,
     p-adically and conjugated by the Frobenius lift.
     """
     if config is None:
-        m = point.x.config.m if isinstance(point.x, CyclotomicElement) else 1
-        config = CyclotomicConfig(m, (p,))
+        config = CyclotomicConfig(_ring_level(point), (p,))
     order, (work,) = log_budget(precision, (p,))
     t_exact = to_formal_parameter(point, p)
     if isinstance(t_exact, CyclotomicElement):
@@ -349,12 +365,18 @@ def _formal_value(curve, t: PadicCyclotomic, precision: int,
 def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult:
     """Evaluate a curve character; reports M_k * psi(Q_k) with M_k recorded.
 
-    M_k is the order of the reduction group, so M_k Q is in the kernel of
-    reduction; the target is torsion-free, so zero-testing is unaffected by
-    the known scaling.  M_k Q is never formed over Q(zeta_m): its formal
-    parameter is computed modulo a power of p in E(Z_p[zeta_m]/p^K), and the
-    curve's logarithm is built once for all primes, to the order
-    `log_budget` gives at the smallest one.
+    M_k is the order of the reduction group of E over Z[zeta_m]/p, so M_k Q
+    is in the kernel of reduction; the target is torsion-free, so
+    zero-testing is unaffected by the known scaling.  When Q's ring
+    Z[zeta_m'] lies in Z[zeta_m] (m' | m), Q is scaled only by the count
+    N_k = #E(F_{p^f'}) of its own residue field, which N_k Q already leaves
+    in the kernel, and psi(M_k Q) = (M_k/N_k) psi(N_k Q) by the additivity
+    of the formal logarithm there; M_k/N_k is an integer (see the module
+    docstring), so the product loses no digit.  Otherwise, or at m = 1 with
+    a rational Q, where N_k = M_k, Q is scaled by M_k.  The scaled point is
+    never formed over Q(zeta_m): its formal parameter is computed modulo a
+    power of p in E(Z_p[zeta_m']/p^K), and the curve's logarithm is built
+    once for all primes, to the order `log_budget` gives at the smallest one.
     """
     if c.group != "Elliptic":
         raise DomainError("expected an elliptic character")
@@ -362,25 +384,33 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
         point, config = q.point, q.config
     else:
         point = q
-        m = point.x.config.m if isinstance(point.x, CyclotomicElement) else 1
-        config = CyclotomicConfig(m, c.primes)
+        config = CyclotomicConfig(_ring_level(point), c.primes)
     if point.curve.coefficients() != c.curve.coefficients():
         raise DomainError("point does not lie on the character's curve")
+    level = _ring_level(point)
     rho = _twist_symbol(c)
     order, digits = log_budget(precision, c.primes)
     log = None
     values, scalings = [], []
     for k, p in enumerate(c.primes):
         scale = reduction_group_order(c.curve, p, config.m)
-        t = scaled_formal_parameter(point, scale, p, digits[k], config)
-        if t.is_zero():
+        count = scale
+        if config.m > 1 and config.m % level == 0:
+            count = _residue_field_count(c.curve, p, level)[0]
+        t = scaled_formal_parameter(point, count, p, digits[k], config)
+        cofactor = scale // count
+        # on the kernel [p] raises v(t) by exactly one (p odd, v(t) >= 1)
+        # and a multiplier prime to p keeps it: so t(M Q) vanishes mod p^K
+        # exactly when this holds
+        if t.min_valuation() + vp(cofactor, p) >= t.precision:
             value = PadicCyclotomic.zero(config, p, precision)
         else:
             if log is None:
                 log = elliptic_log(c.curve, order)
             w = _formal_value(c.curve, t, precision, log)
             sym = rho * euler_symbol_ell(c.curve, c.primes, k + 1)
-            value = _apply_symbol(sym, w, c.primes).reduce_to(precision)
+            value = (_apply_symbol(sym, w, c.primes).reduce_to(precision)
+                     * cofactor)
         values.append(value)
         scalings.append(scale)
     return EvaluationResult(c.primes, values, precision, scalings)
@@ -410,8 +440,7 @@ def torsion_test(q) -> bool:
             raise DomainError("torsion test needs a global point")
         q = q.point
     if isinstance(q, CurvePoint):
-        m = q.x.config.m if isinstance(q.x, CyclotomicElement) else 1
-        return (torsion_multiple(q.curve, m) * q).is_infinity
+        return (torsion_multiple(q.curve, _ring_level(q)) * q).is_infinity
     if isinstance(q, CyclotomicElement):
         e = math.lcm(2, q.config.m)
         return q ** e == CyclotomicElement.from_rational(q.config, 1)

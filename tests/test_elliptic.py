@@ -8,6 +8,7 @@ from deltachar.elliptic import (
     BadReductionError,
     SingularCurveError,
     WeierstrassCurve,
+    _count_points_ap,
     count_points_ap,
     frobenius_trace_power,
     is_ordinary,
@@ -98,6 +99,22 @@ def test_ordinary_and_supersingular():
     assert is_ordinary(E37, 5)
     with pytest.raises(DomainError):
         count_points_ap(E11, 4)
+
+
+def test_ap_stored_per_curve_object_and_shared_by_coefficients():
+    curve = WeierstrassCurve(0, 0, 1, -7, 6)
+    misses = _count_points_ap.cache_info().misses
+    ap = count_points_ap(curve, 1009)
+    assert curve._ap == {1009: ap}
+    assert count_points_ap(curve, 1009) == ap
+    # a second object with the same coefficients reuses the count
+    assert count_points_ap(WeierstrassCurve(0, 0, 1, -7, 6), 1009) == ap
+    assert _count_points_ap.cache_info().misses == misses + 1
+    # failed validation stores nothing and fails the same way again
+    for _ in range(2):
+        with pytest.raises(DomainError, match="1008 is not prime"):
+            count_points_ap(curve, 1008)
+    assert list(curve._ap) == [1009]
 
 
 def test_integral_reduction_reads_the_denominators():

@@ -9,19 +9,26 @@ from deltachar.characters import (
     SymbolPoly,
     build_elliptic_character,
     build_gm_character,
+    euler_symbol_ell,
     full_symbol_gm,
 )
 from deltachar.cyclotomic import CyclotomicConfig, CyclotomicElement, PadicCyclotomic
 from deltachar.elliptic import (
     WeierstrassCurve,
+    _FactorCurve,
+    _PrecisionExhausted,
     count_points_ap,
     is_ordinary,
     reduction_group_order,
+    scaled_formal_parameter,
 )
 from deltachar.evaluation import (
     AdelePoint,
+    EvaluationResult,
+    _apply_symbol,
     _formal_value,
     _series_value,
+    _twist_symbol,
     eval_elliptic_character,
     eval_gm_character,
     eval_gm_ode,
@@ -51,6 +58,7 @@ CFG4 = CyclotomicConfig(4, P35)
 Z4 = CyclotomicElement.zeta(CFG4)
 E11 = WeierstrassCurve.from_label("11a")
 E37 = WeierstrassCurve.from_label("37a")
+E43 = WeierstrassCurve(0, 1, 1, 0, 0)
 
 
 def test_adele_construction():
@@ -435,6 +443,142 @@ def test_elliptic_precision_at_primes_above_n():
                         xy, primes, m, n)
                     seen.add((label, xy, primes, m, n))
     assert ("37a", (0, 0), (13, 23), 4, 12) in seen
+
+
+def _evaluate_scaling_by_m(c, q, precision):
+    """Reference: scale Q by M itself, with no cofactor.
+
+    The group law runs on from N Q to M Q inside the kernel of reduction,
+    and the value at M Q is computed directly.
+    """
+    point, config = q.point, q.config
+    rho = _twist_symbol(c)
+    order, digits = log_budget(precision, c.primes)
+    log = elliptic_log(c.curve, order)
+    values, scalings = [], []
+    for k, p in enumerate(c.primes):
+        scale = reduction_group_order(c.curve, p, config.m)
+        t = scaled_formal_parameter(point, scale, p, digits[k], config)
+        if t.is_zero():
+            value = PadicCyclotomic.zero(config, p, precision)
+        else:
+            w = _formal_value(c.curve, t, precision, log)
+            sym = rho * euler_symbol_ell(c.curve, c.primes, k + 1)
+            value = _apply_symbol(sym, w, c.primes).reduce_to(precision)
+        values.append(value)
+        scalings.append(scale)
+    return EvaluationResult(c.primes, values, precision, scalings)
+
+
+def _outcome(fn):
+    try:
+        return fn().to_json_dict()
+    except DomainError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _gaussian_point_43a(primes):
+    # the Q(i) point of 43a from test_scaled_parameter_with_gaussian_coordinates
+    config = CyclotomicConfig(4, primes)
+    i = CyclotomicElement.zeta(config)
+    x = F(-5, 4)
+    return E43.point(CyclotomicElement.from_rational(config, x),
+                     (i * F(3, 4) - E43.c1 * x - E43.c3) / 2)
+
+
+def test_elliptic_cofactor_route_matches_scaling_by_m():
+    # evaluate scales Q by the count N of its own residue field and
+    # multiplies by M/N; the reference scales by M.  Both must agree to the
+    # byte, errors included.
+    def check(curve, q, primes, m, n):
+        ps = PrimeSet(primes)
+        c = build_elliptic_character(curve, ps, 8)
+        a = AdelePoint.elliptic(q, ps, n, m)
+        got = _outcome(lambda: evaluate(c, a, n))
+        assert got == _outcome(lambda: _evaluate_scaling_by_m(c, a, n)), (
+            q, primes, m, n)
+        return got
+
+    cofactors = 0
+    for curve, xy, pairs in ((E37, (0, 0), ((5, 7), (13, 29), (11, 23))),
+                             (E37, (1, 0), ((5, 7), (13, 29), (11, 23))),
+                             (E43, (0, 0), ((3, 5), (13, 29), (5, 11)))):
+        for primes in pairs:
+            for m in (1, 3, 4, 8):
+                if m == 3 and 3 in primes:
+                    continue
+                for n in (2, 5, 12):
+                    got = check(curve, curve.point(*xy), primes, m, n)
+                    # at small N a p in M/N can leave no digit nonzero
+                    assert n < 12 or not any(comp["zero"]
+                                             for comp in got["components"])
+                    counts = [reduction_group_order(curve, p, 1) for p in primes]
+                    cofactors += [comp["scaling"] for comp in got["components"]
+                                  ] != counts
+    assert cofactors > 50
+    # Q(i) points, with Q's ring inside Z[zeta_m]; at m = 8, P = {5, 13},
+    # N = 2, t(M 5Q) is 0 mod p^3 (5 divides M/N) while t(N 5Q) is not, and
+    # that component must still be the zero of Z_5[zeta_8]
+    for primes in ((5, 11), (5, 13), (11, 13)):
+        q = _gaussian_point_43a(PrimeSet(primes))
+        for point in (q, q + E43.point(0, 0), 5 * q):
+            for m in (4, 8, 12):
+                for n in (2, 5, 12):
+                    check(E43, point, primes, m, n)
+    got = check(E43, 5 * _gaussian_point_43a(PrimeSet((5, 13))), (5, 13), 8, 2)
+    assert got["components"][0]["coeffs"] == ["0"] * 4
+    # 11a's torsion points: zero at every prime, over Z[i] as over Z
+    for xy in ((0, 0), (1, -1), (1, 0), (0, -1)):
+        got = check(E11, E11.point(*xy), (3, 5), 4, 12)
+        assert all(comp["zero"] for comp in got["components"])
+    # a Q(i) point with an m = 1 adele: scaled by M = #E(F_p) as before,
+    # which kills its reduction at split primes and not at inert ones
+    q = _gaussian_point_43a(PrimeSet((5, 11, 13)))
+    got = check(E43, q, (5, 13), 1, 12)
+    assert [comp["scaling"] for comp in got["components"]] == [10, 19]
+    assert check(E43, q, (5, 11), 1, 12) == (
+        "DomainError", "point does not reduce to the identity mod 11")
+
+
+# the ell-scale benchmark table: (curve, point, primes, m), evaluated at N = 12
+ELL_SCALE_ROWS = [
+    (E37, (0, 0), (5, 7), 4), (E37, (0, 0), (11, 13), 4),
+    (E37, (0, 0), (13, 23), 4), (E37, (0, 0), (23, 29), 3),
+    (E37, (0, 0), (29, 31), 4), (E37, (1, 0), (5, 7), 4),
+    (E37, (1, 0), (5, 11), 4), (E37, (1, 0), (11, 13), 3),
+    (E37, (1, 0), (5, 13), 4), (E37, (1, 0), (11, 13), 4),
+    (E43, (0, 0), (3, 5), 4), (E43, (0, 0), (11, 13), 4),
+    (E43, (0, 0), (13, 23), 4), (E43, (0, 0), (13, 29), 3),
+    (E43, (0, 0), (23, 29), 3),
+]
+
+
+def test_ell_scale_table_never_exhausts_precision(monkeypatch):
+    # stopping at the count N keeps the group law out of the kernel of
+    # reduction, where each doubling loses about 6 v(t) digits: no factor
+    # run loses every digit, and few rerun for a deficit
+    runs, exhausted = [], []
+    multiply = _FactorCurve.multiply
+
+    def counted(self, P, k):
+        runs.append(k)
+        try:
+            return multiply(self, P, k)
+        except _PrecisionExhausted:
+            exhausted.append(k)
+            raise
+
+    monkeypatch.setattr(_FactorCurve, "multiply", counted)
+    scalings = 0
+    for curve, xy, primes, m in ELL_SCALE_ROWS:
+        ps = PrimeSet(primes)
+        r = evaluate(build_elliptic_character(curve, ps, 8),
+                     AdelePoint.elliptic(curve.point(*xy), ps, 12, m), 12)
+        assert not r.is_zero()
+        scalings += len(primes)
+    assert scalings == 30
+    assert exhausted == []
+    assert len(runs) <= 1.25 * scalings
 
 
 def test_gm_precision_monotone():
