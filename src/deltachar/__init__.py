@@ -14,17 +14,15 @@ from .exact_arith import (  # noqa: F401
     ExactDivisionError,
     NonUnitError,
     NotPLocalError,
-    PadicInt,
     PrimeSet,
     fraction_mod,
-    hensel_quadratic_root,
     is_p_local,
     is_prime,
     mobius,
-    padic_log,
     rational_reconstruct,
     vp,
 )
+from .cyclotomic import hensel_quadratic_root, padic_log  # noqa: F401
 from .characters import (  # noqa: F401
     Character,
     SymbolPoly,

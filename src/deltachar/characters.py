@@ -19,6 +19,7 @@ import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .cyclotomic import hensel_quadratic_root
 from .elliptic import WeierstrassCurve, count_points_ap, lseries_coefficients
 from .exact_arith import (
     DomainError,
@@ -26,7 +27,6 @@ from .exact_arith import (
     Rational,
     _ilog,
     _json_int,
-    hensel_quadratic_root,
     smooth_exponents,
     vp,
 )

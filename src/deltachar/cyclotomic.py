@@ -7,7 +7,9 @@ stays inside the ring.  Lifts at different primes commute, which makes the
 ring a natural home for the whole operator family at once.
 
 Two coefficient models share one dense kernel: exact rationals
-(CyclotomicElement) and residues mod p**precision (PadicCyclotomic).  Both
+(CyclotomicElement) and residues mod p**precision (PadicCyclotomic).  Z_p is
+PadicCyclotomic at m = 1, with the p-adic logarithm (`padic_log`) and the
+small root of x^2 - a x + p (`hensel_quadratic_root`) beside it.  Both
 multiply by reducing mod the monic Phi_m, and both invert through the same
 Galois group: a * adj(a) = N(a), where adj(a) is the product of the
 conjugates sigma_j(a), j != 1, and the norm N(a) is rational.  Over Z_p, a
@@ -27,9 +29,12 @@ from typing import Dict, List, Sequence, Tuple
 from .delta_calculus import commutator_polynomial, cp_polynomial
 from .exact_arith import (
     DomainError,
+    ExactDivisionError,
     NonUnitError,
     NotPLocalError,
     PrimeSet,
+    Rational,
+    _ilog,
     fraction_mod,
     vp,
 )
@@ -355,7 +360,8 @@ class PadicCyclotomic:
     """Z_p[zeta_m] truncated at p**precision, on the power basis mod Phi_m.
 
     p must be coprime to m, so p is unramified and an element is divisible by
-    p exactly when all its basis coefficients are.
+    p exactly when all its basis coefficients are.  Coefficients are ints or
+    p-integral Fractions, reduced mod p**precision on construction.
     """
 
     __slots__ = ("config", "p", "precision", "coeffs")
@@ -370,7 +376,8 @@ class PadicCyclotomic:
         self.p = p
         self.precision = precision
         modulus = p ** precision
-        cs = [int(c) % modulus for c in coeffs]
+        cs = [c % modulus if type(c) is int else _fraction_residue(c, p, precision)
+              for c in coeffs]
         if len(cs) > config.degree:
             raise DomainError("too many coefficients")
         cs += [0] * (config.degree - len(cs))
@@ -399,6 +406,14 @@ class PadicCyclotomic:
     @property
     def modulus(self) -> int:
         return self.p ** self.precision
+
+    @property
+    def residue(self) -> int:
+        """The value in [0, p**precision) of an element of Z_p (degree 1)."""
+        if self.config.degree != 1:
+            raise DomainError("an element of degree %d has no single residue"
+                              % self.config.degree)
+        return self.coeffs[0]
 
     # -- ring ops -----------------------------------------------------------
     def _align(self, other):
@@ -530,6 +545,67 @@ class PadicCyclotomic:
     def __repr__(self):
         return ("PadicCyclotomic(m=%d, %d^%d: %s)"
                 % (self.config.m, self.p, self.precision, list(self.coeffs)))
+
+
+def _fraction_residue(c, p: int, precision: int) -> int:
+    """A Fraction coefficient mod p**precision; any other non-int is refused."""
+    if not isinstance(c, Fraction):
+        raise DomainError("coefficient %r is neither an int nor a Fraction" % (c,))
+    return fraction_mod(c, p, precision)
+
+
+def _zp(p: int, precision: int, value: Rational) -> PadicCyclotomic:
+    """value in Z_p mod p**precision: a PadicCyclotomic at m = 1."""
+    return PadicCyclotomic(CyclotomicConfig(1, (p,)), p, precision, [value])
+
+
+def padic_log(u: PadicCyclotomic) -> PadicCyclotomic:
+    """Logarithm of a 1-unit of Z_p: log(u) = sum (-1)^(n-1) (u-1)^n / n.
+
+    Requires u = 1 (mod p).  Partial sums are accumulated as exact rationals
+    (so division by n is exact) and reduced once at the end; the tail is cut
+    when every remaining term vanishes modulo p**precision.
+    """
+    p, prec = u.p, u.precision
+    if u.residue % p != 1 % p:
+        raise DomainError("padic_log needs a 1-unit, got %r" % u)
+    t = u.residue - 1
+    if t == 0:
+        return PadicCyclotomic.zero(u.config, p, prec)
+    total = Fraction(0)
+    tn = 1
+    n = 1
+    while True:
+        # terms from n onward have valuation >= n - floor(log_p n) > prec: stop
+        if n - _ilog(n, p) > prec:
+            break
+        tn *= t
+        total += Fraction((-1) ** (n - 1) * tn, n)
+        n += 1
+    return PadicCyclotomic(u.config, p, prec, [total])
+
+
+def hensel_quadratic_root(a: Rational, p: int, precision: int) -> PadicCyclotomic:
+    """The root of x^2 - a x + p lying in p Z_p, to the requested precision.
+
+    Requires a to be a p-unit (then the two roots split as one unit root and
+    one root divisible by p, and Newton iteration from x = 0 converges).
+    """
+    a0 = fraction_mod(a, p, precision)
+    if a0 % p == 0:
+        raise NonUnitError("x^2 - %s x + %d has no simple root at x = 0 (mod %d)"
+                           % (a, p, p))
+    x = 0
+    prec = 1
+    while prec < precision:
+        prec = min(2 * prec, precision)
+        modulus = p ** prec
+        fx = (x * x - a0 * x + p) % modulus
+        dfx = (2 * x - a0) % modulus
+        x = (x - fx * pow(dfx, -1, modulus)) % modulus
+    if x % p != 0:
+        raise ExactDivisionError("Newton iteration left the small root branch")
+    return _zp(p, precision, x)
 
 
 # ---------------------------------------------------------------------------

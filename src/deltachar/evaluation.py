@@ -15,9 +15,10 @@ additive on the kernel of reduction, l(k R) = k l(R) (AEC IV.5-6), so
 psi(M Q) = (M/N) psi(N Q): the value at N Q is multiplied by the integer
 M/N, which costs no digit.  The group law thus stops where N Q enters the
 kernel, instead of doubling on inside it, where each step loses about
-6 v(t) digits (the route of Mazur-Stein-Tate 2006).  M/N is an integer
-when m' divides m: then f' divides f, E(F_{p^f'}) is a subgroup of
-E(F_{p^f}), and #E(F_{p^f}) divides M.  Otherwise Q is scaled by M itself.
+6 v(t) digits (the route of Mazur-Stein-Tate 2006).  Q's ring must lie in
+Z[zeta_m] (m' | m), and a point outside it is refused; then f' divides f,
+E(F_{p^f'}) is a subgroup of E(F_{p^f}), and #E(F_{p^f}) divides M, so
+M/N is an integer.
 
 Every per-prime value is (1/p) l(x), l a logarithm (its n-th coefficient
 has v_p >= -v_p(n)) and v_p(x) >= 1: x = p delta_p u / u^p for a unit u, or
@@ -61,6 +62,8 @@ from .cyclotomic import (
     CyclotomicElement,
     PadicCyclotomic,
     _series_mod,
+    _zp,
+    padic_log,
 )
 from .elliptic import (
     CurvePoint,
@@ -74,11 +77,9 @@ from .elliptic import (
 from .exact_arith import (
     DomainError,
     NonUnitError,
-    PadicInt,
     PrimeSet,
     _ilog,
     log_budget,
-    padic_log,
     rational_reconstruct,
     smooth_exponents,
     vp,
@@ -367,13 +368,14 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
 
     M_k is the order of the reduction group of E over Z[zeta_m]/p, so M_k Q
     is in the kernel of reduction; the target is torsion-free, so
-    zero-testing is unaffected by the known scaling.  When Q's ring
-    Z[zeta_m'] lies in Z[zeta_m] (m' | m), Q is scaled only by the count
-    N_k = #E(F_{p^f'}) of its own residue field, which N_k Q already leaves
-    in the kernel, and psi(M_k Q) = (M_k/N_k) psi(N_k Q) by the additivity
-    of the formal logarithm there; M_k/N_k is an integer (see the module
-    docstring), so the product loses no digit.  Otherwise, or at m = 1 with
-    a rational Q, where N_k = M_k, Q is scaled by M_k.  The scaled point is
+    zero-testing is unaffected by the known scaling.  Q's ring Z[zeta_m']
+    must lie in Z[zeta_m] (m' | m); a point outside it is refused before
+    any arithmetic.  Q is scaled only by the count N_k = #E(F_{p^f'}) of its
+    own residue field, which N_k Q already leaves in the kernel, and
+    psi(M_k Q) = (M_k/N_k) psi(N_k Q) by the additivity of the formal
+    logarithm there; M_k/N_k is an integer (see the module docstring), so
+    the product loses no digit.  Every component, zero or not, lives in
+    Z_p[zeta_m'] (in Z_p[zeta_m] for a rational Q).  The scaled point is
     never formed over Q(zeta_m): its formal parameter is computed modulo a
     power of p in E(Z_p[zeta_m']/p^K), and the curve's logarithm is built
     once for all primes, to the order `log_budget` gives at the smallest one.
@@ -388,22 +390,23 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
     if point.curve.coefficients() != c.curve.coefficients():
         raise DomainError("point does not lie on the character's curve")
     level = _ring_level(point)
+    if config.m % level:
+        raise DomainError("the point lies over Q(zeta_%d), which is not inside"
+                          " the adele's level Q(zeta_%d)" % (level, config.m))
     rho = _twist_symbol(c)
     order, digits = log_budget(precision, c.primes)
     log = None
     values, scalings = [], []
     for k, p in enumerate(c.primes):
         scale = reduction_group_order(c.curve, p, config.m)
-        count = scale
-        if config.m > 1 and config.m % level == 0:
-            count = _residue_field_count(c.curve, p, level)[0]
+        count = _residue_field_count(c.curve, p, level)[0]
         t = scaled_formal_parameter(point, count, p, digits[k], config)
         cofactor = scale // count
         # on the kernel [p] raises v(t) by exactly one (p odd, v(t) >= 1)
         # and a multiplier prime to p keeps it: so t(M Q) vanishes mod p^K
         # exactly when this holds
         if t.min_valuation() + vp(cofactor, p) >= t.precision:
-            value = PadicCyclotomic.zero(config, p, precision)
+            value = PadicCyclotomic.zero(t.config, p, precision)
         else:
             if log is None:
                 log = elliptic_log(c.curve, order)
@@ -447,13 +450,14 @@ def torsion_test(q) -> bool:
     return Fraction(q) in (Fraction(1), Fraction(-1))
 
 
-def unit_log(b, p: int, precision: int) -> PadicInt:
+def unit_log(b, p: int, precision: int) -> PadicCyclotomic:
     """log of an arbitrary unit: log(b^(p-1))/(p-1) kills the torsion part."""
-    one_unit = PadicInt(p, precision, Fraction(b) ** (p - 1))
+    one_unit = _zp(p, precision, Fraction(b) ** (p - 1))
     return padic_log(one_unit) * Fraction(1, p - 1)
 
 
-def gm_closed_form(primes: PrimeSet, b, p: int, precision: int) -> PadicInt:
+def gm_closed_form(primes: PrimeSet, b, p: int, precision: int
+                   ) -> PadicCyclotomic:
     """-prod_l (1 - 1/p_l) * log(b): the value on rationals, where phi is trivial.
 
     The factor has p in its denominator exactly once; log(b) has valuation
@@ -471,15 +475,9 @@ def continuation_witness(c: Character, point, precision: int,
                          bound: int) -> Optional[Fraction]:
     """Try to recognize the translation defects as one global rational.
 
-    Evaluates the character at the point for every prime, requires each value
-    to be rational (no cyclotomic part beyond the constant coefficient), and
-    runs rational reconstruction across the primes with the given height
-    bound.  None means no witness at this precision.
+    Evaluates the character at the point for every prime and runs rational
+    reconstruction across the primes with the given height bound, which
+    gives None when some value has a cyclotomic part beyond the constant
+    coefficient.  None means no witness at this precision.
     """
-    result = evaluate(c, point, precision)
-    residues = []
-    for p, v in zip(c.primes, result.values):
-        if any(coef % p ** v.precision for coef in v.coeffs[1:]):
-            return None
-        residues.append(PadicInt(p, v.precision, v.coeffs[0]))
-    return rational_reconstruct(residues, bound)
+    return rational_reconstruct(evaluate(c, point, precision).values, bound)

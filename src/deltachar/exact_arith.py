@@ -1,12 +1,13 @@
-"""Exact arithmetic substrate: localized rationals, truncated p-adics, lifting.
+"""Exact arithmetic substrate: localized rationals and their p-adic residues.
 
 Everything in this package computes with exact integers and rationals for as
 long as possible; reduction modulo a prime power happens once, at the end of a
 computation.  This module provides the shared pieces: prime sets, p-adic
-valuations and locality checks, a fixed-precision p-adic integer, the p-adic
-logarithm and the precision budget of every logarithm series, quadratic
-Hensel lifting, the Moebius function, and rational reconstruction from
-residues at several primes.
+valuations and locality checks, reduction of a rational mod p**precision,
+the precision budget of every logarithm series, the Moebius function, and
+rational reconstruction from residues at several primes.  Z_p itself is
+cyclotomic.PadicCyclotomic at m = 1, which also holds the p-adic logarithm
+and quadratic Hensel lifting (this module cannot import cyclotomic).
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def mobius(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# truncated p-adic integers
+# p-adic residues and logarithm budgets
 # ---------------------------------------------------------------------------
 
 def fraction_mod(x: Rational, p: int, precision: int) -> int:
@@ -194,145 +195,6 @@ def fraction_mod(x: Rational, p: int, precision: int) -> int:
     if x.denominator % p == 0:
         raise NotPLocalError("%s has %d in its denominator" % (x, p))
     return x.numerator * pow(x.denominator, -1, modulus) % modulus
-
-
-class PadicInt:
-    """A p-adic integer known modulo p**precision.
-
-    The residue is kept in [0, p**precision).  Binary operations align to the
-    smaller precision of the two operands; division by p is exact and costs
-    one digit of precision.
-    """
-
-    __slots__ = ("p", "precision", "residue")
-
-    def __init__(self, p: int, precision: int, value: Rational):
-        if precision < 1:
-            raise DomainError("precision must be at least 1")
-        self.p = p
-        self.precision = precision
-        if isinstance(value, Fraction):
-            self.residue = fraction_mod(value, p, precision)
-        else:
-            self.residue = int(value) % p ** precision
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    def _align(self, other: "PadicInt"):
-        if not isinstance(other, PadicInt):
-            other = PadicInt(self.p, self.precision, other)
-        if other.p != self.p:
-            raise DomainError("mixed primes %d and %d" % (self.p, other.p))
-        n = min(self.precision, other.precision)
-        return n, self.residue, other.residue
-
-    def __add__(self, other):
-        n, a, b = self._align(other)
-        return PadicInt(self.p, n, a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        n, a, b = self._align(other)
-        return PadicInt(self.p, n, a - b)
-
-    def __rsub__(self, other):
-        n, a, b = self._align(other)
-        return PadicInt(self.p, n, b - a)
-
-    def __mul__(self, other):
-        n, a, b = self._align(other)
-        return PadicInt(self.p, n, a * b)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PadicInt(self.p, self.precision, -self.residue)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        return PadicInt(self.p, self.precision, pow(self.residue, k, self.modulus))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = PadicInt(self.p, self.precision, other)
-        if not isinstance(other, PadicInt) or other.p != self.p:
-            return NotImplemented
-        n = min(self.precision, other.precision)
-        q = self.p ** n
-        return self.residue % q == other.residue % q
-
-    __hash__ = None  # mutable-free but equality is precision-relative
-
-    def __repr__(self):
-        return "PadicInt(%d^%d: %d)" % (self.p, self.precision, self.residue)
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def valuation(self) -> Union[int, float]:
-        """min(vp(residue), precision); infinity when indistinguishable from 0."""
-        if self.residue == 0:
-            return math.inf
-        return min(vp(self.residue, self.p), self.precision)
-
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-    def unit_inverse(self) -> "PadicInt":
-        if not self.is_unit():
-            raise NonUnitError("%r is not a unit" % self)
-        return PadicInt(self.p, self.precision, pow(self.residue, -1, self.modulus))
-
-    def divide_by_prime_power(self, s: int) -> "PadicInt":
-        """Exact division by p**s; lowers the precision by s."""
-        if s == 0:
-            return self
-        ps = self.p ** s
-        if self.residue % ps != 0:
-            raise ExactDivisionError("%r is not divisible by %d^%d" % (self, self.p, s))
-        if self.precision - s < 1:
-            raise DomainError("no precision left after dividing by %d^%d" % (self.p, s))
-        return PadicInt(self.p, self.precision - s, self.residue // ps)
-
-    def reduce_to(self, precision: int) -> "PadicInt":
-        if precision > self.precision:
-            raise DomainError("cannot gain precision")
-        return PadicInt(self.p, precision, self.residue)
-
-    def times_rational(self, c: Rational) -> "PadicInt":
-        """Multiply by a rational whose denominator is a p-unit."""
-        return PadicInt(self.p, self.precision,
-                        self.residue * fraction_mod(c, self.p, self.precision))
-
-
-def padic_log(u: PadicInt) -> PadicInt:
-    """Logarithm of a 1-unit: log(u) = sum (-1)^(n-1) (u-1)^n / n.
-
-    Requires u = 1 (mod p).  Partial sums are accumulated as exact rationals
-    (so division by n is exact) and reduced once at the end; the tail is cut
-    when every remaining term vanishes modulo p**precision.
-    """
-    p, prec = u.p, u.precision
-    if u.residue % p != 1 % p:
-        raise DomainError("padic_log needs a 1-unit, got %r" % u)
-    t = u.residue - 1
-    if t == 0:
-        return PadicInt(p, prec, 0)
-    total = Fraction(0)
-    tn = 1
-    n = 1
-    while True:
-        # terms from n onward have valuation >= n - floor(log_p n) > prec: stop
-        if n - _ilog(n, p) > prec:
-            break
-        tn *= t
-        total += Fraction((-1) ** (n - 1) * tn, n)
-        n += 1
-    return PadicInt(p, prec, total)
 
 
 def _ilog(n: int, p: int) -> int:
@@ -349,11 +211,11 @@ def log_budget(precision: int, primes: Sequence[int]) -> Tuple[int, List[int]]:
 
     For a logarithm l = sum c_n x^n (v_p(c_n) >= -v_p(n)) and v_p(x) >= 1,
     term n has valuation >= n - floor(log_p n), nondecreasing in n and in p:
-    the bound padic_log stops on, as in Mazur-Stein-Tate (2006).  `order` is
-    the last n with n - floor(log_p n) <= precision at the smallest prime, so
-    later terms vanish mod p**(precision + 1) at every prime; x is needed to
-    digits = precision + 1 + floor(log_p order) at each, since the kept
-    terms divide by at most that power of p.
+    the bound cyclotomic.padic_log stops on, as in Mazur-Stein-Tate (2006).
+    `order` is the last n with n - floor(log_p n) <= precision at the
+    smallest prime, so later terms vanish mod p**(precision + 1) at every
+    prime; x is needed to digits = precision + 1 + floor(log_p order) at
+    each, since the kept terms divide by at most that power of p.
     """
     p = min(primes)
     order = precision
@@ -362,42 +224,21 @@ def log_budget(precision: int, primes: Sequence[int]) -> Tuple[int, List[int]]:
     return order, [precision + 1 + _ilog(order, q) for q in primes]
 
 
-def hensel_quadratic_root(a: Rational, p: int, precision: int) -> PadicInt:
-    """The root of x^2 - a x + p lying in p Z_p, to the requested precision.
-
-    Requires a to be a p-unit (then the two roots split as one unit root and
-    one root divisible by p, and Newton iteration from x = 0 converges).
-    """
-    a0 = fraction_mod(a, p, precision)
-    if a0 % p == 0:
-        raise NonUnitError("x^2 - %s x + %d has no simple root at x = 0 (mod %d)"
-                           % (a, p, p))
-    x = 0
-    prec = 1
-    while prec < precision:
-        prec = min(2 * prec, precision)
-        modulus = p ** prec
-        fx = (x * x - a0 * x + p) % modulus
-        dfx = (2 * x - a0) % modulus
-        x = (x - fx * pow(dfx, -1, modulus)) % modulus
-    root = PadicInt(p, precision, x)
-    if root.residue % p != 0:
-        raise ExactDivisionError("Newton iteration left the small root branch")
-    return root
-
-
 # ---------------------------------------------------------------------------
 # rational reconstruction
 # ---------------------------------------------------------------------------
 
-def rational_reconstruct(components: Sequence[PadicInt], bound: int) -> Optional[Fraction]:
+def rational_reconstruct(components, bound: int) -> Optional[Fraction]:
     """Recover a small rational from its residues at several primes.
 
-    Combines the residues by CRT to a single residue r mod M, then walks the
-    extended-Euclid remainder sequence of (M, r); each step yields a pair
-    (n, d) with n = d*r (mod M).  Among the pairs with |n| <= bound,
-    0 < |d| <= bound, gcd(n, d) = 1 and d a unit at every component prime, the
-    one of smallest height max(|n|, |d|) is returned; None if there is none.
+    The components are cyclotomic.PadicCyclotomic values, one per prime; a
+    component with a nonzero zeta part is not rational, and gives None.
+    Combines their constant coefficients by CRT to a single residue r mod M,
+    then walks the extended-Euclid remainder sequence of (M, r); each step
+    yields a pair (n, d) with n = d*r (mod M).  Among the pairs with
+    |n| <= bound, 0 < |d| <= bound, gcd(n, d) = 1 and d a unit at every
+    component prime, the one of smallest height max(|n|, |d|) is returned;
+    None if there is none.
     """
     if bound < 1:
         raise DomainError("bound must be positive")
@@ -408,10 +249,12 @@ def rational_reconstruct(components: Sequence[PadicInt], bound: int) -> Optional
         if c.p in seen:
             raise DomainError("duplicate prime %d in components" % c.p)
         seen.add(c.p)
+        if any(c.coeffs[1:]):
+            return None
         m = c.modulus
-        # CRT: value mod modulus, c.residue mod m
+        # CRT: value mod modulus, c.coeffs[0] mod m
         g = pow(modulus, -1, m)
-        value = value + modulus * ((c.residue - value) * g % m)
+        value = value + modulus * ((c.coeffs[0] - value) * g % m)
         modulus *= m
     value %= modulus
     if value == 0:

@@ -28,6 +28,7 @@ from deltachar.cyclotomic import (
     CyclotomicConfig,
     CyclotomicElement,
     check_delta_ring_axioms,
+    hensel_quadratic_root,
 )
 from deltachar.delta_calculus import commutator_polynomial, fermat_quotient
 from deltachar.elliptic import (
@@ -36,7 +37,7 @@ from deltachar.elliptic import (
     lseries_coefficients,
 )
 from deltachar.evaluation import continuation_witness, eval_gm_character, evaluate
-from deltachar.exact_arith import PrimeSet, hensel_quadratic_root
+from deltachar.exact_arith import PrimeSet
 from deltachar.jet_rings import DeltaPolynomial, canonical_lift
 from deltachar.polys import MPoly
 from deltachar.series_fgl import TruncSeries, elliptic_log, gm_log

@@ -4,20 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from deltachar.cyclotomic import (
+    CyclotomicConfig,
+    PadicCyclotomic,
+    _zp,
+    hensel_quadratic_root,
+    padic_log,
+)
 from deltachar.exact_arith import (
     DomainError,
-    ExactDivisionError,
     NonUnitError,
     NotPLocalError,
-    PadicInt,
     PrimeSet,
     fraction_mod,
-    hensel_quadratic_root,
     is_p_local,
     is_prime,
     log_budget,
     mobius,
-    padic_log,
     rational_reconstruct,
     smooth_exponents,
     smooth_numbers,
@@ -109,37 +112,55 @@ def test_is_prime_carmichael_and_large():
 
 
 # ---------------------------------------------------------------------------
-# PadicInt
+# Z_p: PadicCyclotomic at m = 1
 # ---------------------------------------------------------------------------
 
 def test_padic_int_ring_ops():
-    a = PadicInt(3, 5, 7)
-    b = PadicInt(3, 5, Fraction(1, 2))
+    a = _zp(3, 5, 7)
+    b = _zp(3, 5, Fraction(1, 2))
     assert (a + b).residue == (7 + fraction_mod(Fraction(1, 2), 3, 5)) % 3 ** 5
     assert (a * b).residue == 7 * fraction_mod(Fraction(1, 2), 3, 5) % 3 ** 5
     assert (a - a).is_zero()
     assert (a ** 3).residue == pow(7, 3, 3 ** 5)
     # precision aligns to the minimum
-    c = PadicInt(3, 2, 1)
+    c = _zp(3, 2, 1)
     assert (a + c).precision == 2
 
 
 def test_padic_int_equality_is_precision_relative():
-    assert PadicInt(3, 2, 4) == PadicInt(3, 5, 4)
-    assert PadicInt(3, 2, 4) == PadicInt(3, 5, 13)  # 4 = 13 mod 9
-    assert PadicInt(3, 3, 4) != PadicInt(3, 5, 13)
+    assert _zp(3, 2, 4) == _zp(3, 5, 4)
+    assert _zp(3, 2, 4) == _zp(3, 5, 13)  # 4 = 13 mod 9
+    assert _zp(3, 3, 4) != _zp(3, 5, 13)
 
 
 def test_padic_int_division():
-    x = PadicInt(5, 4, 75)
+    x = _zp(5, 4, 75)
     y = x.divide_by_prime_power(2)
     assert (y.precision, y.residue) == (2, 3)
-    with pytest.raises(ExactDivisionError):
-        PadicInt(5, 4, 7).divide_by_prime_power(1)
-    u = PadicInt(7, 6, 3)
-    assert (u * u.unit_inverse()).residue == 1
+    with pytest.raises(DomainError):
+        _zp(5, 4, 7).divide_by_prime_power(1)
+    u = _zp(7, 6, 3)
+    assert (u * u.inverse()).residue == 1
     with pytest.raises(NonUnitError):
-        PadicInt(7, 6, 14).unit_inverse()
+        _zp(7, 6, 14).inverse()
+
+
+def test_padic_coefficients_reduce_fractions_and_refuse_other_types():
+    z3 = CyclotomicConfig(1, (3,))
+    half = PadicCyclotomic(z3, 3, 5, [Fraction(1, 2)])
+    assert half.coeffs == (122,) and (2 * half).residue == 1
+    assert PadicCyclotomic(z3, 3, 5, [-1]).coeffs == (242,)
+    with pytest.raises(NotPLocalError):
+        PadicCyclotomic(z3, 3, 5, [Fraction(1, 3)])
+    for bad in (2.7, True, "1"):
+        with pytest.raises(DomainError):
+            PadicCyclotomic(z3, 3, 5, [bad])
+
+
+def test_residue_needs_degree_one():
+    assert _zp(5, 3, -1).residue == 124
+    with pytest.raises(DomainError):
+        PadicCyclotomic(CyclotomicConfig(4, (5,)), 5, 3, [1]).residue
 
 
 def test_fraction_mod_rejects_bad_denominator():
@@ -164,7 +185,7 @@ def _log_oracle(u: int, p: int, precision: int, terms: int = 40) -> int:
 
 def test_padic_log_frozen_value():
     # log(4) in Z_3 at precision 3, frozen from the 40-term oracle.
-    got = padic_log(PadicInt(3, 3, 4))
+    got = padic_log(_zp(3, 3, 4))
     assert got.residue == 21
     assert got.residue == _log_oracle(4, 3, 3)
 
@@ -176,9 +197,9 @@ def test_padic_log_is_homomorphism():
             a = 1 + p * rng.randint(1, p ** 6)
             b = 1 + p * rng.randint(1, p ** 6)
             N = 8
-            la = padic_log(PadicInt(p, N, a))
-            lb = padic_log(PadicInt(p, N, b))
-            lab = padic_log(PadicInt(p, N, a * b))
+            la = padic_log(_zp(p, N, a))
+            lb = padic_log(_zp(p, N, b))
+            lab = padic_log(_zp(p, N, a * b))
             assert lab == la + lb
 
 
@@ -187,7 +208,7 @@ def test_padic_log_matches_oracle():
     for p in (3, 5):
         for _ in range(20):
             u = 1 + p * rng.randint(1, p ** 7)
-            got = padic_log(PadicInt(p, 6, u))
+            got = padic_log(_zp(p, 6, u))
             assert got.residue == _log_oracle(u, p, 6)
 
 
@@ -212,7 +233,7 @@ def test_log_budget_meets_the_valuation_bound():
     # padic_log stops on the same bound: log(1 + 7p) mod p^20 is the sum
     # through the order log_budget(19) gives
     for p in (3, 5):
-        whole = padic_log(PadicInt(p, 20, 1 + 7 * p)).residue
+        whole = padic_log(_zp(p, 20, 1 + 7 * p)).residue
         order, _ = log_budget(19, (p,))
         s = sum(Fraction((-1) ** (n - 1) * (7 * p) ** n, n)
                 for n in range(1, order + 1))
@@ -221,7 +242,7 @@ def test_log_budget_meets_the_valuation_bound():
 
 def test_padic_log_rejects_non_one_unit():
     with pytest.raises(DomainError):
-        padic_log(PadicInt(3, 4, 2))
+        padic_log(_zp(3, 4, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +278,12 @@ def test_hensel_rejects_supersingular_shape():
 
 def test_rational_reconstruct_frozen_examples():
     # 1/2 = 5 mod 9
-    assert rational_reconstruct([PadicInt(3, 2, 5)], 10) == Fraction(1, 2)
+    assert rational_reconstruct([_zp(3, 2, 5)], 10) == Fraction(1, 2)
     # -2 across two primes
-    comps = [PadicInt(3, 10, -2), PadicInt(5, 10, -2)]
+    comps = [_zp(3, 10, -2), _zp(5, 10, -2)]
     assert rational_reconstruct(comps, 10 ** 3) == Fraction(-2)
     # no small rational is 1 mod 3 and 2 mod 5 within bound 1
-    assert rational_reconstruct([PadicInt(3, 1, 1), PadicInt(5, 1, 2)], 1) is None
+    assert rational_reconstruct([_zp(3, 1, 1), _zp(5, 1, 2)], 1) is None
 
 
 def test_rational_reconstruct_round_trip():
@@ -273,13 +294,23 @@ def test_rational_reconstruct_round_trip():
         while den % 3 == 0 or den % 5 == 0 or den % 7 == 0:
             den = rng.randint(1, 999)
         x = Fraction(num, den)
-        comps = [PadicInt(p, 12, x) for p in (3, 5, 7)]
+        comps = [_zp(p, 12, x) for p in (3, 5, 7)]
         assert rational_reconstruct(comps, 1000) == x
 
 
 def test_rational_reconstruct_zero_and_validation():
-    assert rational_reconstruct([PadicInt(3, 4, 0), PadicInt(5, 4, 0)], 5) == 0
+    assert rational_reconstruct([_zp(3, 4, 0), _zp(5, 4, 0)], 5) == 0
     with pytest.raises(DomainError):
-        rational_reconstruct([PadicInt(3, 2, 1), PadicInt(3, 3, 1)], 5)
+        rational_reconstruct([_zp(3, 2, 1), _zp(3, 3, 1)], 5)
     with pytest.raises(DomainError):
-        rational_reconstruct([PadicInt(3, 2, 1)], 0)
+        rational_reconstruct([_zp(3, 2, 1)], 0)
+
+
+def test_rational_reconstruct_refuses_a_zeta_part():
+    cfg = CyclotomicConfig(4, (3, 5))
+    half = Fraction(-1, 2)
+    five = _zp(5, 6, half)
+    assert rational_reconstruct(
+        [PadicCyclotomic(cfg, 3, 6, [half]), five], 100) == half
+    assert rational_reconstruct(
+        [PadicCyclotomic(cfg, 3, 6, [half, 3]), five], 100) is None
