@@ -432,12 +432,9 @@ def cmd_decompose(args, cfg: RunConfig) -> str:
 # verification suites
 # ---------------------------------------------------------------------------
 def _random_cyclotomic(rng, config):
-    z = CyclotomicElement.zeta(config)
-    value = CyclotomicElement.from_rational(config, 0)
-    for k in range(config.degree):
-        value = value + Fraction(rng.randrange(-9, 10),
-                                 rng.choice((1, 2))) * z ** k
-    return value
+    return CyclotomicElement(config, [Fraction(rng.randrange(-9, 10),
+                                               rng.choice((1, 2)))
+                                      for _ in range(config.degree)])
 
 
 def _suite_axioms(args, cfg, rng):

@@ -6,15 +6,15 @@ coprime to m the Galois substitution zeta -> zeta^p is a Frobenius lift
 stays inside the ring.  Lifts at different primes commute, which makes the
 ring a natural home for the whole operator family at once.
 
-Two coefficient models share one dense kernel: exact rationals
-(CyclotomicElement) and residues mod p**precision (PadicCyclotomic).  Z_p is
-PadicCyclotomic at m = 1, with the p-adic logarithm (`padic_log`) and the
-small root of x^2 - a x + p (`hensel_quadratic_root`) beside it.  Both
-multiply by reducing mod the monic Phi_m, and both invert through the same
-Galois group: a * adj(a) = N(a), where adj(a) is the product of the
-conjugates sigma_j(a), j != 1, and the norm N(a) is rational.  Over Z_p, a
-is a unit exactly when N(a) is, also when p splits: Z_p[zeta_m] is then a
-product of local rings, and N(a) is the product of the local norms.
+One dense kernel acts on integer lists: Q(zeta_m) (CyclotomicElement) is an
+integer vector over one denominator, Z_p[zeta_m] (PadicCyclotomic) a vector
+of residues mod p**precision, and Z_p is PadicCyclotomic at m = 1, with
+`padic_log` and the small root of x^2 - a x + p (`hensel_quadratic_root`).
+Both multiply by reducing mod the monic Phi_m and invert through the Galois
+group: a * adj(a) = N(a), adj(a) the product of the conjugates sigma_j(a),
+j != 1, and N(a) an integer.  Over Z_p, a is a unit exactly when N(a) is,
+also when p splits: Z_p[zeta_m] is then a product of local rings, and N(a)
+is the product of the local norms.
 A power series with integer coefficients is summed at an element on the
 same kernel, by Horner's rule (`_series_mod`).
 """
@@ -35,6 +35,8 @@ from .exact_arith import (
     PrimeSet,
     Rational,
     _ilog,
+    _is_rational,
+    _rational,
     fraction_mod,
     vp,
 )
@@ -76,11 +78,8 @@ def _poly_divmod_monic(a: Sequence, b: Sequence) -> Tuple[List, List]:
 
 
 def _mulmod(a, b, phi, modulus=None):
-    """a*b mod the monic phi, on coefficient lists of length deg(phi).
-
-    Coefficients are reduced mod `modulus` when it is given; otherwise the
-    product is exact in the ring of the coefficients (Z or Q).
-    """
+    """a*b mod the monic phi, on integer lists of length deg(phi), reduced
+    mod `modulus` when it is given."""
     if len(a) == 1:
         c = a[0] * b[0]
         return [c if modulus is None else c % modulus]
@@ -216,7 +215,7 @@ def _norm_adjugate(config: CyclotomicConfig, coeffs: Sequence, modulus=None):
 
     adj is the product of the conjugates sigma_j(a) over 1 < j < m coprime
     to m, so a * adj is the product over the whole Galois group: the norm N,
-    a rational number.  Exact, or with coefficients mod `modulus`.
+    an integer.  Exact, or with coefficients mod `modulus`.
     """
     adj = [1] + [0] * (config.degree - 1)
     for j in range(2, config.m):
@@ -237,18 +236,34 @@ def _unit_inverse(config: CyclotomicConfig, coeffs: Sequence, p: int,
     return [c * r % modulus for c in adj]
 
 
-class CyclotomicElement:
-    """An element of Q(zeta_m) as a residue polynomial with Fraction coefficients."""
+def _element(config: CyclotomicConfig, num: Sequence[int], den: int
+             ) -> "CyclotomicElement":
+    """num/den in canonical form: den > 0 and gcd(den, *num) = 1."""
+    g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+    x = object.__new__(CyclotomicElement)
+    x.config, x.num, x.den = config, tuple([n // g for n in num]), den // g
+    return x
 
-    __slots__ = ("config", "coeffs")
+
+class CyclotomicElement:
+    """An element of Q(zeta_m): integer power-basis coefficients `num` over
+    one positive denominator `den`, with gcd(den, *num) = 1 (zero is 0/1)."""
+
+    __slots__ = ("config", "num", "den")
 
     def __init__(self, config: CyclotomicConfig, coeffs: Sequence):
-        self.config = config
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         if len(cs) > config.degree:
             raise DomainError("too many coefficients for degree %d" % config.degree)
-        cs += [Fraction(0)] * (config.degree - len(cs))
-        self.coeffs = tuple(cs)
+        # the lcm of reduced denominators leaves gcd(den, *num) = 1
+        self.config, self.den = config, math.lcm(*[c.denominator for c in cs])
+        self.num = tuple([c.numerator * (self.den // c.denominator) for c in cs]
+                         + [0] * (config.degree - len(cs)))
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -258,81 +273,95 @@ class CyclotomicElement:
 
     @classmethod
     def from_rational(cls, config: CyclotomicConfig, a) -> "CyclotomicElement":
-        return cls(config, [Fraction(a)])
+        return cls(config, [a])
 
     # -- ring ops ---------------------------------------------------------
-    def _coerce(self, other) -> "CyclotomicElement":
+    def _coerce(self, other):
+        """other in this field, or NotImplemented for an unsupported type."""
         if isinstance(other, CyclotomicElement):
             if other.config.m != self.config.m:
                 raise DomainError("mixed cyclotomic indices %d, %d"
                                   % (self.config.m, other.config.m))
             return other
-        return CyclotomicElement.from_rational(self.config, other)
+        if _is_rational(other):
+            return CyclotomicElement.from_rational(self.config, other)
+        return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
-        return CyclotomicElement(self.config,
-                                 [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        if o is NotImplemented:
+            return o
+        a, b = self.den, o.den
+        return _element(self.config,
+                        [x * b + y * a for x, y in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicElement(self.config, [-a for a in self.coeffs])
+        return _element(self.config, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return o if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        o = self._coerce(other)
+        return o if o is NotImplemented else o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicElement(self.config, [a * other for a in self.coeffs])
+        if _is_rational(other):
+            return _element(self.config, [x * other.numerator for x in self.num],
+                            self.den * other.denominator)
         o = self._coerce(other)
-        return CyclotomicElement(
-            self.config, _mulmod(self.coeffs, o.coeffs, self.config.phi))
+        if o is NotImplemented:
+            return o
+        return _element(self.config, _mulmod(self.num, o.num, self.config.phi),
+                        self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CyclotomicElement(self.config, [a / q for a in self.coeffs])
-        return self * self._coerce(other).inverse()
+        if _is_rational(other):
+            return self * (1 / Fraction(other))
+        o = self._coerce(other)
+        return o if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        o = self._coerce(other)
+        return o if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return CyclotomicElement(
-            self.config, _powmod(self.coeffs, k, self.config.phi))
+        return _element(self.config, _powmod(self.num, k, self.config.phi),
+                        self.den ** k)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = CyclotomicElement.from_rational(self.config, other)
-        return (isinstance(other, CyclotomicElement)
-                and self.config.m == other.config.m and self.coeffs == other.coeffs)
+        if not isinstance(other, CyclotomicElement):
+            return NotImplemented
+        return (self.config.m == other.config.m and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.config.m, self.coeffs))
+        return hash((self.config.m, self.num, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def inverse(self) -> "CyclotomicElement":
-        """adj(a) / N(a), from a * adj(a) = N(a); N(a) != 0 when a != 0."""
+        """den * adj(num) / N(num), from num * adj(num) = N(num) != 0."""
         if self.is_zero():
             raise NonUnitError("0 is not invertible")
-        adj, norm = _norm_adjugate(self.config, self.coeffs)
-        return CyclotomicElement(self.config, [c / norm for c in adj])
+        adj, norm = _norm_adjugate(self.config, self.num)
+        return _element(self.config, [c * self.den for c in adj], norm)
 
     # -- Frobenius / delta structure ---------------------------------------
     def galois(self, j: int) -> "CyclotomicElement":
         """The automorphism zeta -> zeta^j for j coprime to m."""
-        return CyclotomicElement(self.config,
-                                 _galois_image(self.config, self.coeffs, j))
+        return _element(self.config, _galois_image(self.config, self.num, j),
+                        self.den)
 
     def frobenius(self, p: int) -> "CyclotomicElement":
         """The Frobenius lift at p (Galois action zeta -> zeta^p)."""
@@ -340,7 +369,7 @@ class CyclotomicElement:
 
     def is_p_local(self, primes=None) -> bool:
         ps = self.config.primes if primes is None else tuple(primes)
-        return all(all(c.denominator % p for c in self.coeffs) for p in ps)
+        return all(self.den % p for p in ps)
 
     def delta(self, p: int) -> "CyclotomicElement":
         """delta_p a = (frobenius_p(a) - a^p)/p; stays p-integral when a is."""
@@ -361,7 +390,8 @@ class PadicCyclotomic:
 
     p must be coprime to m, so p is unramified and an element is divisible by
     p exactly when all its basis coefficients are.  Coefficients are ints or
-    p-integral Fractions, reduced mod p**precision on construction.
+    p-integral Fractions, reduced mod p**precision on construction; any other
+    type is refused.
     """
 
     __slots__ = ("config", "p", "precision", "coeffs")
@@ -376,7 +406,7 @@ class PadicCyclotomic:
         self.p = p
         self.precision = precision
         modulus = p ** precision
-        cs = [c % modulus if type(c) is int else _fraction_residue(c, p, precision)
+        cs = [c % modulus if type(c) is int else fraction_mod(c, p, precision)
               for c in coeffs]
         if len(cs) > config.degree:
             raise DomainError("too many coefficients")
@@ -387,13 +417,16 @@ class PadicCyclotomic:
     @classmethod
     def from_cyclotomic(cls, x: CyclotomicElement, p: int, precision: int
                         ) -> "PadicCyclotomic":
-        return cls(x.config, p, precision,
-                   [fraction_mod(c, p, precision) for c in x.coeffs])
+        """x mod p**precision, by one inverse of its denominator."""
+        if x.den % p == 0:
+            raise NotPLocalError("%r has %d in its denominator" % (x, p))
+        r = pow(x.den, -1, p ** precision)
+        return cls(x.config, p, precision, [n * r for n in x.num])
 
     @classmethod
     def from_rational(cls, config: CyclotomicConfig, a, p: int, precision: int
                       ) -> "PadicCyclotomic":
-        return cls(config, p, precision, [fraction_mod(Fraction(a), p, precision)])
+        return cls(config, p, precision, [a])
 
     @classmethod
     def zero(cls, config, p, precision):
@@ -417,21 +450,22 @@ class PadicCyclotomic:
 
     # -- ring ops -----------------------------------------------------------
     def _align(self, other):
+        """other in this ring, or NotImplemented for an unsupported type."""
+        if _is_rational(other):
+            return PadicCyclotomic.from_rational(self.config, other, self.p,
+                                                 self.precision)
         if not isinstance(other, PadicCyclotomic):
-            if isinstance(other, (int, Fraction)):
-                other = PadicCyclotomic.from_rational(
-                    self.config, other, self.p, self.precision)
-            else:
-                return NotImplemented
+            return NotImplemented
         if other.p != self.p or other.config.m != self.config.m:
             raise DomainError("mixed p-adic cyclotomic rings")
-        n = min(self.precision, other.precision)
-        return n, self, other
+        return other
 
     def __add__(self, other):
-        n, a, b = self._align(other)
-        return PadicCyclotomic(self.config, self.p, n,
-                               [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        o = self._align(other)
+        if o is NotImplemented:
+            return o
+        return PadicCyclotomic(self.config, self.p, min(self.precision, o.precision),
+                               [x + y for x, y in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
@@ -440,22 +474,27 @@ class PadicCyclotomic:
                                [-x for x in self.coeffs])
 
     def __sub__(self, other):
-        n, a, b = self._align(other)
-        return PadicCyclotomic(self.config, self.p, n,
-                               [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        o = self._align(other)
+        if o is NotImplemented:
+            return o
+        return PadicCyclotomic(self.config, self.p, min(self.precision, o.precision),
+                               [x - y for x, y in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._align(other)
+        return o if o is NotImplemented else o - self
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return PadicCyclotomic(self.config, self.p, self.precision,
                                    [x * other for x in self.coeffs])
         if isinstance(other, Fraction):
             return self.times_rational(other)
-        n, a, b = self._align(other)
-        return PadicCyclotomic(self.config, self.p, n,
-                               _mulmod(a.coeffs, b.coeffs, self.config.phi))
+        o = self._align(other)
+        if o is NotImplemented:
+            return o
+        return PadicCyclotomic(self.config, self.p, min(self.precision, o.precision),
+                               _mulmod(self.coeffs, o.coeffs, self.config.phi))
 
     __rmul__ = __mul__
 
@@ -467,7 +506,7 @@ class PadicCyclotomic:
                                        self.modulus))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = PadicCyclotomic.from_rational(
                 self.config, other, self.p, self.precision)
         if not isinstance(other, PadicCyclotomic):
@@ -483,7 +522,7 @@ class PadicCyclotomic:
         return all(c == 0 for c in self.coeffs)
 
     def times_rational(self, c) -> "PadicCyclotomic":
-        r = fraction_mod(Fraction(c), self.p, self.precision)
+        r = fraction_mod(c, self.p, self.precision)
         return PadicCyclotomic(self.config, self.p, self.precision,
                                [x * r for x in self.coeffs])
 
@@ -524,10 +563,10 @@ class PadicCyclotomic:
                                              self.precision))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.times_rational(Fraction(1, 1) / Fraction(other))
-        _, _, o = self._align(other)
-        return self * o.inverse()
+        if _is_rational(other):
+            return self.times_rational(1 / Fraction(other))
+        o = self._align(other)
+        return o if o is NotImplemented else self * o.inverse()
 
     # -- Frobenius / delta ---------------------------------------------------
     def frobenius(self, p: int = None) -> "PadicCyclotomic":
@@ -545,13 +584,6 @@ class PadicCyclotomic:
     def __repr__(self):
         return ("PadicCyclotomic(m=%d, %d^%d: %s)"
                 % (self.config.m, self.p, self.precision, list(self.coeffs)))
-
-
-def _fraction_residue(c, p: int, precision: int) -> int:
-    """A Fraction coefficient mod p**precision; any other non-int is refused."""
-    if not isinstance(c, Fraction):
-        raise DomainError("coefficient %r is neither an int nor a Fraction" % (c,))
-    return fraction_mod(c, p, precision)
 
 
 def _zp(p: int, precision: int, value: Rational) -> PadicCyclotomic:

@@ -50,13 +50,15 @@ class BadReductionError(DomainError):
 class WeierstrassCurve:
     """An elliptic curve y^2 + c1 xy + c3 y = x^3 + c2 x^2 + c4 x + c6 over Q."""
 
-    __slots__ = ("c1", "c2", "c3", "c4", "c6", "_discriminant", "_denominators",
-                 "_ap")
+    __slots__ = ("c1", "c2", "c3", "c4", "c6", "_b", "_discriminant",
+                 "_denominators", "_ap")
 
     def __init__(self, c1, c2, c3, c4, c6):
-        self.c1, self.c2, self.c3, self.c4, self.c6 = (
-            Fraction(c1), Fraction(c2), Fraction(c3), Fraction(c4), Fraction(c6))
-        b2, b4, b6, b8 = self.b_invariants()
+        c1, c2, c3, c4, c6 = map(Fraction, (c1, c2, c3, c4, c6))
+        self.c1, self.c2, self.c3, self.c4, self.c6 = c1, c2, c3, c4, c6
+        b2, b4, b6 = c1 * c1 + 4 * c2, 2 * c4 + c1 * c3, c3 * c3 + 4 * c6
+        b8 = c1 * c1 * c6 + 4 * c2 * c6 - c1 * c3 * c4 + c2 * c3 * c3 - c4 * c4
+        self._b = (b2, b4, b6, b8)
         self._discriminant = (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6
                               + 9 * b2 * b4 * b6)
         if self._discriminant == 0:
@@ -75,13 +77,8 @@ class WeierstrassCurve:
         return (self.c1, self.c2, self.c3, self.c4, self.c6)
 
     def b_invariants(self):
-        c1, c2, c3, c4, c6 = self.coefficients()
-        b2 = c1 * c1 + 4 * c2
-        b4 = 2 * c4 + c1 * c3
-        b6 = c3 * c3 + 4 * c6
-        b8 = (c1 * c1 * c6 + 4 * c2 * c6 - c1 * c3 * c4
-              + c2 * c3 * c3 - c4 * c4)
-        return b2, b4, b6, b8
+        """(b2, b4, b6, b8), computed once in __init__."""
+        return self._b
 
     def discriminant(self) -> Fraction:
         return self._discriminant
@@ -383,10 +380,12 @@ def lseries_coefficients(curve: WeierstrassCurve, bound: int) -> Dict[int, int]:
 # the formal parameter of a point in the kernel of reduction
 # ---------------------------------------------------------------------------
 
-def _coefficient_valuations(x: Coord, p: int):
+def _num_den(x: Coord):
+    """(integer coefficients, denominator) of x, with no common factor."""
     if isinstance(x, CyclotomicElement):
-        return [vp(c, p) for c in x.coeffs]
-    return [vp(Fraction(x), p)]
+        return x.num, x.den
+    x = Fraction(x)
+    return (x.numerator,), x.denominator
 
 
 def to_formal_parameter(Q: CurvePoint, p: int) -> Coord:
@@ -402,10 +401,10 @@ def to_formal_parameter(Q: CurvePoint, p: int) -> Coord:
     if Q.y == 0 or (2 * Q.y + Q.curve.c1 * Q.x + Q.curve.c3) == 0:
         raise DomainError("a 2-torsion point never reduces to the identity (p odd)")
     t = Q.x / (2 * Q.y)
-    vals = _coefficient_valuations(t, p)
-    if all(v >= 1 for v in vals):
+    num, den = _num_den(t)
+    if den % p and not any(n % p for n in num):
         return t
-    if all(v >= 0 for v in _coefficient_valuations(Q.x, p)):
+    if _num_den(Q.x)[1] % p:
         raise DomainError("point does not reduce to the identity mod %d" % p)
     raise DomainError("point has mixed reduction above %d" % p)
 
@@ -587,10 +586,11 @@ def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
     c = Q.curve
     b2, b4, _, _ = c.b_invariants()
     one = [1] + [0] * (n - 1)
-    # x, and y + (c1 x + c3)/2 on the completed-square model, then Z = 1
-    exact = [list(a.coeffs) if isinstance(a, CyclotomicElement) else [a]
-             for a in (Q.x, Q.y + (Q.x * c.c1 + c.c3) / 2)] + [one]
-    shift = max([0] + [-vp(a, p) for coord in exact[:2] for a in coord if a])
+    # x, and y + (c1 x + c3)/2 on the completed-square model, then Z = 1, as
+    # (integer list, denominator); scaled by p^shift they are p-integral
+    exact = [_num_den(a) for a in (Q.x, Q.y + (Q.x * c.c1 + c.c3) / 2)]
+    exact.append((one, 1))
+    shift = max(vp(den, p) for _, den in exact)
     t = [0] * n
     for e0 in _factor_idempotents(ring, p):
         K = precision
@@ -599,9 +599,12 @@ def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
             e = _lift_idempotent(e0, phi, p, k)
             curve = _FactorCurve(fraction_mod(b2 / 4, p, k),
                                  fraction_mod(b4 / 2, p, k), phi, p, k)
-            base = curve.primitive(
-                [_mulmod([fraction_mod(a * p ** shift, p, k) for a in coord],
-                         e, phi, p ** k) for coord in exact])
+            scaled = []
+            for num, den in exact:
+                v = vp(den, p)
+                r = pow(den // p ** v, -1, p ** k) * p ** (shift - v)
+                scaled.append(_mulmod([a * r for a in num], e, phi, p ** k))
+            base = curve.primitive(scaled)
             try:
                 X, Y, Z = curve.multiply(base, scale)
             except _PrecisionExhausted:

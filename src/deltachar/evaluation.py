@@ -109,13 +109,12 @@ class AdelePoint:
         if isinstance(value, CyclotomicElement):
             m = value.config.m
         config = CyclotomicConfig(m, primes)
+        exact = (value if isinstance(value, CyclotomicElement)
+                 else CyclotomicElement.from_rational(config, value))
         work = precision + 1            # the Fermat quotient costs one digit
         components = []
         for p in primes:
-            if isinstance(value, CyclotomicElement):
-                comp = PadicCyclotomic.from_cyclotomic(value, p, work)
-            else:
-                comp = PadicCyclotomic.from_rational(config, Fraction(value), p, work)
+            comp = PadicCyclotomic.from_cyclotomic(exact, p, work)
             if not comp.is_unit():
                 raise NonUnitError("component at %d is not a unit" % p)
             components.append(comp)

@@ -188,9 +188,21 @@ def mobius(n: int) -> int:
 # p-adic residues and logarithm budgets
 # ---------------------------------------------------------------------------
 
+def _is_rational(x) -> bool:
+    """Whether x is an int or a Fraction; a bool, float or str is not."""
+    return type(x) is int or isinstance(x, Fraction)
+
+
+def _rational(x) -> Rational:
+    """x itself when _is_rational(x), else a DomainError."""
+    if not _is_rational(x):
+        raise DomainError("%r is neither an int nor a Fraction" % (x,))
+    return x
+
+
 def fraction_mod(x: Rational, p: int, precision: int) -> int:
-    """Reduce a p-integral rational modulo p**precision."""
-    x = Fraction(x)
+    """Reduce a p-integral int or Fraction modulo p**precision."""
+    _rational(x)
     modulus = p ** precision
     if x.denominator % p == 0:
         raise NotPLocalError("%s has %d in its denominator" % (x, p))

@@ -310,6 +310,36 @@ def test_csv_and_text_formats(capsys):
     assert out.strip().endswith("suite jets: ok")
 
 
+AXIOMS_STDOUT = """{
+  "ok": true,
+  "properties": [
+    {
+      "detail": "%d identities",
+      "pass": true,
+      "property": "integer-pairs"
+    },
+    {
+      "detail": "%d identities over Q(zeta_4)",
+      "pass": true,
+      "property": "cyclotomic-pairs"
+    }
+  ],
+  "seed": %d,
+  "suite": "axioms"
+}
+"""
+
+
+def test_verify_axioms_stdout_is_frozen(capsys):
+    # the two axioms commands of the benchmark's cli mix, as printed before
+    # Q(zeta_m) moved to integer coefficients
+    for primes, samples, seed, counts in (("3,5", 10, 1, (50, 25)),
+                                          ("3,5,7", 8, 2, (72, 36))):
+        rc, out = run(capsys, "verify", "axioms", "--primes", primes,
+                      "--samples", str(samples), "--seed", str(seed))
+        assert rc == 0 and out == AXIOMS_STDOUT % (counts + (seed,))
+
+
 def test_byte_determinism(capsys):
     for argv in (
         ("char", "gm", "--primes", "3,5", "--order", "10"),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,10 @@ from deltachar.cyclotomic import (
     CyclotomicConfig,
     CyclotomicElement,
     PadicCyclotomic,
+    _galois_image,
     _mulmod,
+    _norm_adjugate,
+    _powmod,
     _series_mod,
     check_delta_ring_axioms,
     cyclotomic_polynomial,
@@ -320,3 +324,78 @@ def test_series_mod_matches_power_sum():
                     power = _mulmod(power, x, phi, modulus)
                     want = [(w + c * e) % modulus for w, e in zip(want, power)]
                 assert _series_mod(ints, x, phi, modulus) == want
+
+
+# ---------------------------------------------------------------------------
+# the integer model against a Fraction-list reference
+# ---------------------------------------------------------------------------
+
+def _ref_inverse(cfg, a):
+    adj, norm = _norm_adjugate(cfg, a)
+    return [c / norm for c in adj]
+
+
+def _ref_pow(cfg, a, k):
+    return _powmod(list(a) if k >= 0 else _ref_inverse(cfg, a), abs(k), cfg.phi)
+
+
+def _ref_delta(cfg, a, p):
+    return [(f - q) / p for f, q in zip(_galois_image(cfg, a, p),
+                                        _ref_pow(cfg, a, p))]
+
+
+def _canonical(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+def test_integer_model_matches_fraction_lists():
+    rng = random.Random(2024)
+    for m in (1, 3, 4, 5, 8, 12):
+        cfg = CyclotomicConfig(m, (7, 11))
+        units = [j for j in range(1, m + 1) if math.gcd(j, m) == 1]
+        for _ in range(6):
+            fa, fb = ([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(cfg.degree)] for _ in range(2))
+            if not any(fb):
+                fb[0] = Fraction(1, 5)
+            a, b = CyclotomicElement(cfg, fa), CyclotomicElement(cfg, fb)
+            r = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+            k = rng.randint(-3, 4)
+            j = rng.choice(units)
+            cases = [
+                (a + b, [x + y for x, y in zip(fa, fb)]),
+                (a - b, [x - y for x, y in zip(fa, fb)]),
+                (r - a, [r - fa[0]] + [-x for x in fa[1:]]),
+                (a * b, _mulmod(fa, fb, cfg.phi)),
+                (a * r, [x * r for x in fa]),
+                (a / r, [x / r for x in fa]),
+                (a / b, _mulmod(fa, _ref_inverse(cfg, fb), cfg.phi)),
+                (r / b, [r * x for x in _ref_inverse(cfg, fb)]),
+                (b ** k, _ref_pow(cfg, fb, k)),
+                (b.inverse(), _ref_inverse(cfg, fb)),
+                (a.galois(j), _galois_image(cfg, fa, j)),
+            ] + [(a.delta(p), _ref_delta(cfg, fa, p)) for p in (7, 11)]
+            for got, want in cases:
+                assert got.coeffs == tuple(want), (m, fa, fb)
+                assert _canonical(got)
+            for p in (2, 3, 5, 7):
+                assert a.is_p_local((p,)) == all(x.denominator % p for x in fa)
+
+
+def test_integer_model_canonical_form():
+    cfg = CyclotomicConfig(4, (3, 5))
+    half = CyclotomicElement(cfg, [Fraction(1, 2), Fraction(1, 2)])
+    assert (half.num, half.den) == ((1, 1), 2)
+    one_one = CyclotomicElement(cfg, [1, 1])
+    assert half * 2 == one_one and hash(half * 2) == hash(one_one)
+    assert (half * 2).den == 1
+    zero = half - half
+    assert zero.is_zero() and zero.num == (0, 0) and zero.den == 1
+    assert zero == 0 and hash(zero) == hash(CyclotomicElement(cfg, []))
+    assert all(type(c) is Fraction for c in half.coeffs)
+    assert half.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    # a common factor that appears only after reduction mod Phi_4: (1+i)^2 = 2i
+    assert (half ** 2).coeffs == (0, Fraction(1, 2))
+    assert (half / Fraction(-3, 4) * Fraction(-3, 4)) == half
+    with pytest.raises(ZeroDivisionError):
+        half / 0

@@ -51,6 +51,11 @@ def test_named_curves_and_discriminants():
     assert E37.coefficients() == (0, 0, 1, -1, 0)
     assert E11.discriminant() == -11
     assert E37.discriminant() == 37
+    assert E11.b_invariants() == (-4, 0, 1, -1)
+    assert E37.b_invariants() == (0, -2, 1, -1)
+    assert WeierstrassCurve(1, 2, 3, 4, 5).b_invariants() == (9, 11, 29, 35)
+    # stored once by the constructor, not recomputed per call
+    assert E37.b_invariants() is E37.b_invariants()
 
 
 def test_singular_equation_rejected():

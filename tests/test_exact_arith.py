@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from deltachar.cyclotomic import (
     CyclotomicConfig,
+    CyclotomicElement,
     PadicCyclotomic,
     _zp,
     hensel_quadratic_root,
@@ -155,6 +157,32 @@ def test_padic_coefficients_reduce_fractions_and_refuse_other_types():
     for bad in (2.7, True, "1"):
         with pytest.raises(DomainError):
             PadicCyclotomic(z3, 3, 5, [bad])
+
+
+def test_floats_bools_and_strings_are_refused_before_reduction():
+    z3 = CyclotomicConfig(1, (3,))
+    for bad in (2.7, 2.5, True, "1"):
+        for make in (lambda: fraction_mod(bad, 3, 5),
+                     lambda: PadicCyclotomic.from_rational(z3, bad, 3, 5),
+                     lambda: hensel_quadratic_root(bad, 3, 4),
+                     lambda: CyclotomicElement(z3, [bad]),
+                     lambda: CyclotomicElement.from_rational(z3, bad)):
+            with pytest.raises(DomainError):
+                make()
+
+
+def test_unsupported_operands_raise_type_error():
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for x in (_zp(3, 5, 2), CyclotomicElement.zeta(CyclotomicConfig(4, (3,)))):
+        for bad in (2.5, "a", None):
+            for op in ops:
+                for args in ((x, bad), (bad, x)):
+                    # Python's own message ("unsupported operand type(s)",
+                    # or "can't multiply sequence" for a str), not an unpack
+                    with pytest.raises(TypeError) as info:
+                        op(*args)
+                    assert "NotImplemented" not in str(info.value)
+        assert x != 2.5 and x != "a"
 
 
 def test_residue_needs_degree_one():
