@@ -29,7 +29,14 @@ from .cyclotomic import (
     _unit_inverse,
     euler_phi,
 )
-from .exact_arith import DomainError, fraction_mod, is_prime, vp
+from .exact_arith import (
+    DomainError,
+    _is_rational,
+    _rational,
+    fraction_mod,
+    is_prime,
+    vp,
+)
 
 Coord = Union[Fraction, CyclotomicElement]
 
@@ -54,7 +61,8 @@ class WeierstrassCurve:
                  "_denominators", "_ap")
 
     def __init__(self, c1, c2, c3, c4, c6):
-        c1, c2, c3, c4, c6 = map(Fraction, (c1, c2, c3, c4, c6))
+        c1, c2, c3, c4, c6 = (Fraction(_rational(c))
+                              for c in (c1, c2, c3, c4, c6))
         self.c1, self.c2, self.c3, self.c4, self.c6 = c1, c2, c3, c4, c6
         b2, b4, b6 = c1 * c1 + 4 * c2, 2 * c4 + c1 * c3, c3 * c3 + 4 * c6
         b8 = c1 * c1 * c6 + 4 * c2 * c6 - c1 * c3 * c4 + c2 * c3 * c3 - c4 * c4
@@ -123,8 +131,11 @@ class CurvePoint:
         if x is None:
             self.x = self.y = None
             return
-        if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+        if _is_rational(x) and _is_rational(y):
             x, y = Fraction(x), Fraction(y)
+        elif not all(_is_rational(c) or isinstance(c, CyclotomicElement)
+                     for c in (x, y)):
+            raise DomainError("coordinates (%r, %r) are not exact" % (x, y))
         self.x, self.y = x, y
         if curve.equation_value(x, y) != 0:
             raise DomainError("(%s, %s) does not satisfy the curve equation" % (x, y))

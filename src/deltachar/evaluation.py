@@ -34,11 +34,16 @@ coefficients p^(n-1)/n are p-integral).
 short budget fails the final reduction to N digits instead of giving wrong
 ones.
 
-Each per-prime series (the curve's formal logarithm, the log-series of
-delta_p u / u^p) is summed by one Horner pass on integer residues
-(`cyclotomic._series_mod`): its rational coefficients are reduced to
-integers once per (series, p), those with p in the denominator after
-scaling by p^S, where S digits of t are spent (see `_series_value`).  No
+Each per-prime series is summed by one Horner pass on integer residues
+(`cyclotomic._series_mod`), its rational coefficients reduced to integers
+once per (series, p).  The curve's formal logarithm is summed at t, its
+coefficients with p in the denominator scaled by p^S, where S digits of t
+are spent (see `_series_value`).  The log-series of delta_p u / u^p is
+summed after a p-power descent, log x = p^-k log(x^(p^k)) for the 1-unit
+x = (phi u)/u^p: each p-th power of a 1-unit gains a digit, so the series
+in (x^(p^k) - 1)/p^(k+1) needs about N/(k+1) terms instead of N, for k
+p-th powers of a few multiplies each; its coefficients stay p-integral and
+its truncation follows the same valuation bound (see `eval_gm_ode`).  No
 term is formed as an object.
 """
 
@@ -61,7 +66,10 @@ from .cyclotomic import (
     CyclotomicConfig,
     CyclotomicElement,
     PadicCyclotomic,
+    _mulmod,
+    _powmod,
     _series_mod,
+    _unit_inverse,
     _zp,
     padic_log,
 )
@@ -195,33 +203,66 @@ class EvaluationResult:
 # ---------------------------------------------------------------------------
 
 def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
-    """sum_n (-1)^(n-1) (p^(n-1)/n) (delta_p u / u^p)^n, modulo p**precision.
+    """(1/p) log(x) modulo p**precision, x = (phi u)/u^p: the Gm operator.
 
-    With w = delta_p u / u^p this is (1/p) log(1 + p w), (1/p) log of
-    (phi u)/u^p, so the terms through `log_budget`'s order suffice.  Every
-    coefficient p^(n-1)/n is p-integral (v_p(n) <= n - 1): each is reduced
-    once to an integer mod p^K, K the precision of w, and moving w by
-    p^precision moves no term below p^precision, so w is needed to
-    `precision` digits.  The sum is one Horner pass at w (`_series_mod`).
+    x = 1 + p w, w = delta_p u / u^p, is a 1-unit, and the value is the
+    series sum_n (-1)^(n-1) (p^(n-1)/n) w^n.  Summed directly it needs about
+    `precision` Horner terms; it is summed after a p-power descent instead,
+    log x = p^-k log(x^(p^k)), with k > 0 when that is cheaper:
+
+    - Digit gain.  For x = 1 mod p, x^p - 1 = (x - 1)(1 + x + ... + x^(p-1))
+      and the second factor is p = 0 mod p, so each p-th power of a 1-unit
+      gains a digit: y = x^(p^k) = 1 mod p^(k+1).  By the same gain, moving
+      u by p^K (K = precision + 1) multiplies x by some 1 + p^K e and y by
+      (1 + p^K e)^(p^k) = 1 mod p^(K+k), so u's first precision + 1 digits
+      fix y mod p^(precision+1+k), and that is the modulus of the descent.
+    - The sum.  With z = (y - 1)/p^(k+1), known mod p^precision, the value
+      is p^(-k-1) log(1 + p^(k+1) z) = sum_n (-1)^(n-1) p^((k+1)(n-1))/n z^n.
+      For n = p^s n', n' prime to p, the coefficient p^((k+1)(n-1)-s)/n' is
+      p-integral (s <= n - 1): each is reduced once to an integer, and
+      moving z by p^precision moves no term below p^precision, so z is
+      needed to `precision` digits.  The sum is one Horner pass at z
+      (`_series_mod`).
+    - Truncation.  Term n has valuation at least
+      b(n) = (k+1)(n-1) - floor(log_p n), which never decreases (each step
+      adds k + 1 >= 1, the floor at most 1), so the sum stops before the
+      first n with b(n) >= precision: every later term vanishes mod
+      p^precision.  About precision/(k+1) terms remain; at k = 0 they are
+      the terms through `log_budget`'s order, the direct series.
+    - Choice of k.  The descent costs k c_p multiplies, c_p those of one
+      x -> x^p in `_powmod`, and the sum one per term, about
+      precision/(k+1); k = isqrt(precision // c_p) balances the two.
+
     Input must carry one digit beyond `precision` (the Fermat quotient costs
-    it).  A non-unit raises NonUnitError from the division by u^p.
+    it).  A non-unit raises NonUnitError from the inverse of u^p.
     """
     if u.p != p:
         raise DomainError("component lives at %d, not %d" % (u.p, p))
     if u.precision < precision + 1:
         raise DomainError("need precision %d, component has %d"
                           % (precision + 1, u.precision))
-    w = u.delta() / (u ** p)
-    modulus = w.modulus
-    order, _ = log_budget(precision, (p,))
+    config, phi = u.config, u.config.phi
+    c_p = p.bit_length() + bin(p).count("1") - 1    # _mulmod calls in x^p
+    k = math.isqrt(precision // c_p)
+    digits = precision + 1 + k
+    top = p ** digits
+    u_p = _powmod(u.coeffs, p, phi, top)
+    y = _mulmod(u.frobenius().coeffs, _unit_inverse(config, u_p, p, digits),
+                phi, top)
+    for _ in range(k):
+        y = _powmod(y, p, phi, top)
+    y[0] -= 1
+    z = [c // p ** (k + 1) for c in y]
+    modulus = p ** precision
     ints = []
-    for n in range(1, order + 1):
+    n = 1
+    while (k + 1) * (n - 1) - _ilog(n, p) < precision:
         s, unit = _split_prime(n, p)
-        ints.append((-1) ** (n - 1) * pow(p, n - 1 - s, modulus)
+        ints.append((-1) ** (n - 1) * pow(p, (k + 1) * (n - 1) - s, modulus)
                     * pow(unit, -1, modulus) % modulus)
-    total = PadicCyclotomic(w.config, p, w.precision,
-                            _series_mod(ints, w.coeffs, w.config.phi, modulus))
-    return total.reduce_to(precision)
+        n += 1
+    return PadicCyclotomic(config, p, precision,
+                           _series_mod(ints, z, phi, modulus))
 
 
 def _split_prime(n: int, p: int) -> Tuple[int, int]:

@@ -108,8 +108,8 @@ class PrimeSet(tuple):
 # ---------------------------------------------------------------------------
 
 def vp(x: Rational, p: int) -> Union[int, float]:
-    """p-adic valuation of a rational; vp(0) = +infinity."""
-    x = Fraction(x)
+    """p-adic valuation of an int or Fraction; vp(0) = +infinity."""
+    x = Fraction(_rational(x))
     if x == 0:
         return math.inf
     v = 0

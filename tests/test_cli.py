@@ -340,6 +340,102 @@ def test_verify_axioms_stdout_is_frozen(capsys):
         assert rc == 0 and out == AXIOMS_STDOUT % (counts + (seed,))
 
 
+FROZEN_GM_3_5_7 = """{
+  "components": [
+    {
+      "coeffs": [
+        "19128165251276357476155452879442342719155618531721513946784772671928106467343"
+      ],
+      "p": 3,
+      "scaling": 1,
+      "zero": false
+    },
+    {
+      "coeffs": [
+        "3058479097211429269216348820014663667905798299704047729915580442872419879199448060521640214257746064821668477196"
+      ],
+      "p": 5,
+      "scaling": 1,
+      "zero": false
+    },
+    {
+      "coeffs": [
+        "1399340459566438812486354252266975936713535537458478834769255790369488811517748972957659290603514334709233743198895142218163588147613438"
+      ],
+      "p": 7,
+      "scaling": 1,
+      "zero": false
+    }
+  ],
+  "group": "Gm",
+  "point": "11/4",
+  "precision": 160,
+  "primes": [
+    3,
+    5,
+    7
+  ]
+}
+"""
+
+
+FROZEN_GM_M8_Z3 = """{
+  "components": [
+    {
+      "coeffs": [
+        "0",
+        "0",
+        "0",
+        "0"
+      ],
+      "p": 5,
+      "scaling": 1,
+      "zero": true
+    },
+    {
+      "coeffs": [
+        "0",
+        "0",
+        "0",
+        "0"
+      ],
+      "p": 7,
+      "scaling": 1,
+      "zero": true
+    }
+  ],
+  "group": "Gm",
+  "point": "z^3",
+  "precision": 120,
+  "primes": [
+    5,
+    7
+  ],
+  "torsion": true,
+  "verdict": "zero"
+}
+"""
+
+
+FROZEN_GM_13_29_TEXT = """Gm at -7/5 mod p^300
+p=13: [13438600439296407401066128786049657404955215590108256692206142320223390048226569002575860450534201168770285851400504633014376605810198290646890377302589006029883827196982101319693913183791352686607321201001161324667326966066943566438344725033903851911103671901739931819833767258186231409805227504259768345433920313005558315999755164314] (scaling 1)
+p=29: [4779719500166233124539227164331088022166961433067242939537177202293039004479083295885210943643237642755227097237247100307403580960288438749350179712524181584570820978673020116836722347924440003549635889149592509658220362999697310361100457962288753622683845133920436614318389879192905916819488717556908357808649488584535917187381412908201730480728129325721627988274264144018360350006010190534752070289585270974185234163806417240417242974833] (scaling 1)
+"""
+
+
+def test_eval_gm_stdout_is_frozen(capsys):
+    # high-precision Gm evaluations, where the log-series is summed after a
+    # p-power descent, as printed when it was summed term by term
+    for argv, want in (
+            (("eval", "gm", "--primes", "3,5,7", "--prec", "160",
+              "--point", "11/4"), FROZEN_GM_3_5_7),
+            (("eval", "gm", "--primes", "5,7", "--m", "8", "--prec", "120",
+              "--point", "z^3", "--kernel-test"), FROZEN_GM_M8_Z3),
+            (("eval", "gm", "--primes", "13,29", "--m", "4", "--prec", "300",
+              "--point=-7/5", "--format", "text"), FROZEN_GM_13_29_TEXT)):
+        assert run(capsys, *argv) == (0, want)
+
+
 def test_byte_determinism(capsys):
     for argv in (
         ("char", "gm", "--primes", "3,5", "--order", "10"),

@@ -189,6 +189,21 @@ def test_point_validation():
     assert E37.equation_value(Q.x, Q.y) == 0
 
 
+def test_curves_points_and_valuations_refuse_floats():
+    """Only ints and Fractions are exact rationals: -1.1 would be stored as
+    its binary expansion, and (0.0, 0.0) passes the equation in floats."""
+    for bad in (-1.1, 2.5, True, "1"):
+        for make in (lambda: WeierstrassCurve(0, 0, 1, bad, 0),
+                     lambda: vp(bad, 5)):
+            with pytest.raises(DomainError):
+                make()
+    z = CyclotomicElement.zeta(CyclotomicConfig(4, (3, 5)))
+    for x, y in ((0.0, 0.0), (0, 0.0), (False, False), (z * 0, 0.0)):
+        with pytest.raises(DomainError):
+            E37.point(x, y)
+    assert E37.point(z * 0, 0) == E37.point(0, 0)
+
+
 def test_group_law_with_cyclotomic_coordinates():
     cfg = CyclotomicConfig(4, (3, 5))
     P = E37.point(0, 0)

@@ -265,6 +265,45 @@ def test_gm_ode_matches_term_by_term():
                 assert (got.precision, got.coeffs) == (want.precision, want.coeffs)
 
 
+# (m, primes): 13 splits at m = 4 and 12, 17 at m = 8 (p = 1 mod m); 3, 11
+# and 29 are inert or partly split at m > 1
+DESCENT_RINGS = [(1, (3, 29)), (4, (11, 13)), (8, (3, 17, 29)),
+                 (12, (11, 13))]
+
+
+def test_gm_ode_descent_matches_term_by_term():
+    """The p-power descent against the direct series, as the descent depth
+    k = isqrt(precision // c_p) steps through 0..3 (precision 1..40) and
+    beyond (160), on units u = 1 mod p^j (z of valuation j - 1) and on
+    components with more digits than precision + 1."""
+    rng = random.Random(1613)
+    for m, primes in DESCENT_RINGS:
+        config = CyclotomicConfig(m, PrimeSet(primes))
+        for p in primes:
+            for n in list(range(1, 41)) + [160]:
+                j = (0, 2, 3)[n % 3]
+                work = n + 1 + n % 4
+                coeffs = [p ** j * rng.randrange(p ** work)
+                          for _ in range(config.degree)]
+                coeffs[0] += 1 if j else 0
+                u = PadicCyclotomic(config, p, work, coeffs)
+                while not u.is_unit():
+                    u = u + 1
+                got = eval_gm_ode(u, p, n)
+                want = _gm_ode_reference(u, p, n)
+                assert (got.precision, got.coeffs) == (want.precision, want.coeffs)
+    cfg4 = CyclotomicConfig(4, PrimeSet((11, 13)))
+    with pytest.raises(NonUnitError):   # norm 13: a non-unit with unit coefficients
+        eval_gm_ode(PadicCyclotomic(cfg4, 13, 30, [3, 2]), 13, 20)
+    with pytest.raises(NonUnitError):
+        eval_gm_ode(PadicCyclotomic(cfg4, 11, 30, [11, 22]), 11, 20)
+    u = PadicCyclotomic(cfg4, 13, 30, [2, 1])
+    with pytest.raises(DomainError):
+        eval_gm_ode(u, 11, 20)
+    with pytest.raises(DomainError):
+        eval_gm_ode(u, 13, 30)  # no digit left for the Fermat quotient
+
+
 def test_gm_kernel_at_torsion():
     c = build_gm_character(P35, 4)
     assert eval_gm_character(c, 1, 15).is_zero()
