@@ -10,11 +10,16 @@ Extraction goes the other way: {l(T^n)}_{n>=1} is triangular in the T-basis,
 so the coefficients c_n of f = sum c_n l(T^n) are recovered by a divisor
 recursion; f came from a character exactly when the support is P-smooth and
 the c_n are P-local.
+
+Every fundamental symbol is derived from one Euler factor per prime,
+`euler_polynomial`: E_p = phi_p - p for G_m, phi_p^2 - a_p phi_p + p for a
+curve.  The local operator at p is E_p/p, the Euler symbol at p is the
+product of E_l/E_l(0) over the other primes, the fundamental symbol is their
+product at any p, and decomposition divides by the same E_p.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -31,7 +36,8 @@ from .exact_arith import (
     vp,
 )
 from .polys import _ZERO, _add_into, _combine, _convolve, _coprime_to, _scale
-from .series_fgl import TruncSeries, elliptic_group, elliptic_log, gm_group, gm_log, star_apply
+from .series_fgl import (FormalGroupLaw, TruncSeries, additive_group,
+                         elliptic_group, gm_group, star_apply)
 
 
 class SymbolPoly:
@@ -156,46 +162,26 @@ def _as_symbol(x) -> Optional[SymbolPoly]:
 
 
 # ---------------------------------------------------------------------------
-# Euler-factor symbols and the per-prime differential operators
+# the Euler factor and the symbols derived from it
 # ---------------------------------------------------------------------------
 
-def gm_ode_symbol(p: int) -> SymbolPoly:
-    """The order-1 operator symbol (phi_p - p)/p of the multiplicative theory."""
-    return SymbolPoly({p: Fraction(1, p), 1: -1})
+def euler_polynomial(p: int, ap: Optional[int] = None) -> SymbolPoly:
+    """The Euler factor E_p, monic in phi_p: phi_p - p for G_m (ap None) and
+    phi_p^2 - a_p phi_p + p for a curve; its constant term is (-1)^deg p."""
+    return _euler_over(p, ap, 1)
 
 
-def elliptic_ode_symbol(p: int, ap: int) -> SymbolPoly:
-    """The order-2 operator symbol (phi_p^2 - a_p phi_p + p)/p."""
-    return SymbolPoly({p * p: Fraction(1, p), p: Fraction(-ap, p), 1: 1})
+def _euler_over(p: int, ap: Optional[int], d: Optional[int]) -> SymbolPoly:
+    """E_p / d, built as a clean dict; d None divides by the constant term."""
+    coeffs = {p: 1, 1: -p} if ap is None else {p * p: 1, p: -ap, 1: p}
+    d = coeffs[1] if d is None else d
+    return SymbolPoly._from_clean({n: Fraction(c, d) for n, c in coeffs.items() if c})
 
 
-def euler_symbol_gm(primes: PrimeSet, k: int) -> SymbolPoly:
-    """prod_{l != k} (1 - phi_{p_l}/p_l); Moebius coefficients mu(n)/n."""
-    _check_index(primes, k)
-    out = SymbolPoly.one()
-    for j, p in enumerate(primes):
-        if j != k - 1:
-            out = out * SymbolPoly({1: 1, p: Fraction(-1, p)})
-    return out
-
-
-def euler_symbol_ell(curve: WeierstrassCurve, primes: PrimeSet, k: int) -> SymbolPoly:
-    """prod_{l != k} (1 - a_p phi_p/p + phi_p^2/p) with a_p from point counts."""
-    _check_index(primes, k)
-    out = SymbolPoly.one()
-    for j, p in enumerate(primes):
-        if j != k - 1:
-            out = out * SymbolPoly({1: 1, p: Fraction(-_ordinary_ap(curve, p), p),
-                                    p * p: Fraction(1, p)})
-    return out
-
-
-def _check_index(primes: PrimeSet, k: int):
-    if not 1 <= k <= len(primes):
-        raise DomainError("prime index %d out of range 1..%d" % (k, len(primes)))
-
-
-def _ordinary_ap(curve: WeierstrassCurve, p: int) -> int:
+def _ordinary_ap(curve: Optional[WeierstrassCurve], p: int) -> Optional[int]:
+    """a_p of an ordinary good prime of the curve; None for G_m (no curve)."""
+    if curve is None:
+        return None
     ap = count_points_ap(curve, p)         # validates p and integrality
     if vp(curve.discriminant(), p):
         raise DomainError("bad reduction at %d" % p)
@@ -204,20 +190,27 @@ def _ordinary_ap(curve: WeierstrassCurve, p: int) -> int:
     return ap
 
 
-def full_symbol_gm(primes: PrimeSet) -> SymbolPoly:
-    """-prod_{p in P} (1 - phi_p/p), the symbol of the fundamental character."""
-    out = SymbolPoly({1: -1})
-    for p in primes:
-        out = out * SymbolPoly({1: 1, p: Fraction(-1, p)})
-    return out
-
-
-def full_symbol_elliptic(curve: WeierstrassCurve, primes: PrimeSet) -> SymbolPoly:
+def euler_symbol(primes: PrimeSet, k: int,
+                 curve: Optional[WeierstrassCurve] = None) -> SymbolPoly:
+    """prod E_l/E_l(0) over the primes but the k-th (1-based): 1 - phi_l/l
+    (coefficients mu(n)/n) for G_m, 1 - a_l phi_l/l + phi_l^2/l for a curve."""
+    if not 1 <= k <= len(primes):
+        raise DomainError("prime index %d out of range 1..%d" % (k, len(primes)))
     out = SymbolPoly.one()
-    for p in primes:
-        out = out * SymbolPoly({1: 1, p: Fraction(-_ordinary_ap(curve, p), p),
-                                p * p: Fraction(1, p)})
+    for j, p in enumerate(primes):
+        if j != k - 1:
+            out = out * _euler_over(p, _ordinary_ap(curve, p), None)
     return out
+
+
+def full_symbol(primes: PrimeSet,
+                curve: Optional[WeierstrassCurve] = None) -> SymbolPoly:
+    """The fundamental symbol, -prod(1 - phi_p/p) for G_m and
+    prod(1 - a_p phi_p/p + phi_p^2/p) for a curve: E_p/p times
+    euler_symbol(primes, 1) at the first prime p, and since E_p(0) is
+    (-1)^deg p the same product at every other."""
+    p = primes[0]
+    return _euler_over(p, _ordinary_ap(curve, p), p) * euler_symbol(primes, 1, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +218,21 @@ def full_symbol_elliptic(curve: WeierstrassCurve, primes: PrimeSet) -> SymbolPol
 # ---------------------------------------------------------------------------
 
 class DiracComponent:
-    """Per-prime factorization datum: a local operator times an Euler symbol."""
+    """Per-prime factorization datum: the local operator E_p/p of the Euler
+    factor E_p (`euler_polynomial`) times the Euler symbol of the others."""
 
-    __slots__ = ("prime", "kind", "ap", "euler_symbol", "ode_symbol")
+    __slots__ = ("prime", "ap", "euler_symbol", "ode_symbol")
 
-    def __init__(self, prime: int, kind: str, euler_symbol: SymbolPoly,
+    def __init__(self, prime: int, euler_symbol: SymbolPoly,
                  ap: Optional[int] = None):
         self.prime = prime
-        self.kind = kind              # "gm" or "elliptic"
         self.ap = ap
         self.euler_symbol = euler_symbol
-        self.ode_symbol = (gm_ode_symbol(prime) if kind == "gm"
-                           else elliptic_ode_symbol(prime, ap))
+        self.ode_symbol = _euler_over(prime, ap, prime)
+
+    @property
+    def kind(self) -> str:
+        return "gm" if self.ap is None else "elliptic"
 
     def __repr__(self):
         return "DiracComponent(p=%d, %s)" % (self.prime, self.kind)
@@ -251,6 +247,9 @@ class Character:
                  series: TruncSeries, curve: Optional[WeierstrassCurve] = None,
                  dirac: Optional[List[DiracComponent]] = None,
                  order: Optional[Tuple[int, ...]] = None):
+        if (group == "Elliptic") != (curve is not None):
+            raise DomainError("a character has a curve exactly when its group"
+                              " is Elliptic")
         self.group = group            # "Ga", "Gm", or "Elliptic"
         self.curve = curve
         self.primes = primes
@@ -293,13 +292,17 @@ def character_from_json_dict(data: dict) -> Character:
     primes = PrimeSet(_json_int(p) for p in data["primes"])
     curve = None
     if "curve" in data:
-        curve = WeierstrassCurve(*(Fraction(c) for c in data["curve"]))
-    elif data["group"] == "Elliptic":
-        raise DomainError("an elliptic character needs a curve")
-    dirac = [DiracComponent(_json_int(d["p"]), d["kind"],
-                            _symbol_from_json(d["euler"]),
-                            ap=None if d["ap"] is None else _json_int(d["ap"]))
-             for d in data.get("dirac", [])]
+        # a JSON float is not parsed: WeierstrassCurve refuses it
+        curve = WeierstrassCurve(*(Fraction(c) if isinstance(c, str) else c
+                                   for c in data["curve"]))
+    dirac = []
+    for d in data.get("dirac", []):
+        comp = DiracComponent(_json_int(d["p"]), _symbol_from_json(d["euler"]),
+                              ap=None if d["ap"] is None else _json_int(d["ap"]))
+        if comp.kind != d["kind"]:
+            raise DomainError("Dirac row at %d: kind %r does not match ap %r"
+                              % (comp.prime, d["kind"], d["ap"]))
+        dirac.append(comp)
     return Character(data["group"], primes, _symbol_from_json(data["symbol"]),
                      TruncSeries.from_json_dict(data["series"]),
                      curve=curve, dirac=dirac,
@@ -317,29 +320,17 @@ def symbol_order(symbol: SymbolPoly, primes: PrimeSet) -> Tuple[int, ...]:
     return tuple(order)
 
 
-def group_log(group: str, order: int, curve: Optional[WeierstrassCurve] = None
-              ) -> TruncSeries:
+def formal_group(group: str, order: int,
+                 curve: Optional[WeierstrassCurve] = None) -> FormalGroupLaw:
+    """The formal group of "Ga", "Gm" or "Elliptic" (with its curve)."""
     if group == "Ga":
-        return TruncSeries.var(order)
+        return additive_group(order)
     if group == "Gm":
-        return gm_log(order)
+        return gm_group(order)
     if group == "Elliptic":
         if curve is None:
             raise DomainError("elliptic group needs a curve")
-        return elliptic_log(curve, order)
-    raise DomainError("unknown group %r" % (group,))
-
-
-def group_law(group: str, order: int, curve: Optional[WeierstrassCurve] = None
-              ) -> TruncSeries:
-    if group == "Ga":
-        return TruncSeries.var(order, 0, 2) + TruncSeries.var(order, 1, 2)
-    if group == "Gm":
-        return gm_group(order).law(order)
-    if group == "Elliptic":
-        if curve is None:
-            raise DomainError("elliptic group needs a curve")
-        return elliptic_group(curve, order).law(order)
+        return elliptic_group(curve, order)
     raise DomainError("unknown group %r" % (group,))
 
 
@@ -357,32 +348,33 @@ def build_ga_character(L: SymbolPoly, primes: PrimeSet,
 
 def build_gm_character(primes: PrimeSet, n_t: int) -> Character:
     """The fundamental multiplicative character, series to order n_t."""
-    if n_t < 2:
-        raise DomainError("truncation order must be at least 2")
-    symbol = full_symbol_gm(primes)
-    series = symbol.star(gm_log(n_t))
-    if not series.denominators_coprime_to(primes):
-        raise DomainError("integrality failure in the fundamental series (bug)")
-    dirac = [DiracComponent(p, "gm", euler_symbol_gm(primes, k + 1))
-             for k, p in enumerate(primes)]
-    return Character("Gm", primes, symbol, series, dirac=dirac,
-                     order=(1,) * len(primes))
+    return _fundamental_character(primes, n_t)
 
 
 def build_elliptic_character(curve: WeierstrassCurve, primes: PrimeSet,
                              n_t: int) -> Character:
     """The fundamental character of an elliptic curve, series to order n_t."""
+    return _fundamental_character(primes, n_t, curve)
+
+
+def _fundamental_character(primes: PrimeSet, n_t: int,
+                           curve: Optional[WeierstrassCurve] = None
+                           ) -> Character:
+    """full_symbol(primes, curve) applied to the group logarithm, with the
+    Dirac factorization at every prime; G_m when there is no curve."""
     if n_t < 2:
         raise DomainError("truncation order must be at least 2")
-    symbol = full_symbol_elliptic(curve, primes)   # validates ordinary reduction
-    series = symbol.star(elliptic_log(curve, n_t))
+    symbol = full_symbol(primes, curve)        # validates ordinary reduction
+    group = "Gm" if curve is None else "Elliptic"
+    series = symbol.star(formal_group(group, n_t, curve).log)
     if not series.denominators_coprime_to(primes):
         raise DomainError("integrality failure in the fundamental series (bug)")
-    dirac = [DiracComponent(p, "elliptic", euler_symbol_ell(curve, primes, k + 1),
-                            ap=count_points_ap(curve, p))
+    dirac = [DiracComponent(p, euler_symbol(primes, k + 1, curve),
+                            _ordinary_ap(curve, p))
              for k, p in enumerate(primes)]
-    return Character("Elliptic", primes, symbol, series, curve=curve,
-                     dirac=dirac, order=(2,) * len(primes))
+    degree = 1 if curve is None else 2
+    return Character(group, primes, symbol, series, curve=curve, dirac=dirac,
+                     order=(degree,) * len(primes))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +409,7 @@ def series_symbol_solve(f0: TruncSeries, log: TruncSeries) -> Dict[int, Fraction
 def symbol_of_character(f0: TruncSeries, group: str, primes: PrimeSet,
                         curve: Optional[WeierstrassCurve] = None) -> SymbolPoly:
     """Recover the symbol of a character series; error when it is not one."""
-    log = group_log(group, f0.order, curve)
+    log = formal_group(group, f0.order, curve).log
     c = series_symbol_solve(f0, log)
     bad = [n for n in c if smooth_exponents(n, primes) is None]
     if bad:
@@ -438,8 +430,8 @@ def check_additivity(c: Character, depth: int) -> bool:
                             c.group, c.primes, c.curve)
     except DomainError:
         return False
-    log = group_log(c.group, depth, c.curve)
-    law = group_law(c.group, depth, c.curve)
+    group = formal_group(c.group, depth, c.curve)
+    log, law = group.log, group.law()
     t1 = TruncSeries.var(depth, 0, 2)
     t2 = TruncSeries.var(depth, 1, 2)
     return log.compose([law]) == log.compose([t1]) + log.compose([t2])
@@ -449,26 +441,22 @@ def check_additivity(c: Character, depth: int) -> bool:
 # Euler-factor division and decomposition
 # ---------------------------------------------------------------------------
 
-def divide_by_euler_factor(L: SymbolPoly, factor) -> Tuple[SymbolPoly, SymbolPoly]:
-    """Long division by a monic-in-phi_p Euler factor.
+def divide_by_euler_factor(L: SymbolPoly, p: int, ap: Optional[int] = None
+                           ) -> Tuple[SymbolPoly, SymbolPoly]:
+    """Long division by the Euler factor `euler_polynomial(p, ap)`.
 
-    `factor` is ("gm", p) for phi_p - p, or ("ell", p, a_p) for
-    phi_p^2 - a_p phi_p + p.  Returns (quotient, remainder); the remainder
-    has phi_p-degree below the factor degree.
+    Returns (quotient, remainder); the remainder has phi_p-degree below the
+    factor's degree.
     """
-    kind = factor[0]
-    p = factor[1]
-    if kind == "gm":
-        deg, tail = 1, {1: Fraction(p)}          # phi_p = p + (phi_p - p)
-    elif kind == "ell":
-        deg, tail = 2, {p: Fraction(factor[2]), 1: Fraction(-p)}
-    else:
-        raise DomainError("unknown Euler factor kind %r" % (kind,))
+    tail = {n: -c for n, c in euler_polynomial(p, ap).coeffs.items()}
+    top = max(tail)                        # phi_p^deg, coefficient 1
+    del tail[top]                          # phi_p^deg = tail + E_p
+    deg = vp(top, p)
     rem, quotient = dict(L.coeffs), {}
     # from the top phi_p-degree e down: the terms of degree e, divided by
     # phi_p^deg, join the quotient, and times `tail` (degree < e) stay in rem
     for e in range(max((vp(n, p) for n in rem), default=0), deg - 1, -1):
-        lead = {n // p ** deg: rem.pop(n) for n in list(rem) if vp(n, p) == e}
+        lead = {n // top: rem.pop(n) for n in list(rem) if vp(n, p) == e}
         quotient.update(lead)
         _add_into(rem, _convolve(lead, tail, operator.mul).items())
     return SymbolPoly._from_clean(quotient), SymbolPoly._from_clean(rem)
@@ -477,25 +465,22 @@ def divide_by_euler_factor(L: SymbolPoly, factor) -> Tuple[SymbolPoly, SymbolPol
 def decompose_over_fundamental(c: Character) -> SymbolPoly:
     """Write the character as rho * (fundamental character); return rho.
 
-    Divides the symbol by every Euler factor; a nonzero remainder or a
+    Divides the symbol by every Euler factor E_p; a nonzero remainder or a
     non-P-local quotient coefficient means the input is not a multiple of
-    the fundamental character.
+    the fundamental character.  The fundamental symbol is E_p/p at the
+    first prime times E_l/E_l(0) at the others (`full_symbol`), so the
+    quotient is scaled by p and by each E_l(0).
     """
-    if c.group == "Gm":
-        # -prod(1 - phi_p/p) = (-1)^(d+1) prod(phi_p - p) / prod(p)
-        scale = Fraction((-1) ** (len(c.primes) + 1) * math.prod(c.primes))
-        factors = [("gm", p) for p in c.primes]
-    elif c.group == "Elliptic":
-        scale = Fraction(math.prod(c.primes))
-        factors = [("ell", p, _ordinary_ap(c.curve, p)) for p in c.primes]
-    else:
+    if c.group not in ("Gm", "Elliptic"):
         raise DomainError("decomposition needs a Gm or elliptic character")
-    rho = c.symbol
-    for f in factors:
-        rho, rem = divide_by_euler_factor(rho, f)
+    rho, scale = c.symbol, 1
+    for k, p in enumerate(c.primes):
+        ap = _ordinary_ap(c.curve, p)
+        rho, rem = divide_by_euler_factor(rho, p, ap)
         if not rem.is_zero():
-            raise DomainError("nonzero remainder at Euler factor %r: "
-                              "not a multiple of the fundamental character" % (f,))
+            raise DomainError("nonzero remainder at the Euler factor at %d: "
+                              "not a multiple of the fundamental character" % p)
+        scale *= p if k == 0 else euler_polynomial(p, ap).coeffs[1]
     rho = rho * scale
     if not rho.is_p_local(c.primes):
         raise DomainError("decomposition coefficients are not P-local")

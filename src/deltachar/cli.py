@@ -643,6 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -7/5 as an option: join it to --point
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--point" and re.match(r"-\d", argv[i + 1]):
+            argv[i:i + 2] = ["--point=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     try:
         cfg = build_run_config(args)

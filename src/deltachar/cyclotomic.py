@@ -90,14 +90,15 @@ def _mulmod(a, b, phi, modulus=None):
 
 
 def _powmod(a, k, phi, modulus=None):
-    """a**k mod phi, with the same coefficient rules as _mulmod."""
-    result = [1] + [0] * (len(a) - 1)
-    while k:
-        if k & 1:
+    """a**k mod phi, with the same coefficient rules as _mulmod: a new list,
+    from the top bit of k down, bit_length + popcount - 2 _mulmod calls."""
+    if k == 0:
+        return [1] + [0] * (len(a) - 1)
+    result = list(a) if modulus is None else [c % modulus for c in a]
+    for bit in bin(k)[3:]:
+        result = _mulmod(result, result, phi, modulus)
+        if bit == "1":
             result = _mulmod(result, a, phi, modulus)
-        k >>= 1
-        if k:
-            a = _mulmod(a, a, phi, modulus)
     return result
 
 

@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_arith import DomainError, ExactDivisionError, Rational, ensure_p_local, is_prime
+from .exact_arith import (DomainError, ExactDivisionError, Rational, _rational,
+                          ensure_p_local, is_prime)
 from .polys import MPoly
 
 
@@ -34,7 +35,7 @@ def iterated_delta(a: Rational, primes, exponents) -> Fraction:
     """
     if len(primes) != len(exponents):
         raise DomainError("exponent vector does not match the prime set")
-    x = Fraction(a)
+    x = Fraction(_rational(a))
     for p, e in reversed(list(zip(primes, exponents))):
         for _ in range(e):
             x = fermat_quotient(x, p)

@@ -57,10 +57,8 @@ from .characters import (
     Character,
     SymbolPoly,
     decompose_over_fundamental,
-    euler_symbol_ell,
-    euler_symbol_gm,
-    full_symbol_elliptic,
-    full_symbol_gm,
+    euler_symbol,
+    full_symbol,
 )
 from .cyclotomic import (
     CyclotomicConfig,
@@ -100,10 +98,9 @@ GlobalValue = Union[int, Fraction, CyclotomicElement]
 class AdelePoint:
     """A point given per prime, normally as reductions of one global value."""
 
-    __slots__ = ("kind", "config", "primes", "precision", "components", "point")
+    __slots__ = ("config", "primes", "precision", "components", "point")
 
-    def __init__(self, kind, config, primes, precision, components, point=None):
-        self.kind = kind
+    def __init__(self, config, primes, precision, components, point=None):
         self.config = config
         self.primes = primes
         self.precision = precision
@@ -126,7 +123,7 @@ class AdelePoint:
             if not comp.is_unit():
                 raise NonUnitError("component at %d is not a unit" % p)
             components.append(comp)
-        return cls("gm", config, primes, precision, components, value)
+        return cls(config, primes, precision, components, value)
 
     @classmethod
     def from_components(cls, components: Sequence[PadicCyclotomic],
@@ -139,7 +136,7 @@ class AdelePoint:
                 raise DomainError("component prime mismatch at %d" % p)
             if not comp.is_unit():
                 raise NonUnitError("component at %d is not a unit" % p)
-        return cls("gm", components[0].config, primes, precision,
+        return cls(components[0].config, primes, precision,
                    list(components), None)
 
     @classmethod
@@ -152,7 +149,7 @@ class AdelePoint:
         rather than per-prime components.
         """
         config = CyclotomicConfig(m, primes)
-        return cls("elliptic", config, primes, precision, None, point)
+        return cls(config, primes, precision, None, point)
 
     def component(self, k: int) -> PadicCyclotomic:
         if self.components is None:
@@ -242,7 +239,7 @@ def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
         raise DomainError("need precision %d, component has %d"
                           % (precision + 1, u.precision))
     config, phi = u.config, u.config.phi
-    c_p = p.bit_length() + bin(p).count("1") - 1    # _mulmod calls in x^p
+    c_p = p.bit_length() + bin(p).count("1") - 2    # _mulmod calls in x^p
     k = math.isqrt(precision // c_p)
     digits = precision + 1 + k
     top = p ** digits
@@ -338,9 +335,7 @@ def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic,
 
 def _twist_symbol(c: Character) -> SymbolPoly:
     """The multiplier rho with symbol(c) = rho * fundamental symbol."""
-    if c.group == "Gm" and c.symbol == full_symbol_gm(c.primes):
-        return SymbolPoly.one()
-    if c.group == "Elliptic" and c.symbol == full_symbol_elliptic(c.curve, c.primes):
+    if c.symbol == full_symbol(c.primes, c.curve):
         return SymbolPoly.one()
     return decompose_over_fundamental(c)
 
@@ -359,7 +354,7 @@ def eval_gm_character(c: Character, q, precision: int) -> EvaluationResult:
     values = []
     for k, p in enumerate(c.primes):
         ode = eval_gm_ode(q.component(k), p, precision)
-        sym = rho * euler_symbol_gm(c.primes, k + 1)
+        sym = rho * euler_symbol(c.primes, k + 1)
         values.append(_apply_symbol(sym, ode, c.primes).reduce_to(precision))
     return EvaluationResult(c.primes, values, precision)
 
@@ -451,7 +446,7 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
             if log is None:
                 log = elliptic_log(c.curve, order)
             w = _formal_value(c.curve, t, precision, log)
-            sym = rho * euler_symbol_ell(c.curve, c.primes, k + 1)
+            sym = rho * euler_symbol(c.primes, k + 1, c.curve)
             value = (_apply_symbol(sym, w, c.primes).reduce_to(precision)
                      * cofactor)
         values.append(value)

@@ -126,12 +126,12 @@ def vp(x: Rational, p: int) -> Union[int, float]:
 
 def is_p_local(x: Rational, primes: Iterable[int]) -> bool:
     """True when no prime of the family divides the denominator of x."""
-    d = Fraction(x).denominator
+    d = _rational(x).denominator
     return all(d % p != 0 for p in primes)
 
 
 def ensure_p_local(x: Rational, primes: Iterable[int]) -> Fraction:
-    x = Fraction(x)
+    x = Fraction(_rational(x))
     if not is_p_local(x, primes):
         raise NotPLocalError("%s is not integral at the primes %s" % (x, tuple(primes)))
     return x

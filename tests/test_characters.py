@@ -15,12 +15,8 @@ from deltachar.characters import (
     continuation_criterion,
     decompose_over_fundamental,
     divide_by_euler_factor,
-    elliptic_ode_symbol,
-    euler_symbol_ell,
-    euler_symbol_gm,
-    full_symbol_elliptic,
-    full_symbol_gm,
-    gm_ode_symbol,
+    euler_symbol,
+    full_symbol,
     honda_integrality_check,
     symbol_of_character,
 )
@@ -75,24 +71,24 @@ def test_symbol_ring_basics():
 
 
 def test_euler_symbol_gm():
-    assert euler_symbol_gm(P35, 2) == SymbolPoly({1: 1, 3: F(-1, 3)})
-    assert euler_symbol_gm(P3, 1) == SymbolPoly.one()
-    sym = euler_symbol_gm(P357, 3)
+    assert euler_symbol(P35, 2) == SymbolPoly({1: 1, 3: F(-1, 3)})
+    assert euler_symbol(P3, 1) == SymbolPoly.one()
+    sym = euler_symbol(P357, 3)
     assert sym == SymbolPoly({1: 1, 3: F(-1, 3), 5: F(-1, 5), 15: F(1, 15)})
     # Moebius oracle: the product over primes other than p_k expands with
     # coefficient mu(n)/n at each squarefree n built from those primes
     for n in (1, 3, 5, 15):
         assert sym.coefficient(n) == F(mobius(n), n)
     with pytest.raises(DomainError):
-        euler_symbol_gm(P35, 3)
+        euler_symbol(P35, 3)
 
 
 def test_euler_symbol_elliptic():
-    assert euler_symbol_ell(E11, P35, 2) == SymbolPoly({1: 1, 3: F(1, 3), 9: F(1, 3)})
-    assert euler_symbol_ell(E11, P35, 1) == SymbolPoly({1: 1, 5: F(-1, 5), 25: F(1, 5)})
-    assert euler_symbol_ell(E11, P3, 1) == SymbolPoly.one()
+    assert euler_symbol(P35, 2, E11) == SymbolPoly({1: 1, 3: F(1, 3), 9: F(1, 3)})
+    assert euler_symbol(P35, 1, E11) == SymbolPoly({1: 1, 5: F(-1, 5), 25: F(1, 5)})
+    assert euler_symbol(P3, 1, E11) == SymbolPoly.one()
     with pytest.raises(DomainError):
-        euler_symbol_ell(E37, P35, 2)  # supersingular at 3
+        euler_symbol(P35, 2, E37)  # supersingular at 3
 
 
 def test_build_ga_character():
@@ -162,11 +158,14 @@ def test_dirac_consistency():
         c = build_gm_character(primes, 4)
         for comp in c.dirac:
             assert comp.euler_symbol * comp.ode_symbol == c.symbol
-            assert comp.ode_symbol == gm_ode_symbol(comp.prime)
+            p = comp.prime
+            assert comp.ode_symbol == SymbolPoly({p: F(1, p), 1: -1})
     ce = build_elliptic_character(E11, P35, 4)
     for comp in ce.dirac:
         assert comp.euler_symbol * comp.ode_symbol == ce.symbol
-        assert comp.ode_symbol == elliptic_ode_symbol(comp.prime, comp.ap)
+        p, ap = comp.prime, comp.ap
+        assert comp.ode_symbol == SymbolPoly(
+            {p * p: F(1, p), p: F(-ap, p), 1: 1})
 
 
 def test_check_additivity():
@@ -198,15 +197,15 @@ def test_symbol_of_character():
 
 def test_divide_by_euler_factor_frozen():
     L = SymbolPoly({1: 1, 3: F(-1, 3)}) * SymbolPoly({1: 1, 5: F(-1, 5)})
-    q, r = divide_by_euler_factor(L, ("gm", 3))
+    q, r = divide_by_euler_factor(L, 3)
     assert q == SymbolPoly({1: F(-1, 3), 5: F(1, 15)})
     assert r.is_zero()
-    q, r = divide_by_euler_factor(SymbolPoly.one(), ("gm", 3))
+    q, r = divide_by_euler_factor(SymbolPoly.one(), 3)
     assert q.is_zero() and r == SymbolPoly.one()
-    full = full_symbol_elliptic(E11, P35)
-    q, r = divide_by_euler_factor(full, ("ell", 3, -1))
+    full = full_symbol(P35, E11)
+    q, r = divide_by_euler_factor(full, 3, -1)
     assert r.is_zero()
-    assert q == euler_symbol_ell(E11, P35, 1) / 3
+    assert q == euler_symbol(P35, 1, E11) / 3
 
 
 def test_divide_by_euler_factor_reconstruction():
@@ -217,10 +216,10 @@ def test_divide_by_euler_factor_reconstruction():
     for _ in range(40):
         support = rng.sample(values, rng.randint(1, 6))
         L = SymbolPoly({n: F(rng.randint(-8, 8), rng.randint(1, 4)) for n in support})
-        q, r = divide_by_euler_factor(L, ("gm", 3))
+        q, r = divide_by_euler_factor(L, 3)
         assert q * gm3 + r == L
         assert all(vp(n, 3) == 0 for n in r.support())
-        q, r = divide_by_euler_factor(L, ("ell", 3, -1))
+        q, r = divide_by_euler_factor(L, 3, -1)
         assert q * ell3 + r == L
         assert all(vp(n, 3) <= 1 for n in r.support())
 
@@ -230,7 +229,7 @@ def test_decompose_self_and_twist():
     assert decompose_over_fundamental(build_gm_character(P357, 20)) == SymbolPoly.one()
     assert decompose_over_fundamental(
         build_elliptic_character(E11, P35, 20)) == SymbolPoly.one()
-    base = full_symbol_gm(P35)
+    base = full_symbol(P35)
     twisted = SymbolPoly.phi(3) * base
     c = Character("Gm", P35, twisted, twisted.star(gm_log(50)))
     assert decompose_over_fundamental(c) == SymbolPoly.phi(3)
@@ -240,7 +239,7 @@ def test_decompose_rejects_non_multiples():
     with pytest.raises(DomainError):
         decompose_over_fundamental(
             Character("Gm", P35, SymbolPoly.one(), gm_log(10)))
-    shrunk = full_symbol_gm(P35) / 3
+    shrunk = full_symbol(P35) / 3
     with pytest.raises(DomainError):
         decompose_over_fundamental(
             Character("Gm", P35, shrunk, shrunk.star(gm_log(20))))
@@ -252,8 +251,8 @@ def test_decompose_rejects_non_multiples():
 def test_decompose_round_trip_random():
     rng = random.Random(45120)
     values = [n for n in smooth_values(P35, 45)]
-    gm_base = full_symbol_gm(P35)
-    ell_base = full_symbol_elliptic(E11, P35)
+    gm_base = full_symbol(P35)
+    ell_base = full_symbol(P35, E11)
     for trial in range(50):
         support = rng.sample(values, rng.randint(1, 5))
         rho = SymbolPoly({n: F(rng.randint(-9, 9), rng.choice([1, 1, 2, 4]))
@@ -341,3 +340,21 @@ def test_character_json_shape():
         back = character_from_json_dict(json.loads(json.dumps(d)))
         assert back.to_json_dict() == d
         assert back.symbol == character_from_json_dict(d).symbol
+
+
+def test_character_json_refuses_dirac_kind_mismatch():
+    # a Dirac row's kind is derived from its ap: "gm" exactly when ap is null
+    gm = build_gm_character(P35, 4).to_json_dict()
+    ell = build_elliptic_character(E11, P35, 4).to_json_dict()
+    for base, key, value in ((gm, "kind", "elliptic"), (gm, "ap", 1),
+                             (ell, "ap", None), (ell, "kind", "gm"),
+                             (ell, "kind", "Elliptic")):
+        data = json.loads(json.dumps(base))
+        data["dirac"][1][key] = value
+        with pytest.raises(DomainError):
+            character_from_json_dict(data)
+    # and a curve belongs to an elliptic character alone
+    for data in (dict(gm, curve=ell["curve"]),
+                 {k: v for k, v in ell.items() if k != "curve"}):
+        with pytest.raises(DomainError):
+            character_from_json_dict(data)

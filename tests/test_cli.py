@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import random
@@ -14,8 +15,8 @@ from deltachar.characters import (
     build_elliptic_character,
     build_gm_character,
     character_from_json_dict,
-    full_symbol_gm,
-    gm_ode_symbol,
+    euler_polynomial,
+    full_symbol,
 )
 from deltachar.cli import (
     _MAX_BOUND,
@@ -76,7 +77,7 @@ def test_char_gm_json(capsys):
     assert linear == [{"exp": [1], "num": "-1", "den": "1"}]
     # the printed JSON is exactly what the decompose parser consumes
     back = character_from_json_dict(doc)
-    assert back.symbol == full_symbol_gm(P35)
+    assert back.symbol == full_symbol(P35)
     assert back.to_json_dict() == doc
 
 
@@ -121,6 +122,12 @@ def test_eval_ell_reports(capsys):
     assert rc == 0
     assert doc["verdict"] == "nonzero" and doc["torsion"] is False
     assert [c["scaling"] for c in doc["components"]] == [8, 9]
+    # a value that starts with '-' and a digit is still the point's value
+    argv = ("eval", "ell", "--curve", "37a", "--primes", "5,7", "--format",
+            "text")
+    rc, joined = run(capsys, *argv, "--point=-1,0")
+    assert rc == 0 and joined.startswith("Elliptic at -1,0 mod p^12\n")
+    assert run(capsys, *argv, "--point", "-1,0") == (0, joined)
 
 
 def test_eval_invalid_points_exit2(capsys):
@@ -159,7 +166,7 @@ def test_decompose_fundamental(capsys, monkeypatch):
 
 
 def test_decompose_twisted_and_rejects(capsys, monkeypatch):
-    sym = SymbolPoly({1: 1, 3: -1}) * full_symbol_gm(P35)
+    sym = SymbolPoly({1: 1, 3: -1}) * full_symbol(P35)
     c = Character("Gm", P35, sym, sym.star(gm_log(50)))
     _pipe(monkeypatch, json.dumps(c.to_json_dict()))
     rc, doc = run_json(capsys, "decompose", "--point", "2", "--prec", "15")
@@ -170,7 +177,7 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
                                 "criterion": True, "witness": "0",
                                 "verdict": "continuable"}
     # a symbol that is not a multiple of the fundamental one: domain error
-    ode = gm_ode_symbol(3)
+    ode = euler_polynomial(3) / 3
     bad = Character("Gm", P35, ode, ode.star(gm_log(20)))
     _pipe(monkeypatch, json.dumps(bad.to_json_dict()))
     assert main(["decompose"]) == 2
@@ -215,6 +222,48 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
         assert main(["decompose"]) == 2, path
         assert capsys.readouterr().err.startswith(
             "error: input is not character JSON: "), path
+
+
+FROZEN_CHAR_ELL_11A_3_5_7_TEXT = """group: Elliptic
+primes: 3,5,7
+order: 2,2,2
+symbol: 1 + 1/3*phi_3 - 1/5*phi_5 + 2/7*phi_7 + 1/3*phi_9 - 1/15*phi_15 + 2/21*phi_21 + 1/5*phi_25 - 2/35*phi_35 - 1/15*phi_45 + 1/7*phi_49 + 2/21*phi_63 + 1/15*phi_75 - 2/105*phi_105 + 1/21*phi_147 + 2/35*phi_175 + 1/15*phi_225 - 1/35*phi_245 - 2/105*phi_315 + 1/21*phi_441 + 2/105*phi_525 - 1/105*phi_735 + 1/35*phi_1225 + 2/105*phi_1575 - 1/105*phi_2205 + 1/105*phi_3675 + 1/105*phi_11025
+dirac p=3 kind=elliptic ap=-1: (1 - 1/5*phi_5 + 2/7*phi_7 + 1/5*phi_25 - 2/35*phi_35 + 1/7*phi_49 + 2/35*phi_175 - 1/35*phi_245 + 1/35*phi_1225) * (1 + 1/3*phi_3 + 1/3*phi_9)
+dirac p=5 kind=elliptic ap=1: (1 + 1/3*phi_3 + 2/7*phi_7 + 1/3*phi_9 + 2/21*phi_21 + 1/7*phi_49 + 2/21*phi_63 + 1/21*phi_147 + 1/21*phi_441) * (1 - 1/5*phi_5 + 1/5*phi_25)
+dirac p=7 kind=elliptic ap=-2: (1 + 1/3*phi_3 - 1/5*phi_5 + 1/3*phi_9 - 1/15*phi_15 + 1/5*phi_25 - 1/15*phi_45 + 1/15*phi_75 + 1/15*phi_225) * (1 + 2/7*phi_7 + 1/7*phi_49)
+series: 1*T^1 - 1*T^3 - 4*T^4 + 3*T^5 + 32*T^6 + 46*T^7 - 192*T^8 - 825*T^9 + O(T^10)
+"""
+
+# sha256 of the stdout of `char gm --primes 3,5,7 --order 6` (JSON, 202 lines)
+FROZEN_CHAR_GM_3_5_7_SHA256 = (
+    "b16951f13dbe1c6290c86b4f60f73bf1f9164e92ee3b816125f0c395835f094d")
+
+
+def test_dirac_stdout_is_frozen(capsys, monkeypatch):
+    # the Dirac rows (kind, ap, Euler symbol, local operator) and the
+    # fundamental symbols, as printed when each was written out by hand
+    rc, out = run(capsys, "char", "ell", "--curve", "11a", "--primes",
+                  "3,5,7", "--order", "9", "--format", "text")
+    assert (rc, out) == (0, FROZEN_CHAR_ELL_11A_3_5_7_TEXT)
+    rc, out = run(capsys, "char", "gm", "--primes", "3,5,7", "--order", "6")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_CHAR_GM_3_5_7_SHA256
+    doc = json.loads(out)
+    assert [(d["p"], d["kind"], d["ap"]) for d in doc["dirac"]] == [
+        (3, "gm", None), (5, "gm", None), (7, "gm", None)]
+    assert doc["dirac"][2]["ode"] == [{"n": 1, "num": "-1", "den": "1"},
+                                      {"n": 7, "num": "1", "den": "7"}]
+    # (1 - phi_3) times -(1 - phi_3/3)(1 - phi_5/5), written out
+    sym = SymbolPoly({1: -1, 3: F(4, 3), 5: F(1, 5), 9: F(-1, 3),
+                      15: F(-4, 15), 45: F(1, 15)})
+    twisted = Character("Gm", P35, sym, sym.star(gm_log(30)))
+    _pipe(monkeypatch, json.dumps(twisted.to_json_dict()))
+    assert run(capsys, "decompose", "--format", "text", "--point", "2",
+               "--prec", "12") == (0, (
+                   "rho: 1 - phi_3\n"
+                   "augmentation: 0\n"
+                   "continuable along nontorsion points: True\n"
+                   "point 2: continuable\n"))
 
 
 def test_decompose_input_file_matches_stdin(tmp_path, capsys, monkeypatch):
@@ -432,7 +481,9 @@ def test_eval_gm_stdout_is_frozen(capsys):
             (("eval", "gm", "--primes", "5,7", "--m", "8", "--prec", "120",
               "--point", "z^3", "--kernel-test"), FROZEN_GM_M8_Z3),
             (("eval", "gm", "--primes", "13,29", "--m", "4", "--prec", "300",
-              "--point=-7/5", "--format", "text"), FROZEN_GM_13_29_TEXT)):
+              "--point=-7/5", "--format", "text"), FROZEN_GM_13_29_TEXT),
+            (("eval", "gm", "--primes", "13,29", "--m", "4", "--prec", "300",
+              "--point", "-7/5", "--format", "text"), FROZEN_GM_13_29_TEXT)):
         assert run(capsys, *argv) == (0, want)
 
 
@@ -573,7 +624,7 @@ def _fuzz_argv(rng, tmp_path):
 
 def _fuzz_character_json(rng):
     """Character JSON, valid or broken in one random place."""
-    sym = full_symbol_gm(P35)
+    sym = full_symbol(P35)
     c = Character("Gm", P35, sym, sym.star(gm_log(8)))
     data = c.to_json_dict()
     choice = rng.randrange(10)

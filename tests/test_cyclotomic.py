@@ -21,6 +21,33 @@ from deltachar.delta_calculus import fermat_quotient
 from deltachar.exact_arith import DomainError, NonUnitError, NotPLocalError
 
 
+def test_powmod_multiply_count(monkeypatch):
+    # left to right over the bits of k: bit_length + popcount - 2 multiplies,
+    # and a fresh reduced list even for k = 1
+    import deltachar.cyclotomic as cyclotomic
+    calls = []
+
+    def counting(a, b, phi, modulus=None):
+        calls.append(1)
+        return _mulmod(a, b, phi, modulus)
+
+    monkeypatch.setattr(cyclotomic, "_mulmod", counting)
+    phi = cyclotomic_polynomial(8)
+    a = [3, -1, 4, 1]
+    want = [1, 0, 0, 0]
+    for k in range(0, 40):
+        del calls[:]
+        got = _powmod(a, k, phi, 10 ** 9)
+        assert got == [c % 10 ** 9 for c in want], k
+        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2
+                              if k else 0), k
+        assert got is not a
+        want = _mulmod(want, a, phi)
+    assert _powmod(a, 1, phi) == a and _powmod(a, 1, phi) is not a
+    assert _powmod(a, 0, phi) == [1, 0, 0, 0]
+    assert _powmod([7], 5, (-1, 1), 100) == [7 ** 5 % 100]
+
+
 def test_euler_phi():
     assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 

@@ -9,8 +9,8 @@ from deltachar.characters import (
     SymbolPoly,
     build_elliptic_character,
     build_gm_character,
-    euler_symbol_ell,
-    full_symbol_gm,
+    euler_symbol,
+    full_symbol,
 )
 from deltachar.cyclotomic import (
     CyclotomicConfig,
@@ -273,8 +273,8 @@ DESCENT_RINGS = [(1, (3, 29)), (4, (11, 13)), (8, (3, 17, 29)),
 
 def test_gm_ode_descent_matches_term_by_term():
     """The p-power descent against the direct series, as the descent depth
-    k = isqrt(precision // c_p) steps through 0..3 (precision 1..40) and
-    beyond (160), on units u = 1 mod p^j (z of valuation j - 1) and on
+    k = isqrt(precision // c_p) steps through 0..4 (precision 1..40) and up
+    to 8 (160), on units u = 1 mod p^j (z of valuation j - 1) and on
     components with more digits than precision + 1."""
     rng = random.Random(1613)
     for m, primes in DESCENT_RINGS:
@@ -365,13 +365,13 @@ def test_gm_homomorphism_random_units():
 def test_twisted_character_evaluation():
     base = build_gm_character(P35, 4)
     rho = SymbolPoly({1: 1, 3: -1})
-    sym = rho * full_symbol_gm(P35)
+    sym = rho * full_symbol(P35)
     twisted = Character("Gm", P35, sym, sym.star(gm_log(50)))
     # phi acts trivially on rationals, so augmentation zero kills the value
     assert eval_gm_character(twisted, 2, 15).is_zero()
     assert not eval_gm_character(twisted, 2 + 3 * Z4, 12).is_zero()
     # a pure phi_3 twist acts by Frobenius on the value
-    tw3 = SymbolPoly.phi(3) * full_symbol_gm(P35)
+    tw3 = SymbolPoly.phi(3) * full_symbol(P35)
     c3 = Character("Gm", P35, tw3, tw3.star(gm_log(50)))
     vb = eval_gm_character(base, 2 + 3 * Z4, 12)
     v3 = eval_gm_character(c3, 2 + 3 * Z4, 12)
@@ -506,7 +506,7 @@ def _evaluate_scaling_by_m(c, q, precision):
             value = PadicCyclotomic.zero(t.config, p, precision)
         else:
             w = _formal_value(c.curve, t, precision, log)
-            sym = rho * euler_symbol_ell(c.curve, c.primes, k + 1)
+            sym = rho * euler_symbol(c.primes, k + 1, c.curve)
             value = _apply_symbol(sym, w, c.primes).reduce_to(precision)
         values.append(value)
         scalings.append(scale)
@@ -719,7 +719,7 @@ def test_continuation_witness():
     c = build_gm_character(P35, 4)
     assert continuation_witness(c, Z4, 15, 10 ** 6) == 0
     rho = SymbolPoly({1: 1, 3: -1})
-    sym = rho * full_symbol_gm(P35)
+    sym = rho * full_symbol(P35)
     twisted = Character("Gm", P35, sym, sym.star(gm_log(50)))
     assert continuation_witness(twisted, 2, 15, 10 ** 6) == 0
     assert continuation_witness(c, 2, 15, 10 ** 6) is None

@@ -13,11 +13,15 @@ from deltachar.cyclotomic import (
     hensel_quadratic_root,
     padic_log,
 )
+from deltachar.characters import build_elliptic_character, character_from_json_dict
+from deltachar.delta_calculus import fermat_quotient, iterated_delta
+from deltachar.elliptic import WeierstrassCurve
 from deltachar.exact_arith import (
     DomainError,
     NonUnitError,
     NotPLocalError,
     PrimeSet,
+    ensure_p_local,
     fraction_mod,
     is_p_local,
     is_prime,
@@ -68,6 +72,26 @@ def test_is_p_local():
     assert is_p_local(Fraction(9, 14), P)
     assert not is_p_local(Fraction(1, 3), P)
     assert not is_p_local(Fraction(2, 45), P)
+
+
+def test_floats_are_refused_at_every_door():
+    # a float is never read as its binary expansion
+    P = PrimeSet([3])
+    for check in (lambda: is_p_local(0.1, P), lambda: ensure_p_local(0.1, P),
+                  lambda: fermat_quotient(0.1, 3),
+                  lambda: iterated_delta(0.5, P, (0,)),
+                  lambda: iterated_delta(2.0, P, (1,))):
+        with pytest.raises(DomainError):
+            check()
+    assert is_p_local(2, P) and fermat_quotient(Fraction(1, 2), 3) == Fraction(1, 8)
+    data = build_elliptic_character(WeierstrassCurve.from_label("37a"),
+                                    PrimeSet([5, 7]), 4).to_json_dict()
+    assert character_from_json_dict(data).curve.c4 == -1
+    data["curve"][3] = -1.1
+    with pytest.raises(DomainError):
+        character_from_json_dict(data)
+    data["curve"][3] = -1
+    assert character_from_json_dict(data).curve.c4 == -1
 
 
 def test_smooth_helpers():
