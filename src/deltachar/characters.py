@@ -15,7 +15,9 @@ Every fundamental symbol is derived from one Euler factor per prime,
 `euler_polynomial`: E_p = phi_p - p for G_m, phi_p^2 - a_p phi_p + p for a
 curve.  The local operator at p is E_p/p, the Euler symbol at p is the
 product of E_l/E_l(0) over the other primes, the fundamental symbol is their
-product at any p, and decomposition divides by the same E_p.
+product at any p, and decomposition divides by the same E_p.  The Euler
+symbols are derived once per character, each E_l/E_l(0) formed once, and
+stored on it times rho (`_twisted_euler_symbols`): evaluation rebuilds none.
 """
 
 from __future__ import annotations
@@ -203,6 +205,23 @@ def euler_symbol(primes: PrimeSet, k: int,
     return out
 
 
+def _euler_symbols(primes: PrimeSet, curve: Optional[WeierstrassCurve] = None
+                   ) -> Tuple[List[Optional[int]], List[SymbolPoly]]:
+    """The a_p of every prime (None for G_m) and euler_symbol(primes, k,
+    curve) for every k, from one `_ordinary_ap` and one E_l/E_l(0) per
+    prime, multiplied in the order `euler_symbol` uses."""
+    aps = [_ordinary_ap(curve, p) for p in primes]
+    factors = [_euler_over(p, ap, None) for p, ap in zip(primes, aps)]
+    symbols = []
+    for k in range(len(primes)):
+        out = SymbolPoly.one()
+        for j, factor in enumerate(factors):
+            if j != k:
+                out = out * factor
+        symbols.append(out)
+    return aps, symbols
+
+
 def full_symbol(primes: PrimeSet,
                 curve: Optional[WeierstrassCurve] = None) -> SymbolPoly:
     """The fundamental symbol, -prod(1 - phi_p/p) for G_m and
@@ -239,9 +258,15 @@ class DiracComponent:
 
 
 class Character:
-    """A character: group descriptor, symbol, representing series, Dirac data."""
+    """A character: group descriptor, symbol, representing series, Dirac data.
 
-    __slots__ = ("group", "curve", "primes", "order", "symbol", "series", "dirac")
+    Evaluation reads the private `_twist` (see `_twisted_euler_symbols`),
+    never the Dirac rows; it is derived from primes, curve and symbol, so
+    these are not to be reassigned.
+    """
+
+    __slots__ = ("group", "curve", "primes", "order", "symbol", "series",
+                 "dirac", "_twist")
 
     def __init__(self, group: str, primes: PrimeSet, symbol: SymbolPoly,
                  series: TruncSeries, curve: Optional[WeierstrassCurve] = None,
@@ -257,6 +282,7 @@ class Character:
         self.series = series
         self.dirac = list(dirac or [])
         self.order = order if order is not None else symbol_order(symbol, primes)
+        self._twist = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -364,17 +390,18 @@ def _fundamental_character(primes: PrimeSet, n_t: int,
     Dirac factorization at every prime; G_m when there is no curve."""
     if n_t < 2:
         raise DomainError("truncation order must be at least 2")
-    symbol = full_symbol(primes, curve)        # validates ordinary reduction
+    aps, euler = _euler_symbols(primes, curve)   # validates ordinary reduction
+    dirac = [DiracComponent(p, e, ap) for p, e, ap in zip(primes, euler, aps)]
+    symbol = dirac[0].ode_symbol * dirac[0].euler_symbol     # full_symbol
     group = "Gm" if curve is None else "Elliptic"
     series = symbol.star(formal_group(group, n_t, curve).log)
     if not series.denominators_coprime_to(primes):
         raise DomainError("integrality failure in the fundamental series (bug)")
-    dirac = [DiracComponent(p, euler_symbol(primes, k + 1, curve),
-                            _ordinary_ap(curve, p))
-             for k, p in enumerate(primes)]
     degree = 1 if curve is None else 2
-    return Character(group, primes, symbol, series, curve=curve, dirac=dirac,
-                     order=(degree,) * len(primes))
+    c = Character(group, primes, symbol, series, curve=curve, dirac=dirac,
+                  order=(degree,) * len(primes))
+    c._twist = (SymbolPoly.one(), euler)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +512,26 @@ def decompose_over_fundamental(c: Character) -> SymbolPoly:
     if not rho.is_p_local(c.primes):
         raise DomainError("decomposition coefficients are not P-local")
     return rho
+
+
+def _twisted_euler_symbols(c: Character, rho: Optional[SymbolPoly] = None
+                           ) -> Tuple[SymbolPoly, List[SymbolPoly]]:
+    """(rho, [rho * euler_symbol(c.primes, k, c.curve) for each k]) with
+    c.symbol = rho * full_symbol(c.primes, c.curve), stored on c as
+    `c._twist`: `build_*` store it, and otherwise the first call derives it
+    by one `_euler_symbols`, and one `decompose_over_fundamental` unless
+    rho is given or c.symbol is the fundamental symbol."""
+    if c._twist is None:
+        aps, euler = _euler_symbols(c.primes, c.curve)
+        if rho is None:
+            p = c.primes[0]
+            if c.symbol != _euler_over(p, aps[0], p) * euler[0]:
+                rho = decompose_over_fundamental(c)
+        if rho is None or rho == 1:
+            c._twist = (SymbolPoly.one(), euler)
+        else:
+            c._twist = (rho, [rho * e for e in euler])
+    return c._twist
 
 
 def continuation_criterion(rho: SymbolPoly, torsion: bool) -> bool:

@@ -40,6 +40,7 @@ from pathlib import Path
 
 from .characters import (
     SymbolPoly,
+    _twisted_euler_symbols,
     build_elliptic_character,
     build_ga_character,
     build_gm_character,
@@ -63,6 +64,8 @@ EXIT_DOMAIN = 2
 EXIT_PROPERTY = 3
 _MAX_ORDER, _MAX_PREC, _MAX_M, _MAX_BOUND = 5000, 2000, 500, 5000
 _MAX_DEPTH, _MAX_SAMPLES, _MAX_PRIMES, _MAX_PRIME = 120, 400, 6, 1000
+# the values argparse would read as options (-7/5, -1,0, -phi_3+1)
+_SIGNED_VALUES = {"--point": r"-\d", "--symbol": r"-(\d|phi_)"}
 
 
 class UsageError(Exception):
@@ -384,6 +387,7 @@ def cmd_decompose(args, cfg: RunConfig) -> str:
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError("input is not character JSON: %s" % exc)
     rho = decompose_over_fundamental(c)
+    _twisted_euler_symbols(c, rho)          # the points' evaluations reuse rho
     aug = rho.augmentation()
     report = {
         "group": c.group,
@@ -644,10 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a value such as -7/5 as an option: join it to --point
+    # argparse reads a value such as -7/5 as an option: join it to its flag
     for i in range(len(argv) - 2, -1, -1):
-        if argv[i] == "--point" and re.match(r"-\d", argv[i + 1]):
-            argv[i:i + 2] = ["--point=" + argv[i + 1]]
+        signed = _SIGNED_VALUES.get(argv[i])
+        if signed and re.match(signed, argv[i + 1]):
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     try:
         cfg = build_run_config(args)

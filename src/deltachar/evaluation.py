@@ -5,7 +5,10 @@ reduction (multiplicative units are already there after the Fermat-quotient
 step; a curve point Q is scaled p-adically in E(Z_p[zeta_m']/p^K) by
 `elliptic.scaled_formal_parameter`, which returns the formal parameter of
 the scaled point), evaluate the per-prime operator series, then apply the
-complementary symbol through Frobenius on the value.
+complementary symbol through Frobenius on the value.  The complementary
+symbols, rho times the Euler symbol of the other primes, are derived once
+per character and stored on it (`characters._twisted_euler_symbols`);
+an evaluation reads them and rebuilds none.
 
 A curve point is scaled by N = #E(F_{p^f'}), the count of the residue field
 of its own ring Z[zeta_m'] (m' = 1 for a rational point, f' the order of p
@@ -53,13 +56,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .characters import (
-    Character,
-    SymbolPoly,
-    decompose_over_fundamental,
-    euler_symbol,
-    full_symbol,
-)
+from .characters import Character, SymbolPoly, _twisted_euler_symbols
 from .cyclotomic import (
     CyclotomicConfig,
     CyclotomicElement,
@@ -333,13 +330,6 @@ def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic,
     return total
 
 
-def _twist_symbol(c: Character) -> SymbolPoly:
-    """The multiplier rho with symbol(c) = rho * fundamental symbol."""
-    if c.symbol == full_symbol(c.primes, c.curve):
-        return SymbolPoly.one()
-    return decompose_over_fundamental(c)
-
-
 # ---------------------------------------------------------------------------
 # character evaluation
 # ---------------------------------------------------------------------------
@@ -350,12 +340,12 @@ def eval_gm_character(c: Character, q, precision: int) -> EvaluationResult:
         raise DomainError("expected a multiplicative character")
     if not isinstance(q, AdelePoint):
         q = AdelePoint.multiplicative(q, c.primes, precision)
-    rho = _twist_symbol(c)
+    symbols = _twisted_euler_symbols(c)[1]
     values = []
     for k, p in enumerate(c.primes):
         ode = eval_gm_ode(q.component(k), p, precision)
-        sym = rho * euler_symbol(c.primes, k + 1)
-        values.append(_apply_symbol(sym, ode, c.primes).reduce_to(precision))
+        values.append(_apply_symbol(symbols[k], ode, c.primes)
+                      .reduce_to(precision))
     return EvaluationResult(c.primes, values, precision)
 
 
@@ -428,7 +418,7 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
     if config.m % level:
         raise DomainError("the point lies over Q(zeta_%d), which is not inside"
                           " the adele's level Q(zeta_%d)" % (level, config.m))
-    rho = _twist_symbol(c)
+    symbols = _twisted_euler_symbols(c)[1]
     order, digits = log_budget(precision, c.primes)
     log = None
     values, scalings = [], []
@@ -446,9 +436,8 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
             if log is None:
                 log = elliptic_log(c.curve, order)
             w = _formal_value(c.curve, t, precision, log)
-            sym = rho * euler_symbol(c.primes, k + 1, c.curve)
-            value = (_apply_symbol(sym, w, c.primes).reduce_to(precision)
-                     * cofactor)
+            value = (_apply_symbol(symbols[k], w, c.primes)
+                     .reduce_to(precision) * cofactor)
         values.append(value)
         scalings.append(scale)
     return EvaluationResult(c.primes, values, precision, scalings)

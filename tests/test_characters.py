@@ -20,7 +20,7 @@ from deltachar.characters import (
     honda_integrality_check,
     symbol_of_character,
 )
-from deltachar.elliptic import WeierstrassCurve, lseries_coefficients
+from deltachar.elliptic import WeierstrassCurve, is_ordinary, lseries_coefficients
 from deltachar.exact_arith import DomainError, PrimeSet, mobius, vp
 from deltachar.series_fgl import TruncSeries, elliptic_log, gm_log
 
@@ -29,6 +29,8 @@ P35 = PrimeSet((3, 5))
 P357 = PrimeSet((3, 5, 7))
 E11 = WeierstrassCurve.from_label("11a")
 E37 = WeierstrassCurve.from_label("37a")
+E43 = WeierstrassCurve(0, 1, 1, 0, 0)
+E389 = WeierstrassCurve(0, 1, 1, -2, 0)
 
 GM35_SYMBOL = {1: F(-1), 3: F(1, 3), 5: F(1, 5), 15: F(-1, 15)}
 
@@ -166,6 +168,27 @@ def test_dirac_consistency():
         p, ap = comp.prime, comp.ap
         assert comp.ode_symbol == SymbolPoly(
             {p * p: F(1, p), p: F(-ap, p), 1: 1})
+
+
+def test_stored_euler_symbols_match_the_reference():
+    """A built character stores rho = 1 and euler_symbol(primes, k, curve)
+    for every k, its Dirac rows hold the same symbols, and ode x euler of the
+    first row is full_symbol, at |P| = 1..4 on G_m and four curves."""
+    for curve in (None, E11, E37, E43, E389):
+        ordinary = [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                    if curve is None or is_ordinary(curve, p)][:4]
+        for size in range(1, 5):
+            primes = PrimeSet(ordinary[:size])
+            c = (build_gm_character(primes, 6) if curve is None
+                 else build_elliptic_character(curve, primes, 6))
+            rho, stored = c._twist
+            assert rho == SymbolPoly.one()
+            assert stored == [euler_symbol(primes, k, curve)
+                              for k in range(1, size + 1)], (curve, primes)
+            assert [d.euler_symbol for d in c.dirac] == stored
+            first = c.dirac[0]
+            assert first.ode_symbol * first.euler_symbol == full_symbol(
+                primes, curve) == c.symbol
 
 
 def test_check_additivity():

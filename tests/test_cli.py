@@ -9,6 +9,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import deltachar.characters
+import deltachar.cli
+import deltachar.evaluation
 from deltachar.characters import (
     Character,
     SymbolPoly,
@@ -86,6 +89,15 @@ def test_char_ga_trivial_symbol(capsys):
                        "--primes", "3,5")
     assert rc == 0
     assert doc["series"]["terms"] == [{"exp": [1], "num": "1", "den": "1"}]
+
+
+def test_char_ga_signed_symbol(capsys):
+    # a --symbol value that starts with '-' is still the symbol's value
+    for text in ("-1+3*phi_3", "-phi_3+1"):
+        argv = ("char", "ga", "--primes", "3,5", "--format", "text")
+        rc, joined = run(capsys, *argv, "--symbol=" + text)
+        assert rc == 0 and "symbol: " in joined
+        assert run(capsys, *argv, "--symbol", text) == (0, joined)
 
 
 def test_char_exit_codes(capsys):
@@ -264,6 +276,27 @@ def test_dirac_stdout_is_frozen(capsys, monkeypatch):
                    "augmentation: 0\n"
                    "continuable along nontorsion points: True\n"
                    "point 2: continuable\n"))
+
+
+def test_decompose_runs_once_per_command(capsys, monkeypatch):
+    # the points' evaluations reuse the rho the command decomposed
+    calls = []
+    decompose = deltachar.characters.decompose_over_fundamental
+
+    def counted(c):
+        calls.append(c)
+        return decompose(c)
+
+    for module in (deltachar.characters, deltachar.cli, deltachar.evaluation):
+        if hasattr(module, "decompose_over_fundamental"):
+            monkeypatch.setattr(module, "decompose_over_fundamental", counted)
+    sym = SymbolPoly({1: 1, 3: -1}) * full_symbol(P35)
+    c = Character("Gm", P35, sym, sym.star(gm_log(30)))
+    _pipe(monkeypatch, json.dumps(c.to_json_dict()))
+    rc, doc = run_json(capsys, "decompose", "--point", "2", "--point", "-1",
+                       "--prec", "10")
+    assert rc == 0 and [e["torsion"] for e in doc["points"]] == [False, True]
+    assert len(calls) == 1
 
 
 def test_decompose_input_file_matches_stdin(tmp_path, capsys, monkeypatch):

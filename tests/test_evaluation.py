@@ -1,14 +1,20 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import deltachar.characters
+import deltachar.evaluation
 from deltachar.characters import (
     Character,
     SymbolPoly,
+    _twisted_euler_symbols,
     build_elliptic_character,
     build_gm_character,
+    character_from_json_dict,
+    decompose_over_fundamental,
     euler_symbol,
     full_symbol,
 )
@@ -34,7 +40,6 @@ from deltachar.evaluation import (
     _apply_symbol,
     _formal_value,
     _series_value,
-    _twist_symbol,
     eval_elliptic_character,
     eval_gm_character,
     eval_gm_ode,
@@ -379,6 +384,60 @@ def test_twisted_character_evaluation():
         assert v3.values[k] == vb.values[k].frobenius(3)
 
 
+def _points_at_level(curve, m):
+    """A nontorsion and a torsion point of level m: units of Q(zeta_m) for
+    G_m; 43a's (0, 0) and 11a's (0, 0) on the curves."""
+    if curve is None:
+        if m == 1:
+            return [2, -1]
+        z = CyclotomicElement.zeta(CyclotomicConfig(m, P35))
+        return [2 + 3 * z, z ** 3]
+    return [curve.point(0, 0)]
+
+
+def test_stored_bare_and_loaded_characters_evaluate_alike():
+    """One character in three forms evaluates the same: with its Euler
+    symbols stored (built, or given its rho as `decompose` gives it), made
+    by hand with nothing stored, and read back from its JSON."""
+    for rho in (SymbolPoly.one(), SymbolPoly({1: 1, 3: -1}),
+                SymbolPoly({1: 1, 3: 1})):
+        for curve in (None, E11, E43):
+            built = (build_gm_character(P35, 8) if curve is None
+                     else build_elliptic_character(curve, P35, 8))
+            group, sym = built.group, rho * built.symbol
+            if rho == SymbolPoly.one():
+                stored = built
+            else:
+                stored = Character(group, P35, sym, built.series, curve)
+                _twisted_euler_symbols(stored, rho)
+            bare = Character(group, P35, sym, built.series, curve)
+            loaded = character_from_json_dict(
+                json.loads(json.dumps(stored.to_json_dict())))
+            assert bare._twist is None and loaded._twist is None
+            for m in (1, 4, 8):
+                for q in _points_at_level(curve, m):
+                    q = (AdelePoint.multiplicative(q, P35, 8, m) if curve is None
+                         else AdelePoint.elliptic(q, P35, 8, m))
+                    got = [evaluate(c, q, 8).to_json_dict()
+                           for c in (stored, bare, loaded)]
+                    assert got[0] == got[1] == got[2], (group, rho, m)
+            assert bare._twist[0] == loaded._twist[0] == rho
+
+
+def test_built_characters_evaluate_without_rebuilding_symbols(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a symbol was rebuilt during evaluation")
+
+    gm = build_gm_character(PrimeSet((3, 5, 7)), 4)
+    ell = build_elliptic_character(E37, P57, 8)
+    for module in (deltachar.characters, deltachar.evaluation):
+        for name in ("full_symbol", "euler_symbol"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert not evaluate(gm, 2, 20).is_zero()
+    assert not evaluate(ell, E37.point(0, 0), 12).is_zero()
+
+
 def test_independent_components():
     c = build_gm_character(P35, 4)
     comps = [PadicCyclotomic.from_rational(CFG1, 2, 3, 25),
@@ -495,7 +554,7 @@ def _evaluate_scaling_by_m(c, q, precision):
     and the value at M Q is computed directly.
     """
     point, config = q.point, q.config
-    rho = _twist_symbol(c)
+    rho = decompose_over_fundamental(c)
     order, digits = log_budget(precision, c.primes)
     log = elliptic_log(c.curve, order)
     values, scalings = [], []
