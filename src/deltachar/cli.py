@@ -108,10 +108,20 @@ def parse_symbol(text: str) -> SymbolPoly:
     return SymbolPoly(coeffs)
 
 
+def _signed_sum(terms) -> str:
+    """'a - b + c' from (coefficient, body of its absolute value) pairs."""
+    text = ""
+    for c, body in terms:
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        text += body
+    return text or "0"
+
+
 def format_symbol(sym: SymbolPoly) -> str:
-    if sym.is_zero():
-        return "0"
-    parts = []
+    terms = []
     for n, c in sorted(sym.coeffs.items()):
         if n == 1:
             body = str(abs(c))
@@ -119,11 +129,16 @@ def format_symbol(sym: SymbolPoly) -> str:
             body = "phi_%d" % n
         else:
             body = "%s*phi_%d" % (abs(c), n)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+        terms.append((c, body))
+    return _signed_sum(terms)
+
+
+def _fractions(parts, what: str, text: str):
+    """The parts as Fractions; a DomainError names what the text was."""
+    try:
+        return [Fraction(part) for part in parts]
+    except (ValueError, ZeroDivisionError):
+        raise DomainError("cannot parse %s %r" % (what, text))
 
 
 _ZETA_RE = re.compile(r"(-?)z(?:\^(\d+))?$")
@@ -139,10 +154,7 @@ def parse_unit_point(text: str, m: int, primes: PrimeSet):
         z = CyclotomicElement.zeta(CyclotomicConfig(m, primes))
         value = z ** int(match.group(2) or 1)
         return -value if match.group(1) else value
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError("cannot parse point %r" % (text,))
+    return _fractions([s], "point", text)[0]
 
 
 def parse_curve_point(text: str, curve: WeierstrassCurve):
@@ -152,11 +164,7 @@ def parse_curve_point(text: str, curve: WeierstrassCurve):
     parts = s.split(",")
     if len(parts) != 2:
         raise DomainError("a curve point is 'x,y' or 'inf'")
-    try:
-        x, y = Fraction(parts[0]), Fraction(parts[1])
-    except (ValueError, ZeroDivisionError):
-        raise DomainError("cannot parse point %r" % (text,))
-    return curve.point(x, y)
+    return curve.point(*_fractions(parts, "point", text))
 
 
 _LABEL_RE = re.compile(r"\d+[a-z]\d*$")
@@ -169,10 +177,7 @@ def parse_curve(text: str) -> WeierstrassCurve:
     parts = s.split(",")
     if len(parts) != 5:
         raise DomainError("a curve is a label like 11a or 'c1,c2,c3,c4,c6'")
-    try:
-        return WeierstrassCurve(*(Fraction(c) for c in parts))
-    except (ValueError, ZeroDivisionError):
-        raise DomainError("cannot parse curve %r" % (text,))
+    return WeierstrassCurve(*_fractions(parts, "curve", text))
 
 
 # ---------------------------------------------------------------------------
@@ -276,83 +281,81 @@ def build_run_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def _csv_text(header, rows) -> str:
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return sink.getvalue().rstrip("\n")
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    data = text if text.endswith("\n") else text + "\n"
+def _render(cfg: RunConfig, report: dict, header, rows, lines) -> None:
+    """Write the report as JSON, or as CSV rows or text lines (built only
+    then), to --output or stdout."""
+    if cfg.format == "json":
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    elif cfg.format == "csv":
+        sink = io.StringIO()
+        csv.writer(sink, lineterminator="\n").writerows([header, *rows()])
+        text = sink.getvalue()
+    else:
+        text = "\n".join(lines()) + "\n"
     if cfg.output:
         with open(cfg.output, "w") as handle:
-            handle.write(data)
+            handle.write(text)
     else:
-        sys.stdout.write(data)
-
-
-def _series_rows(series_dict):
-    for term in series_dict["terms"]:
-        yield [",".join(str(e) for e in term["exp"]), term["num"], term["den"]]
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each cmd_* returns (report, csv header, rows(), lines())
 # ---------------------------------------------------------------------------
-def cmd_char(args, cfg: RunConfig) -> str:
+def _fundamental(group: str, cfg: RunConfig, order: int, command: str):
+    """The fundamental character of cfg's curve for "ell", else of G_m."""
+    if group != "ell":
+        return build_gm_character(cfg.primes, order)
+    if cfg.curve is None:
+        raise UsageError("%s needs --curve" % command)
+    return build_elliptic_character(cfg.curve, cfg.primes, order)
+
+
+def _parse_point(c, text: str, cfg: RunConfig):
+    """A global point for the character c: on its curve, or a unit."""
+    if c.group == "Elliptic":
+        return parse_curve_point(text, c.curve)
+    return parse_unit_point(text, cfg.m, c.primes)
+
+
+def cmd_char(args, cfg: RunConfig):
     if args.group == "ga":
         if args.symbol is None:
             raise UsageError("char ga needs --symbol")
         c = build_ga_character(parse_symbol(args.symbol), cfg.primes)
-    elif args.group == "gm":
-        c = build_gm_character(cfg.primes, cfg.n_t)
     else:
-        if cfg.curve is None:
-            raise UsageError("char ell needs --curve")
-        c = build_elliptic_character(cfg.curve, cfg.primes, cfg.n_t)
+        c = _fundamental(args.group, cfg, cfg.n_t, "char ell")
     report = c.to_json_dict()
-    if cfg.format == "json":
-        return _dump_json(report)
-    if cfg.format == "csv":
-        return _csv_text(("exp", "num", "den"), _series_rows(report["series"]))
-    lines = [
-        "group: %s" % c.group,
-        "primes: %s" % ",".join(str(p) for p in c.primes),
-        "order: %s" % ",".join(str(n) for n in c.order),
-        "symbol: %s" % format_symbol(c.symbol),
-    ]
-    for d in c.dirac:
-        lines.append("dirac p=%d kind=%s%s: (%s) * (%s)" % (
-            d.prime, d.kind, "" if d.ap is None else " ap=%d" % d.ap,
-            format_symbol(d.euler_symbol), format_symbol(d.ode_symbol)))
-    parts = []
-    for t in report["series"]["terms"]:
-        coeff = Fraction(int(t["num"]), int(t["den"]))
-        body = "%s*T^%s" % (abs(coeff), t["exp"][0])
-        sign = ("- " if coeff < 0 else "+ ") if parts else \
-            ("-" if coeff < 0 else "")
-        parts.append(sign + body)
-    lines.append("series: %s + O(T^%d)" % (" ".join(parts) or "0",
-                                           c.series.order + 1))
-    return "\n".join(lines)
+    terms = report["series"]["terms"]
+
+    def lines():
+        yield "group: %s" % c.group
+        yield "primes: %s" % ",".join(str(p) for p in c.primes)
+        yield "order: %s" % ",".join(str(n) for n in c.order)
+        yield "symbol: %s" % format_symbol(c.symbol)
+        for d in c.dirac:
+            yield "dirac p=%d kind=%s%s: (%s) * (%s)" % (
+                d.prime, d.kind, "" if d.ap is None else " ap=%d" % d.ap,
+                format_symbol(d.euler_symbol), format_symbol(d.ode_symbol))
+        series = []
+        for t in terms:
+            a = Fraction(int(t["num"]), int(t["den"]))
+            series.append((a, "%s*T^%s" % (abs(a), t["exp"][0])))
+        yield "series: %s + O(T^%d)" % (_signed_sum(series),
+                                        c.series.order + 1)
+
+    def rows():
+        for t in terms:
+            yield [",".join(str(e) for e in t["exp"]), t["num"], t["den"]]
+
+    return report, ("exp", "num", "den"), rows, lines
 
 
-def cmd_eval(args, cfg: RunConfig) -> str:
-    if args.group == "gm":
-        c = build_gm_character(cfg.primes, cfg.n_t)
-        point = parse_unit_point(args.point, cfg.m, cfg.primes)
-    else:
-        if cfg.curve is None:
-            raise UsageError("eval ell needs --curve")
-        c = build_elliptic_character(cfg.curve, cfg.primes, cfg.n_t)
-        point = AdelePoint.elliptic(parse_curve_point(args.point, cfg.curve),
-                                    cfg.primes, cfg.n_p, cfg.m)
+def cmd_eval(args, cfg: RunConfig):
+    c = _fundamental(args.group, cfg, cfg.n_t, "eval ell")
+    point = _parse_point(c, args.point, cfg)
+    if args.group == "ell":
+        point = AdelePoint.elliptic(point, cfg.primes, cfg.n_p, cfg.m)
     result = evaluate(c, point, cfg.n_p)
     report = {"group": c.group, "point": args.point,
               "primes": list(cfg.primes)}
@@ -360,26 +363,26 @@ def cmd_eval(args, cfg: RunConfig) -> str:
     if args.kernel_test:
         report["torsion"] = torsion_test(point)
         report["verdict"] = "zero" if result.is_zero() else "nonzero"
-    if cfg.format == "json":
-        return _dump_json(report)
-    if cfg.format == "csv":
-        return _csv_text(
-            ("p", "scaling", "zero", "coeffs"),
-            [[comp["p"], comp["scaling"], comp["zero"],
-              ";".join(comp["coeffs"])]
-             for comp in report["components"]])
-    lines = ["%s at %s mod p^%d" % (c.group, args.point, cfg.n_p)]
-    for comp in report["components"]:
-        value = "0" if comp["zero"] else "[%s]" % ", ".join(comp["coeffs"])
-        lines.append("p=%d: %s (scaling %d)" % (comp["p"], value,
-                                                comp["scaling"]))
-    if args.kernel_test:
-        lines.append("torsion: %s" % report["torsion"])
-        lines.append("verdict: %s" % report["verdict"])
-    return "\n".join(lines)
+    components = report["components"]
+
+    def lines():
+        yield "%s at %s mod p^%d" % (c.group, args.point, cfg.n_p)
+        for comp in components:
+            value = "0" if comp["zero"] else "[%s]" % ", ".join(comp["coeffs"])
+            yield "p=%d: %s (scaling %d)" % (comp["p"], value, comp["scaling"])
+        if args.kernel_test:
+            yield "torsion: %s" % report["torsion"]
+            yield "verdict: %s" % report["verdict"]
+
+    def rows():
+        for comp in components:
+            yield [comp["p"], comp["scaling"], comp["zero"],
+                   ";".join(comp["coeffs"])]
+
+    return report, ("p", "scaling", "zero", "coeffs"), rows, lines
 
 
-def cmd_decompose(args, cfg: RunConfig) -> str:
+def cmd_decompose(args, cfg: RunConfig):
     raw = Path(args.input).read_text() if args.input else sys.stdin.read()
     try:
         data = json.loads(raw)
@@ -397,10 +400,7 @@ def cmd_decompose(args, cfg: RunConfig) -> str:
     }
     entries = []
     for text in args.point or []:
-        if c.group == "Elliptic":
-            point = parse_curve_point(text, c.curve)
-        else:
-            point = parse_unit_point(text, cfg.m, c.primes)
+        point = _parse_point(c, text, cfg)
         torsion = torsion_test(point)
         continuable = continuation_criterion(rho, torsion)
         witness = continuation_witness(c, point, cfg.n_p, args.bound)
@@ -416,20 +416,21 @@ def cmd_decompose(args, cfg: RunConfig) -> str:
                         "verdict": verdict})
     if entries:
         report["points"] = entries
-    if cfg.format == "json":
-        return _dump_json(report)
-    if cfg.format == "csv":
-        return _csv_text(
-            ("point", "torsion", "criterion", "witness", "verdict"),
-            [[e["point"], e["torsion"], e["criterion"],
-              "" if e["witness"] is None else e["witness"], e["verdict"]]
-             for e in entries])
-    lines = ["rho: %s" % format_symbol(rho),
-             "augmentation: %s" % aug,
-             "continuable along nontorsion points: %s" % (aug == 0)]
-    for e in entries:
-        lines.append("point %s: %s" % (e["point"], e["verdict"]))
-    return "\n".join(lines)
+
+    def lines():
+        yield "rho: %s" % format_symbol(rho)
+        yield "augmentation: %s" % aug
+        yield "continuable along nontorsion points: %s" % (aug == 0)
+        for e in entries:
+            yield "point %s: %s" % (e["point"], e["verdict"])
+
+    def rows():
+        for e in entries:
+            yield [e["point"], e["torsion"], e["criterion"],
+                   e["witness"] or "", e["verdict"]]
+
+    return report, ("point", "torsion", "criterion", "witness", "verdict"), \
+        rows, lines
 
 
 # ---------------------------------------------------------------------------
@@ -460,30 +461,21 @@ def _suite_axioms(args, cfg, rng):
 
 def _suite_additivity(args, cfg, rng):
     depth = args.depth
-    if args.group == "ell":
-        if cfg.curve is None:
-            raise UsageError("verify additivity --group ell needs --curve")
-        c = build_elliptic_character(cfg.curve, cfg.primes, depth + 1)
-    elif args.group == "ga":
+    if args.group == "ga":
         c = build_ga_character(SymbolPoly.one(), cfg.primes)
     else:
-        c = build_gm_character(cfg.primes, depth + 1)
+        c = _fundamental(args.group, cfg, depth + 1,
+                         "verify additivity --group ell")
     ok = check_additivity(c, depth)
     return [("log-linearizes-law", ok, "depth %d" % depth)]
 
 
 def _suite_integrality(args, cfg, rng):
-    out = []
     bound = args.bound or (50 if args.group == "ell" else 120)
-    if args.group == "ell":
-        if cfg.curve is None:
-            raise UsageError("verify integrality --group ell needs --curve")
-        series = build_elliptic_character(cfg.curve, cfg.primes, bound).series
-    else:
-        series = build_gm_character(cfg.primes, bound).series
+    series = _fundamental(args.group, cfg, bound,
+                          "verify integrality --group ell").series
     ok = series.denominators_coprime_to(cfg.primes)
-    out.append(("coefficients-P-local", ok, "through T^%d" % bound))
-    return out
+    return [("coefficients-P-local", ok, "through T^%d" % bound)]
 
 
 def _suite_honda(args, cfg, rng):
@@ -580,19 +572,18 @@ def cmd_verify(args, cfg: RunConfig):
                        for name, ok, detail in results],
         "ok": all(ok for _, ok, _ in results),
     }
-    if cfg.format == "json":
-        text = _dump_json(report)
-    elif cfg.format == "csv":
-        text = _csv_text(("property", "pass", "detail"),
-                         [[name, ok, detail] for name, ok, detail in results])
-    else:
-        lines = ["%s %s/%s (%s)" % ("PASS" if ok else "FAIL", args.suite,
-                                    name, detail)
-                 for name, ok, detail in results]
-        lines.append("suite %s: %s" % (
-            args.suite, "ok" if report["ok"] else "FAILED"))
-        text = "\n".join(lines)
-    return text, report["ok"]
+
+    def lines():
+        for name, ok, detail in results:
+            yield "%s %s/%s (%s)" % ("PASS" if ok else "FAIL", args.suite,
+                                     name, detail)
+        yield "suite %s: %s" % (args.suite, "ok" if report["ok"] else "FAILED")
+
+    return report, ("property", "pass", "detail"), lambda: results, lines
+
+
+_COMMANDS = {"char": cmd_char, "eval": cmd_eval, "verify": cmd_verify,
+             "decompose": cmd_decompose}
 
 
 # ---------------------------------------------------------------------------
@@ -660,24 +651,13 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "char":
-            _emit(cmd_char(args, cfg), cfg)
-        elif args.command == "eval":
-            _emit(cmd_eval(args, cfg), cfg)
-        elif args.command == "decompose":
-            _emit(cmd_decompose(args, cfg), cfg)
-        else:
-            text, ok = cmd_verify(args, cfg)
-            _emit(text, cfg)
-            if not ok:
-                return EXIT_PROPERTY
-    except UsageError as exc:
+        report, header, rows, lines = _COMMANDS[args.command](args, cfg)
+        _render(cfg, report, header, rows, lines)
+    except (UsageError, DomainError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, ArithmeticError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DOMAIN
-    return EXIT_OK
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DOMAIN
+    # only a verify report carries "ok"
+    return EXIT_OK if report.get("ok", True) else EXIT_PROPERTY
 
 
 if __name__ == "__main__":

@@ -334,12 +334,21 @@ def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic,
 # character evaluation
 # ---------------------------------------------------------------------------
 
+def _check_primes(q: AdelePoint, c: Character) -> None:
+    if q.primes != c.primes:
+        raise DomainError("the point is given at primes %s, the character"
+                          " at %s" % (tuple(q.primes), tuple(c.primes)))
+
+
 def eval_gm_character(c: Character, q, precision: int) -> EvaluationResult:
     """Evaluate a multiplicative character componentwise on a unit adele."""
     if c.group != "Gm":
         raise DomainError("expected a multiplicative character")
     if not isinstance(q, AdelePoint):
         q = AdelePoint.multiplicative(q, c.primes, precision)
+    if q.components is None:
+        raise DomainError("a multiplicative character needs a unit point")
+    _check_primes(q, c)
     symbols = _twisted_euler_symbols(c)[1]
     values = []
     for k, p in enumerate(c.primes):
@@ -407,14 +416,16 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
     """
     if c.group != "Elliptic":
         raise DomainError("expected an elliptic character")
-    if isinstance(q, AdelePoint):
-        point, config = q.point, q.config
-    else:
-        point = q
-        config = CyclotomicConfig(_ring_level(point), c.primes)
+    point = q.point if isinstance(q, AdelePoint) else q
+    if not isinstance(point, CurvePoint):
+        raise DomainError("an elliptic character needs a curve point")
+    level = _ring_level(point)
+    if not isinstance(q, AdelePoint):
+        q = AdelePoint.elliptic(point, c.primes, precision, level)
+    _check_primes(q, c)
+    config = q.config
     if point.curve.coefficients() != c.curve.coefficients():
         raise DomainError("point does not lie on the character's curve")
-    level = _ring_level(point)
     if config.m % level:
         raise DomainError("the point lies over Q(zeta_%d), which is not inside"
                           " the adele's level Q(zeta_%d)" % (level, config.m))

@@ -250,7 +250,11 @@ def rational_reconstruct(components, bound: int) -> Optional[Fraction]:
     yields a pair (n, d) with n = d*r (mod M).  Among the pairs with
     |n| <= bound, 0 < |d| <= bound, gcd(n, d) = 1 and d a unit at every
     component prime, the one of smallest height max(|n|, |d|) is returned;
-    None if there is none.
+    None if there is none.  The bound is first lowered to isqrt((M-1)/2):
+    two such pairs give n*d' = n'*d (mod M) with |n*d' - n'*d| <=
+    2*bound^2 < M, so they are equal and a fraction below it is unique
+    (Wang, Guy and Davenport, 1982), while by Thue's lemma nearly every
+    residue has a pair of height about sqrt(M).
     """
     if bound < 1:
         raise DomainError("bound must be positive")
@@ -271,6 +275,7 @@ def rational_reconstruct(components, bound: int) -> Optional[Fraction]:
     value %= modulus
     if value == 0:
         return Fraction(0)
+    bound = min(bound, math.isqrt((modulus - 1) // 2))
 
     primes = [c.p for c in components]
     best = None

@@ -307,10 +307,10 @@ def star_apply(symbol: Mapping[int, Fraction], f: TruncSeries) -> TruncSeries:
 class FormalGroupLaw:
     """A one-parameter formal group with its logarithm and exponential.
 
-    `log` is normalized to T + O(T^2); `exp` is its compositional inverse and
-    is computed lazily, as is the two-variable law  G(T1,T2) =
-    exp(log T1 + log T2)  (for the additive and multiplicative groups the law
-    is written down exactly instead).
+    `log` is normalized to T + O(T^2); `exp` is its compositional inverse,
+    and the two-variable law is  G(T1,T2) = exp(log T1 + log T2)  (for the
+    additive and multiplicative groups the law is written down exactly
+    instead).  Both are computed on each call.
     """
 
     def __init__(self, kind: str, order: int, log: TruncSeries, curve=None):
@@ -318,35 +318,27 @@ class FormalGroupLaw:
         self.order = order
         self.log = log
         self.curve = curve
-        self._exp: Optional[TruncSeries] = None
-        self._laws: Dict[int, TruncSeries] = {}
+
+    def _order(self, order: Optional[int]) -> int:
+        n = self.order if order is None else order
+        if n > self.order:
+            raise DomainError("group was built at order %d" % self.order)
+        return n
 
     def exp(self, order: Optional[int] = None) -> TruncSeries:
-        n = self.order if order is None else order
-        if n > self.order:
-            raise DomainError("group was built at order %d" % self.order)
-        if self._exp is None or self._exp.order < n:
-            self._exp = self.log.truncate(n).compositional_inverse()
-        return self._exp.truncate(n)
+        return self.log.truncate(self._order(order)).compositional_inverse()
 
     def law(self, order: Optional[int] = None) -> TruncSeries:
-        n = self.order if order is None else order
-        if n > self.order:
-            raise DomainError("group was built at order %d" % self.order)
-        if n not in self._laws:
-            t1 = TruncSeries.var(n, 0, 2)
-            t2 = TruncSeries.var(n, 1, 2)
-            if self.kind == "additive":
-                law = t1 + t2
-            elif self.kind == "multiplicative":
-                law = t1 + t2 + t1 * t2
-            else:
-                # G = exp(log T1 + log T2)
-                both = (self.log.truncate(n).compose([t1])
-                        + self.log.truncate(n).compose([t2]))
-                law = self.exp(n).compose([both])
-            self._laws[n] = law
-        return self._laws[n]
+        n = self._order(order)
+        t1 = TruncSeries.var(n, 0, 2)
+        t2 = TruncSeries.var(n, 1, 2)
+        if self.kind == "additive":
+            return t1 + t2
+        if self.kind == "multiplicative":
+            return t1 + t2 + t1 * t2
+        # G = exp(log T1 + log T2)
+        log = self.log.truncate(n)
+        return self.exp(n).compose([log.compose([t1]) + log.compose([t2])])
 
     def add(self, f: TruncSeries, g: TruncSeries) -> TruncSeries:
         """Formal sum of two series points (no constant terms)."""

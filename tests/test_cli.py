@@ -375,21 +375,97 @@ def test_config_file_merge_and_output(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_csv_and_text_formats(capsys):
-    rc, out = run(capsys, "char", "gm", "--primes", "3,5", "--order", "8",
-                  "--format", "csv")
-    lines = out.strip().splitlines()
-    assert rc == 0 and lines[0] == "exp,num,den"
-    assert lines[1] == "1,-1,1"
-    rc, out = run(capsys, "eval", "ell", "--curve", "11a", "--point", "0,0",
-                  "--primes", "3,5", "--format", "csv")
-    assert out.strip().splitlines()[0] == "p,scaling,zero,coeffs"
-    rc, out = run(capsys, "eval", "gm", "--point", "z", "--m", "4",
-                  "--primes", "3,5", "--format", "text", "--kernel-test")
-    assert "verdict: zero" in out and "torsion: True" in out
-    rc, out = run(capsys, "verify", "jets", "--format", "text",
-                  "--samples", "6")
-    assert out.strip().endswith("suite jets: ok")
+FROZEN_CSV_AND_TEXT = (
+    (("char", "gm", "--primes", "3,5", "--order", "8", "--format", "csv"),
+     "exp,num,den\n1,-1,1\n2,1,2\n4,1,4\n7,-1,7\n8,1,8\n"),
+    (("char", "ga", "--symbol", "phi_3 - 1/2", "--primes", "3,5", "--order",
+      "5", "--format", "text"),
+     "group: Ga\nprimes: 3,5\norder: 1,0\nsymbol: -1/2 + phi_3\n"
+     "series: -1/2*T^1 + 1*T^3 + O(T^5)\n"),
+    (("eval", "ell", "--curve", "11a", "--point", "0,0", "--primes", "3,5",
+      "--format", "csv"),
+     "p,scaling,zero,coeffs\n3,5,True,0\n5,5,True,0\n"),
+    (("eval", "ell", "--curve", "37a", "--primes", "5,7", "--point", "-1,0",
+      "--format", "csv"),
+     "p,scaling,zero,coeffs\n5,8,False,12496146\n7,9,False,5916545105\n"),
+    (("eval", "gm", "--point", "2", "--primes", "3,5", "--prec", "20",
+      "--kernel-test", "--format", "csv"),
+     "p,scaling,zero,coeffs\n3,1,False,1903788655\n"
+     "5,1,False,3100351148488\n"),
+    (("eval", "gm", "--point", "2", "--primes", "3,5", "--prec", "20",
+      "--kernel-test", "--format", "text"),
+     "Gm at 2 mod p^20\np=3: [1903788655] (scaling 1)\n"
+     "p=5: [3100351148488] (scaling 1)\ntorsion: False\nverdict: nonzero\n"),
+    (("eval", "gm", "--point", "z", "--m", "4", "--primes", "3,5",
+      "--format", "text", "--kernel-test"),
+     "Gm at z mod p^12\np=3: 0 (scaling 1)\np=5: 0 (scaling 1)\n"
+     "torsion: True\nverdict: zero\n"),
+    (("verify", "jets", "--format", "text", "--samples", "6"),
+     "PASS jets/delta-stays-local (3 random elements)\n"
+     "PASS jets/square-rule (delta_3(x^2) expansion)\n"
+     "PASS jets/canonical-lift (lift of 2 at order (1,1) for P={3,5})\n"
+     "suite jets: ok\n"),
+    (("verify", "jets", "--format", "csv", "--samples", "6"),
+     "property,pass,detail\ndelta-stays-local,True,3 random elements\n"
+     "square-rule,True,delta_3(x^2) expansion\n"
+     'canonical-lift,True,"lift of 2 at order (1,1) for P={3,5}"\n'),
+    (("verify", "honda", "--curve", "37a", "--primes", "5,7", "--prime", "5",
+      "--bound", "100", "--format", "text"),
+     "PASS honda/unit-root-congruences (p=5 through T^100)\n"
+     "PASS honda/mutation-detected (a_7 perturbed by 1)\nsuite honda: ok\n"),
+    (("verify", "additivity", "--group", "ell", "--curve", "11a", "--primes",
+      "3,5", "--depth", "8", "--format", "csv"),
+     "property,pass,detail\nlog-linearizes-law,True,depth 8\n"),
+)
+
+# decompose reads a character: (char argv, decompose argv, stdout)
+FROZEN_DECOMPOSE_CSV_AND_TEXT = (
+    (("char", "ell", "--curve", "37a", "--primes", "5,7", "--order", "10"),
+     ("--prec", "10", "--point", "0,0", "--point", "inf", "--format", "csv"),
+     "point,torsion,criterion,witness,verdict\n"
+     '"0,0",False,False,,not continuable (finite-precision)\n'
+     "inf,True,True,0,continuable\n"),
+    (("char", "ell", "--curve", "37a", "--primes", "5,7", "--order", "10"),
+     ("--prec", "10", "--point", "0,0", "--point", "inf", "--format", "text"),
+     "rho: 1\naugmentation: 1\ncontinuable along nontorsion points: False\n"
+     "point 0,0: not continuable (finite-precision)\n"
+     "point inf: continuable\n"),
+    (("char", "gm", "--primes", "3,5", "--order", "12"),
+     ("--prec", "15", "--point", "2", "--point=-1", "--format", "csv"),
+     "point,torsion,criterion,witness,verdict\n"
+     "2,False,False,,not continuable (finite-precision)\n"
+     "-1,True,True,0,continuable\n"),
+    (("char", "gm", "--primes", "3,5", "--order", "12"),
+     ("--format", "csv"),
+     "point,torsion,criterion,witness,verdict\n"),
+)
+
+
+def test_csv_and_text_formats(capsys, monkeypatch):
+    # every subcommand in the two formats no other test freezes
+    for argv, want in FROZEN_CSV_AND_TEXT:
+        assert run(capsys, *argv) == (0, want), argv
+    for char_argv, argv, want in FROZEN_DECOMPOSE_CSV_AND_TEXT:
+        rc, out = run(capsys, *char_argv)
+        assert rc == 0
+        _pipe(monkeypatch, out)
+        assert run(capsys, "decompose", *argv) == (0, want), argv
+
+
+def test_needs_curve_errors(capsys):
+    # each command that builds a curve character names itself when the
+    # curve is missing, and exits 1 before any arithmetic
+    for argv, command in (
+            (("char", "ell"), "char ell"),
+            (("eval", "ell", "--point", "0,0"), "eval ell"),
+            (("verify", "additivity", "--group", "ell"),
+             "verify additivity --group ell"),
+            (("verify", "integrality", "--group", "ell"),
+             "verify integrality --group ell")):
+        for fmt in ("json", "csv", "text"):
+            assert main([*argv, "--primes", "3,5", "--format", fmt]) == 1
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", "error: %s needs --curve\n" % command)
 
 
 AXIOMS_STDOUT = """{

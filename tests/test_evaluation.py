@@ -745,6 +745,21 @@ def test_evaluate_dispatch_and_errors():
         eval_elliptic_character(cg, E11.point(0, 0), 10)
     with pytest.raises(DomainError):
         eval_elliptic_character(ce, E37.point(0, 0), 10)
+    # a point of the wrong kind, or given at other primes, is refused
+    c37 = build_elliptic_character(E37, P57, 4)
+    c57 = build_gm_character(P57, 4)
+    for c, q in (
+            (c37, 2),
+            (c37, AdelePoint.multiplicative(2, P57, 10)),
+            (c37, AdelePoint.elliptic(E37.point(0, 0), PrimeSet((3,)), 10)),
+            (c37, AdelePoint.elliptic(E37.point(0, 0), PrimeSet((5, 7, 11)),
+                                      10)),
+            (c57, E37.point(0, 0)),
+            (c57, AdelePoint.elliptic(E37.point(0, 0), P57, 10)),
+            (c57, AdelePoint.multiplicative(2, PrimeSet((5,)), 10)),
+            (c57, AdelePoint.multiplicative(2, PrimeSet((5, 7, 11)), 10))):
+        with pytest.raises(DomainError):
+            evaluate(c, q, 10)
 
 
 def test_torsion_test():
@@ -784,6 +799,13 @@ def test_continuation_witness():
     assert continuation_witness(c, 2, 15, 10 ** 6) is None
     ce = build_elliptic_character(E11, P35, 4)
     assert continuation_witness(ce, E11.point(0, 0), 12, 10 ** 6) == 0
+    # at 15^10 < 2*(10^6)^2 every residue has some fraction of height at
+    # most 10^6; the bound is lowered to isqrt((15^10 - 1)/2), below which
+    # a fraction is unique, and the nontorsion point 2 has no witness
+    c12 = build_gm_character(P35, 12)
+    for prec in (10, 12, 15):
+        assert continuation_witness(c12, 2, prec, 10 ** 6) is None
+    assert continuation_witness(c12, -1, 10, 10 ** 6) == 0
 
 
 def test_unit_log_normalization():
