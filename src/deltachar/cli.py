@@ -64,8 +64,8 @@ EXIT_DOMAIN = 2
 EXIT_PROPERTY = 3
 _MAX_ORDER, _MAX_PREC, _MAX_M, _MAX_BOUND = 5000, 2000, 500, 5000
 _MAX_DEPTH, _MAX_SAMPLES, _MAX_PRIMES, _MAX_PRIME = 120, 400, 6, 1000
-# the values argparse would read as options (-7/5, -1,0, -phi_3+1)
-_SIGNED_VALUES = {"--point": r"-\d", "--symbol": r"-(\d|phi_)"}
+# the values argparse would read as options (-7/5, -1,0, -z^2, -phi_3+1)
+_SIGNED_VALUES = {"--point": r"-(\d|z)", "--symbol": r"-(\d|phi_)"}
 
 
 class UsageError(Exception):
@@ -471,6 +471,8 @@ def _suite_additivity(args, cfg, rng):
 
 
 def _suite_integrality(args, cfg, rng):
+    if args.group == "ga":
+        raise UsageError("verify integrality takes --group gm or ell, not ga")
     bound = args.bound or (50 if args.group == "ell" else 120)
     series = _fundamental(args.group, cfg, bound,
                           "verify integrality --group ell").series

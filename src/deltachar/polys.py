@@ -1,10 +1,15 @@
 """Sparse exact multivariate polynomials, and the sparse-coefficient kernel.
 
-The kernel (`_add_into`, `_combine`, `_scale`, `_convolve`, `_power`,
-`_coprime_to`) acts on {key: Fraction} dicts that store no zero; a missing
-coefficient reads as the shared `_ZERO`.  `MPoly`, `series_fgl.TruncSeries`
-and `characters.SymbolPoly` are built on it: constructors coerce outside
-input, and `_from_clean` stores kernel output as it is.
+The kernel (`_add_into`, `_combine`, `_scale`, `_sum_terms`, `_convolve`,
+`_power`, `_coprime_to`) acts on {key: Fraction} dicts that store no zero; a
+missing coefficient reads as the shared `_ZERO`.  `MPoly`,
+`series_fgl.TruncSeries` and `characters.SymbolPoly` are built on it:
+constructors coerce outside input, and `_from_clean` stores kernel output as
+it is.  Products (`_convolve`, hence `_power`) and the star action
+(`series_fgl.star_apply`) hand their terms to `_sum_terms` as integer
+(key, numerator, denominator) triples, so each coefficient is summed in ints
+and becomes one Fraction, rather than paying a Fraction multiply and add per
+pair of terms.
 
 Monomials are stored as sorted tuples of (variable, exponent) pairs mapping to
 Fraction coefficients; variables are arbitrary (mutually sortable) hashable
@@ -15,6 +20,7 @@ keys, which lets the jet-ring module use structured names like
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 Monomial = Tuple[Tuple[object, int], ...]
@@ -43,17 +49,45 @@ def _scale(a: Dict, factor) -> Dict:
     return {k: c * factor for k, c in a.items()} if factor else {}
 
 
+def _sum_terms(triples: Iterable) -> Dict:
+    """sum n/d at each key, over (key, n, d) int triples with d > 0.
+
+    A key's terms are summed over a common denominator in ints: equal
+    denominators add numerators, others meet at their lcm, so a running
+    denominator never exceeds the lcm of the key's inputs.  Each key becomes
+    one normalized Fraction, and keys that sum to 0 are dropped.
+    """
+    nums: Dict = {}
+    dens: Dict = {}
+    for key, n, d in triples:
+        e = dens.get(key)
+        if e is None:
+            nums[key] = n
+            dens[key] = d
+        elif e == d:
+            nums[key] += n
+        else:
+            g = gcd(e, d)
+            nums[key] = nums[key] * (d // g) + n * (e // g)
+            dens[key] = e // g * d
+    return {key: Fraction(n, dens[key]) for key, n in nums.items() if n}
+
+
+def _graded(a: Dict, cut: Optional[int]) -> list:
+    """(degree, key, numerator, denominator) per term; degree 0 without cut."""
+    return [(0 if cut is None else sum(k), k, c.numerator, c.denominator)
+            for k, c in a.items()]
+
+
 def _convolve(a: Dict, b: Dict, key_mul: Callable,
               cut: Optional[int] = None) -> Dict:
     """sum a[k] b[l] at key_mul(k, l); with `cut`, keys are exponent tuples
     and pairs of total degree above `cut` are skipped."""
-    out: Dict = {}
-    graded = [(0 if cut is None else sum(k), k, c) for k, c in b.items()]
-    for k1, c1 in a.items():
-        room = 0 if cut is None else cut - sum(k1)
-        _add_into(out, ((key_mul(k1, k2), c2) for d, k2, c2 in graded
-                        if d <= room), c1)
-    return out
+    top = 0 if cut is None else cut
+    right = _graded(b, cut)
+    return _sum_terms((key_mul(k1, k2), n1 * n2, d1 * d2)
+                      for e1, k1, n1, d1 in _graded(a, cut)
+                      for e2, k2, n2, d2 in right if e1 + e2 <= top)
 
 
 def _power(a: Dict, k: int, key_mul: Callable, one: Dict,

@@ -21,7 +21,8 @@ from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact_arith import DomainError, _json_int
-from .polys import _ONE, _ZERO, _add_into, _combine, _convolve, _coprime_to, _power, _scale
+from .polys import (_ONE, _ZERO, _add_into, _combine, _convolve, _coprime_to,
+                    _power, _scale, _sum_terms)
 
 Expt = Tuple[int, ...]
 
@@ -287,17 +288,22 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 def star_apply(symbol: Mapping[int, Fraction], f: TruncSeries) -> TruncSeries:
-    """Apply sum_n c_n phi_n to a univariate series: phi_n * T^j = T^(jn)."""
+    """Apply sum_n c_n phi_n to a univariate series: phi_n * T^j = T^(jn).
+
+    Every product c_n f_j goes to `_sum_terms` as an integer triple, so each
+    coefficient of the result is one Fraction built from an int sum.
+    """
     if f.nvars != 1:
         raise DomainError("the star action is defined on univariate series")
-    out: Dict[Expt, Fraction] = {}
-    for n, cn in symbol.items():
-        if n < 1:
-            raise DomainError("symbol indices must be positive")
-        if cn:
-            _add_into(out, (((j * n,), c) for (j,), c in f.coeffs.items()
-                            if j * n <= f.order), Fraction(cn))
-    return TruncSeries._from_clean(1, f.order, out)
+    if any(n < 1 for n in symbol):
+        raise DomainError("symbol indices must be positive")
+    left = [(n, q.numerator, q.denominator)
+            for n, q in zip(symbol, map(Fraction, symbol.values())) if q]
+    right = [(j, c.numerator, c.denominator) for (j,), c in f.coeffs.items()]
+    order = f.order
+    return TruncSeries._from_clean(1, order, _sum_terms(
+        ((j * n,), cn * fn, cd * fd)
+        for n, cn, cd in left for j, fn, fd in right if j * n <= order))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +357,10 @@ def additive_group(order: int) -> FormalGroupLaw:
 
 
 def gm_log(order: int) -> TruncSeries:
-    return TruncSeries(1, order, {(n,): Fraction((-1) ** (n - 1), n)
-                                  for n in range(1, order + 1)})
+    if order < 0:
+        raise DomainError("bad series shape")
+    return TruncSeries._from_clean(1, order, {
+        (n,): Fraction((-1) ** (n - 1), n) for n in range(1, order + 1)})
 
 
 def gm_group(order: int) -> FormalGroupLaw:
@@ -404,6 +412,8 @@ def elliptic_log(curve, order: int) -> TruncSeries:
     b_k = sum_{j>=1} e_j b_(k-j).  The b_n are integral when the curve is,
     and T = -z/2 turns l(z) = sum b_n z^n/n into sum b_n (-2)^(n-1) T^n/n.
     """
+    if order < 0:
+        raise DomainError("bad series shape")
     cs = _curve_coefficients(curve)
     c1, c2, c3, c4, c6 = cs
     w, w2 = _weierstrass_w(cs, order)
@@ -412,8 +422,10 @@ def elliptic_log(curve, order: int) -> TruncSeries:
     b = [0, 1]
     for k in range(2, order + 1):
         b.append(sum(e[j] * b[k - j] for j in range(1, k)))
-    return TruncSeries(1, order, {(n,): Fraction(b[n] * (-2) ** (n - 1), n)
-                                  for n in range(1, order + 1)})
+    # the kernel stores no zero, and b_n can vanish (b_2 = 0 when c1 = 0)
+    return TruncSeries._from_clean(1, order, {
+        (n,): Fraction(b[n] * (-2) ** (n - 1), n)
+        for n in range(1, order + 1) if b[n]})
 
 
 def elliptic_group(curve, order: int) -> FormalGroupLaw:

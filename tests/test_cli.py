@@ -123,6 +123,16 @@ def test_eval_gm_reports(capsys):
     assert doc["torsion"] is True and doc["verdict"] == "zero"
 
 
+def test_negative_zeta_point_joins_its_flag(capsys):
+    # -z and -z^2 are values, not options: spaced or joined by '=', the
+    # same report
+    for power in ("-z", "-z^2"):
+        argv = ("eval", "gm", "--primes", "3,5", "--m", "4", "--format", "text")
+        rc, out = run(capsys, *argv, "--point", power)
+        assert rc == 0 and "%s mod" % power in out
+        assert run(capsys, *argv, "--point=" + power) == (rc, out)
+
+
 def test_eval_ell_reports(capsys):
     rc, doc = run_json(capsys, "eval", "ell", "--curve", "11a", "--point",
                        "0,0", "--primes", "3,5", "--kernel-test")
@@ -249,6 +259,28 @@ series: 1*T^1 - 1*T^3 - 4*T^4 + 3*T^5 + 32*T^6 + 46*T^7 - 192*T^8 - 825*T^9 + O(
 # sha256 of the stdout of `char gm --primes 3,5,7 --order 6` (JSON, 202 lines)
 FROZEN_CHAR_GM_3_5_7_SHA256 = (
     "b16951f13dbe1c6290c86b4f60f73bf1f9164e92ee3b816125f0c395835f094d")
+
+
+# sha256 of the stdout of commands whose arithmetic runs on the sparse
+# kernel's products and star action, as printed when every pair of terms was
+# multiplied and added in Fractions
+FROZEN_KERNEL_STDOUT_SHA256 = {
+    ("char", "gm", "--primes", "3,5,7", "--order", "400"):
+        "59e34e007c21f97c20e4567e377a7f0a54cd7a6858c35761444dd78b6c2f92ca",
+    ("char", "ell", "--curve", "37a", "--primes", "5,7,11", "--order", "60"):
+        "dea4ce67fa8944370d93c2037bc5d1b9a13e5b51bc628838c36a595747dbacd0",
+    ("verify", "jets", "--primes", "3,5", "--samples", "35", "--seed", "41"):
+        "980a087380246a74f2a1f6eaa3425a368f2602ba4584c96c57ef886d9270862f",
+    ("verify", "axioms", "--primes", "3,5,7", "--samples", "8", "--seed", "2"):
+        "f0345f9d64f72164e42e7b8e23d359e1e88e3dc95f8ca18bca86ab3f05d424db",
+}
+
+
+def test_kernel_stdout_is_frozen(capsys):
+    for argv, digest in FROZEN_KERNEL_STDOUT_SHA256.items():
+        rc, out = run(capsys, *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_dirac_stdout_is_frozen(capsys, monkeypatch):
@@ -466,6 +498,17 @@ def test_needs_curve_errors(capsys):
             assert main([*argv, "--primes", "3,5", "--format", fmt]) == 1
             out, err = capsys.readouterr()
             assert (out, err) == ("", "error: %s needs --curve\n" % command)
+
+
+def test_integrality_rejects_ga(capsys):
+    # the additive group has no fundamental series to scan; before any
+    # arithmetic, the suite names itself and the group and exits 1
+    for fmt in ("json", "csv", "text"):
+        assert main(["verify", "integrality", "--group", "ga", "--primes",
+                     "3,5", "--bound", "20", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "", "error: verify integrality takes --group gm or ell, not ga\n")
 
 
 AXIOMS_STDOUT = """{

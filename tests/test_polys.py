@@ -10,7 +10,7 @@ import pytest
 
 from deltachar.characters import SymbolPoly
 from deltachar.exact_arith import DomainError
-from deltachar.polys import MPoly
+from deltachar.polys import MPoly, _convolve
 from deltachar.series_fgl import TruncSeries, star_apply
 
 VARS = ("a", "b", "c")
@@ -34,6 +34,16 @@ def ref_mul(x, y, key_mul, keep=lambda k: True):
             k = key_mul(k1, k2)
             if keep(k):
                 out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_star(symbol, f):
+    """sum_n c_n phi_n applied to f term by term, in Fractions."""
+    out = {}
+    for n, cn in symbol.items():
+        for (j,), c in f.coeffs.items():
+            if j * n <= f.order:
+                out[(j * n,)] = out.get((j * n,), 0) + cn * c
     return {k: c for k, c in out.items() if c}
 
 
@@ -255,13 +265,75 @@ def test_series_reciprocal_and_star():
         assert (f * r).coeffs == {(0,): 1} and r.order == order
         symbol = {n: rand_coeff(rng) for n in rng.sample(range(1, 6), 3)}
         got = star_apply(symbol, f)
-        want = {}
-        for n, cn in symbol.items():
-            for (j,), c in f.coeffs.items():
-                if j * n <= order:
-                    want[(j * n,)] = want.get((j * n,), 0) + cn * c
-        assert got.coeffs == {e: c for e, c in want.items() if c}
+        assert got.coeffs == ref_star(symbol, f)
         assert_series_clean(got)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's integer sums against the naive Fraction double loop
+# ---------------------------------------------------------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def kernel_cases():
+    """Pairs of univariate coefficient dicts, each aimed at one summing path."""
+    u = lambda *cs: {(j,): Fraction(c) for j, c in enumerate(cs) if c}  # noqa: E731
+    rng = random.Random(9)
+    cases = [
+        # [T^k] collects min(k, 10 - k) + 1 terms, pairwise-distinct
+        # denominators P[i] P[6 + k - i]
+        (u(*(Fraction(j + 1, PRIMES[j]) for j in range(6))),
+         u(*(Fraction((-1) ** j, PRIMES[6 + j]) for j in range(6)))),
+        # [T] cancels over equal denominators, [T^2] over distinct ones:
+        # -136/2310 + 1/33 + 1/35 = 0
+        (u(Fraction(1, 2), Fraction(1, 3)), u(Fraction(1, 5), Fraction(-2, 15))),
+        (u(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)),
+         u(Fraction(1, 5), Fraction(1, 11), Fraction(-136, 1155))),
+        # integers only, (1 + T)(1 - T + 3T^2) = 1 + 2T^2 + 3T^3
+        (u(1, 1), u(1, -1, 3)),
+        (u(*(rng.randint(-9, 9) for _ in range(7))),
+         u(*(rng.randint(-9, 9) for _ in range(7)))),
+        # numerators and denominators beyond 64 bits
+        (u(Fraction(2 ** 70 + 1, 3), Fraction(-3 ** 45, 2 ** 65 + 1)),
+         u(Fraction(5 ** 30, 7), 2 ** 64 + 13, Fraction(-7 ** 40, 2 ** 64 + 13))),
+    ]
+    for _ in range(20):
+        cases.append(tuple(
+            u(*(Fraction(rng.choice((0, 1, -3, 2 ** 67 + 1)) * rng.randint(-5, 5),
+                         rng.choice(PRIMES) * rng.choice((1, 1, 2 ** 66 + 1)))
+                for _ in range(rng.randint(1, 8))))
+            for _ in range(2)))
+    return cases
+
+
+def test_kernel_sums_match_naive_double_loop():
+    cases = kernel_cases()
+    for a, b in cases:
+        top = max((j for (j,) in a), default=0) + max((j for (j,) in b), default=0)
+        # every cut from 0 to past the top degree: each product of degree
+        # d is kept at cut d and dropped at cut d - 1
+        for cut in (None, *range(top + 2)):
+            keep = (lambda e: True) if cut is None else (
+                lambda e, cut=cut: e[0] <= cut)
+            got = _convolve(a, b, exp_add, cut)
+            assert got == ref_mul(a, b, exp_add, keep)
+            assert_clean(got)
+        # the star action reads a as the symbol sum_j a_j phi_(j+1)
+        symbol = {j + 1: c for (j,), c in a.items()}
+        for order in range(top + 2):
+            f = TruncSeries(1, order, b)
+            got = star_apply(symbol, f)
+            assert got.coeffs == ref_star(symbol, f)
+            assert_series_clean(got)
+    assert (1,) not in _convolve(*cases[1], exp_add)
+    assert (2,) not in _convolve(*cases[2], exp_add)
+    # 1/7 + 1/10 - 17/70 = 0 at T^4: three distinct denominators cancel
+    f = TruncSeries(1, 4, {(1,): Fraction(1, 3), (2,): Fraction(1, 5),
+                           (4,): Fraction(1, 7)})
+    got = star_apply({1: 1, 2: Fraction(1, 2), 4: Fraction(-51, 70)}, f)
+    assert got.coeffs == {(1,): Fraction(1, 3), (2,): Fraction(1, 5) + Fraction(1, 6)}
+    assert_series_clean(got)
 
 
 # ---------------------------------------------------------------------------
