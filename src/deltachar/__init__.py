@@ -40,8 +40,6 @@ from .evaluation import (  # noqa: F401
     AdelePoint,
     EvaluationResult,
     continuation_witness,
-    eval_elliptic_character,
-    eval_gm_character,
     evaluate,
     gm_closed_form,
     torsion_test,

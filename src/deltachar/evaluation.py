@@ -1,14 +1,15 @@
 """Evaluate characters on points with p-adic cyclotomic components.
 
-The evaluation strategy is uniform: reduce the point into the kernel of
-reduction (multiplicative units are already there after the Fermat-quotient
-step; a curve point Q is scaled p-adically in E(Z_p[zeta_m']/p^K) by
-`elliptic.scaled_formal_parameter`, which returns the formal parameter of
-the scaled point), evaluate the per-prime operator series, then apply the
-complementary symbol through Frobenius on the value.  The complementary
-symbols, rho times the Euler symbol of the other primes, are derived once
-per character and stored on it (`characters._twisted_euler_symbols`);
-an evaluation reads them and rebuilds none.
+`evaluate` is the one evaluator: one loop over the primes of P, where the
+group's local step maps the point into the kernel of reduction and sums a
+logarithm there (a unit u is there after the Fermat-quotient step
+u -> phi_p(u)/u^p, scaling 1; a curve point Q is scaled p-adically in
+E(Z_p[zeta_m']/p^K) by `elliptic.scaled_formal_parameter`, which returns
+the formal parameter of the scaled point, scaling M), and the loop applies
+the complementary symbol through Frobenius on the value.  The
+complementary symbols, rho times the Euler symbol of the other primes, are
+derived once per character and stored on it
+(`characters._twisted_euler_symbols`); an evaluation reads them.
 
 A curve point is scaled by N = #E(F_{p^f'}), the count of the residue field
 of its own ring Z[zeta_m'] (m' = 1 for a rational point, f' the order of p
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .characters import Character, SymbolPoly, _twisted_euler_symbols
 from .cyclotomic import (
@@ -88,9 +89,6 @@ from .exact_arith import (
     vp,
 )
 from .series_fgl import TruncSeries, elliptic_log
-
-GlobalValue = Union[int, Fraction, CyclotomicElement]
-
 
 class AdelePoint:
     """A point given per prime, normally as reductions of one global value."""
@@ -148,11 +146,6 @@ class AdelePoint:
         config = CyclotomicConfig(m, primes)
         return cls(config, primes, precision, None, point)
 
-    def component(self, k: int) -> PadicCyclotomic:
-        if self.components is None:
-            raise DomainError("no precomputed components on an elliptic adele")
-        return self.components[k]
-
 
 class EvaluationResult:
     """Per-prime values of a character, reported modulo p**precision."""
@@ -160,14 +153,14 @@ class EvaluationResult:
     __slots__ = ("primes", "values", "precision", "scalings")
 
     def __init__(self, primes: PrimeSet, values: List[PadicCyclotomic],
-                 precision: int, scalings: Optional[List[int]] = None):
+                 precision: int, scalings: List[int]):
         self.primes = primes
         self.values = values
         self.precision = precision
-        self.scalings = scalings or [1] * len(values)
+        self.scalings = scalings
 
     def component(self, p: int) -> PadicCyclotomic:
-        return self.values[tuple(self.primes).index(p)]
+        return self.values[self.primes.index_of(p)]
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
@@ -334,30 +327,6 @@ def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic,
 # character evaluation
 # ---------------------------------------------------------------------------
 
-def _check_primes(q: AdelePoint, c: Character) -> None:
-    if q.primes != c.primes:
-        raise DomainError("the point is given at primes %s, the character"
-                          " at %s" % (tuple(q.primes), tuple(c.primes)))
-
-
-def eval_gm_character(c: Character, q, precision: int) -> EvaluationResult:
-    """Evaluate a multiplicative character componentwise on a unit adele."""
-    if c.group != "Gm":
-        raise DomainError("expected a multiplicative character")
-    if not isinstance(q, AdelePoint):
-        q = AdelePoint.multiplicative(q, c.primes, precision)
-    if q.components is None:
-        raise DomainError("a multiplicative character needs a unit point")
-    _check_primes(q, c)
-    symbols = _twisted_euler_symbols(c)[1]
-    values = []
-    for k, p in enumerate(c.primes):
-        ode = eval_gm_ode(q.component(k), p, precision)
-        values.append(_apply_symbol(symbols[k], ode, c.primes)
-                      .reduce_to(precision))
-    return EvaluationResult(c.primes, values, precision)
-
-
 def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int,
                           config: Optional[CyclotomicConfig] = None
                           ) -> PadicCyclotomic:
@@ -397,43 +366,44 @@ def _formal_value(curve, t: PadicCyclotomic, precision: int,
     return w.reduce_to(min(precision, w.precision))
 
 
-def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult:
-    """Evaluate a curve character; reports M_k * psi(Q_k) with M_k recorded.
+def _unit_step(c: Character, q, precision: int):
+    """The G_m local step: eval_gm_ode at each component, scaling 1."""
+    if not isinstance(q, AdelePoint):
+        q = AdelePoint.multiplicative(q, c.primes, precision)
+    if q.components is None:
+        raise DomainError("a multiplicative character needs a unit point")
+    return q, lambda k, p: (eval_gm_ode(q.components[k], p, precision), 1)
+
+
+def _curve_step(c: Character, q, precision: int):
+    """The curve local step: M_k psi(Q_k), with scaling M_k.
 
     M_k is the order of the reduction group of E over Z[zeta_m]/p, so M_k Q
-    is in the kernel of reduction; the target is torsion-free, so
-    zero-testing is unaffected by the known scaling.  Q's ring Z[zeta_m']
-    must lie in Z[zeta_m] (m' | m); a point outside it is refused before
-    any arithmetic.  Q is scaled only by the count N_k = #E(F_{p^f'}) of its
-    own residue field, which N_k Q already leaves in the kernel, and
-    psi(M_k Q) = (M_k/N_k) psi(N_k Q) by the additivity of the formal
-    logarithm there; M_k/N_k is an integer (see the module docstring), so
-    the product loses no digit.  Every component, zero or not, lives in
-    Z_p[zeta_m'] (in Z_p[zeta_m] for a rational Q).  The scaled point is
-    never formed over Q(zeta_m): its formal parameter is computed modulo a
-    power of p in E(Z_p[zeta_m']/p^K), and the curve's logarithm is built
-    once for all primes, to the order `log_budget` gives at the smallest one.
+    is in the kernel of reduction; Q is scaled only by N_k, and the value
+    multiplied by M_k/N_k (see the module docstring).  A point whose
+    ring Z[zeta_m'] is not inside Z[zeta_m] is refused before any
+    arithmetic.  Every component, zero or not, lives in Z_p[zeta_m'] (in
+    Z_p[zeta_m] for a rational Q).  The curve's logarithm is built at most
+    once per call, to the order `log_budget` gives at the smallest prime,
+    and only when some component needs it.
     """
-    if c.group != "Elliptic":
-        raise DomainError("expected an elliptic character")
     point = q.point if isinstance(q, AdelePoint) else q
     if not isinstance(point, CurvePoint):
         raise DomainError("an elliptic character needs a curve point")
     level = _ring_level(point)
     if not isinstance(q, AdelePoint):
         q = AdelePoint.elliptic(point, c.primes, precision, level)
-    _check_primes(q, c)
     config = q.config
     if point.curve.coefficients() != c.curve.coefficients():
         raise DomainError("point does not lie on the character's curve")
     if config.m % level:
         raise DomainError("the point lies over Q(zeta_%d), which is not inside"
                           " the adele's level Q(zeta_%d)" % (level, config.m))
-    symbols = _twisted_euler_symbols(c)[1]
     order, digits = log_budget(precision, c.primes)
     log = None
-    values, scalings = [], []
-    for k, p in enumerate(c.primes):
+
+    def step(k, p):
+        nonlocal log
         scale = reduction_group_order(c.curve, p, config.m)
         count = _residue_field_count(c.curve, p, level)[0]
         t = scaled_formal_parameter(point, count, p, digits[k], config)
@@ -442,24 +412,38 @@ def eval_elliptic_character(c: Character, q, precision: int) -> EvaluationResult
         # and a multiplier prime to p keeps it: so t(M Q) vanishes mod p^K
         # exactly when this holds
         if t.min_valuation() + vp(cofactor, p) >= t.precision:
-            value = PadicCyclotomic.zero(t.config, p, precision)
-        else:
-            if log is None:
-                log = elliptic_log(c.curve, order)
-            w = _formal_value(c.curve, t, precision, log)
-            value = (_apply_symbol(symbols[k], w, c.primes)
-                     .reduce_to(precision) * cofactor)
-        values.append(value)
-        scalings.append(scale)
-    return EvaluationResult(c.primes, values, precision, scalings)
+            return PadicCyclotomic.zero(t.config, p, precision), scale
+        if log is None:
+            log = elliptic_log(c.curve, order)
+        return _formal_value(c.curve, t, precision, log) * cofactor, scale
+
+    return q, step
+
+
+_LOCAL_STEPS = {"Gm": _unit_step, "Elliptic": _curve_step}
 
 
 def evaluate(c: Character, q, precision: int) -> EvaluationResult:
-    if c.group == "Gm":
-        return eval_gm_character(c, q, precision)
-    if c.group == "Elliptic":
-        return eval_elliptic_character(c, q, precision)
-    raise DomainError("no evaluator for group %r" % (c.group,))
+    """The character's value at q, an `AdelePoint` or a global unit or
+    curve point (embedded at every prime of P), one component per prime."""
+    if type(precision) is not int or precision < 1:
+        raise DomainError("precision must be an integer >= 1, not %r"
+                          % (precision,))
+    if c.group not in _LOCAL_STEPS:
+        raise DomainError("no evaluator for group %r" % (c.group,))
+    q, step = _LOCAL_STEPS[c.group](c, q, precision)
+    if q.primes != c.primes:
+        raise DomainError("the point is given at primes %s, the character"
+                          " at %s" % (tuple(q.primes), tuple(c.primes)))
+    symbols = _twisted_euler_symbols(c)[1]
+    values, scalings = [], []
+    for k, p in enumerate(c.primes):
+        value, scaling = step(k, p)
+        if not value.is_zero():
+            value = _apply_symbol(symbols[k], value, c.primes)
+        values.append(value.reduce_to(precision))
+        scalings.append(scaling)
+    return EvaluationResult(c.primes, values, precision, scalings)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from deltachar.elliptic import (
     count_points_ap,
     lseries_coefficients,
 )
-from deltachar.evaluation import continuation_witness, eval_gm_character, evaluate
+from deltachar.evaluation import continuation_witness, evaluate
 from deltachar.exact_arith import PrimeSet
 from deltachar.jet_rings import DeltaPolynomial, canonical_lift
 from deltachar.polys import MPoly
@@ -103,9 +103,9 @@ def test_criterion_05_gm_kernel():
         for m in (4, 7, 8):
             c = build_gm_character(P35, 4)
             zeta = CyclotomicElement.zeta(CyclotomicConfig(m, P35))
-            result = eval_gm_character(c, zeta, 20)
+            result = evaluate(c, zeta, 20)
             assert result.is_zero(), m
-        nonzero = eval_gm_character(build_gm_character(P35, 4), 2, 15)
+        nonzero = evaluate(build_gm_character(P35, 4), 2, 15)
         assert not nonzero.component(3).is_zero()
 
 

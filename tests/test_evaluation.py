@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -12,6 +13,7 @@ from deltachar.characters import (
     SymbolPoly,
     _twisted_euler_symbols,
     build_elliptic_character,
+    build_ga_character,
     build_gm_character,
     character_from_json_dict,
     decompose_over_fundamental,
@@ -40,8 +42,6 @@ from deltachar.evaluation import (
     _apply_symbol,
     _formal_value,
     _series_value,
-    eval_elliptic_character,
-    eval_gm_character,
     eval_gm_ode,
     elliptic_formal_value,
     evaluate,
@@ -311,31 +311,31 @@ def test_gm_ode_descent_matches_term_by_term():
 
 def test_gm_kernel_at_torsion():
     c = build_gm_character(P35, 4)
-    assert eval_gm_character(c, 1, 15).is_zero()
+    assert evaluate(c, 1, 15).is_zero()
     for point in (Z4, Z4 ** 3, -Z4, CyclotomicElement.from_rational(CFG4, -1)):
         for precision in (8, 15, 20):
-            assert eval_gm_character(c, point, precision).is_zero()
+            assert evaluate(c, point, precision).is_zero()
 
 
 def test_gm_nontorsion_nonzero():
     c = build_gm_character(P35, 4)
-    r = eval_gm_character(c, 2, 15)
+    r = evaluate(c, 2, 15)
     assert r.nonzero_primes() == (3, 5)
     assert not torsion_test(F(2))
     # unit with a zeta part and unit norm: (2 + 3 zeta)(2 - 3 zeta) = 13
-    r2 = eval_gm_character(c, 2 + 3 * Z4, 12)
+    r2 = evaluate(c, 2 + 3 * Z4, 12)
     assert r2.nonzero_primes() == (3, 5)
 
 
 def test_gm_closed_form_on_rationals():
     c = build_gm_character(P35, 4)
     for b in (2, 7, F(4, 7)):
-        r = eval_gm_character(c, b, 15)
+        r = evaluate(c, b, 15)
         for p in P35:
             want = gm_closed_form(P35, b, p, 15)
             assert r.component(p).coeffs[0] % p ** 15 == want.residue % p ** 15
     c3 = build_gm_character(PrimeSet((3, 5, 7)), 4)
-    r = eval_gm_character(c3, 2, 12)
+    r = evaluate(c3, 2, 12)
     for p in (3, 5, 7):
         want = gm_closed_form(PrimeSet((3, 5, 7)), 2, p, 12)
         assert r.component(p).coeffs[0] % p ** 12 == want.residue % p ** 12
@@ -354,15 +354,15 @@ def test_gm_homomorphism_random_units():
         units.append(u)
     for i in range(0, 6, 2):
         u, w = units[i], units[i + 1]
-        vu = eval_gm_character(c, u, 10)
-        vw = eval_gm_character(c, w, 10)
-        vuw = eval_gm_character(c, u * w, 10)
+        vu = evaluate(c, u, 10)
+        vw = evaluate(c, w, 10)
+        vuw = evaluate(c, u * w, 10)
         for k in range(2):
             assert vu.values[k] + vw.values[k] == vuw.values[k]
     # power scaling: value(u^k) = k * value(u)
     u = units[0]
-    vu = eval_gm_character(c, u, 10)
-    v3 = eval_gm_character(c, u ** 3, 10)
+    vu = evaluate(c, u, 10)
+    v3 = evaluate(c, u ** 3, 10)
     for k in range(2):
         assert vu.values[k].times_rational(3) == v3.values[k]
 
@@ -373,13 +373,13 @@ def test_twisted_character_evaluation():
     sym = rho * full_symbol(P35)
     twisted = Character("Gm", P35, sym, sym.star(gm_log(50)))
     # phi acts trivially on rationals, so augmentation zero kills the value
-    assert eval_gm_character(twisted, 2, 15).is_zero()
-    assert not eval_gm_character(twisted, 2 + 3 * Z4, 12).is_zero()
+    assert evaluate(twisted, 2, 15).is_zero()
+    assert not evaluate(twisted, 2 + 3 * Z4, 12).is_zero()
     # a pure phi_3 twist acts by Frobenius on the value
     tw3 = SymbolPoly.phi(3) * full_symbol(P35)
     c3 = Character("Gm", P35, tw3, tw3.star(gm_log(50)))
-    vb = eval_gm_character(base, 2 + 3 * Z4, 12)
-    v3 = eval_gm_character(c3, 2 + 3 * Z4, 12)
+    vb = evaluate(base, 2 + 3 * Z4, 12)
+    v3 = evaluate(c3, 2 + 3 * Z4, 12)
     for k in range(2):
         assert v3.values[k] == vb.values[k].frobenius(3)
 
@@ -442,24 +442,27 @@ def test_independent_components():
     c = build_gm_character(P35, 4)
     comps = [PadicCyclotomic.from_rational(CFG1, 2, 3, 25),
              PadicCyclotomic.from_rational(CFG1, 7, 5, 25)]
-    mixed = eval_gm_character(c, AdelePoint.from_components(comps, P35, 12), 12)
-    at2 = eval_gm_character(c, 2, 12)
-    at7 = eval_gm_character(c, 7, 12)
+    mixed = evaluate(c, AdelePoint.from_components(comps, P35, 12), 12)
+    at2 = evaluate(c, 2, 12)
+    at7 = evaluate(c, 7, 12)
     assert mixed.component(3) == at2.component(3)
     assert mixed.component(5) == at7.component(5)
+    with pytest.raises(DomainError,
+                       match=r"7 is not in the prime set \(3, 5\)"):
+        mixed.component(7)
 
 
 def test_elliptic_kernel_on_torsion():
     c = build_elliptic_character(E11, P35, 4)
     for xy in ((0, 0), (1, -1), (1, 0), (0, -1)):
-        r = eval_elliptic_character(c, E11.point(*xy), 12)
+        r = evaluate(c, E11.point(*xy), 12)
         assert r.is_zero()
         assert r.scalings == [5, 5]
-    r = eval_elliptic_character(c, E11.infinity(), 20)
+    r = evaluate(c, E11.infinity(), 20)
     assert r.is_zero()
     # over a cyclotomic residue ring the scaling grows but torsion still dies
     a = AdelePoint.elliptic(E11.point(0, 0), P35, 12, m=4)
-    r4 = eval_elliptic_character(c, a, 12)
+    r4 = evaluate(c, a, 12)
     assert r4.is_zero()
     assert r4.scalings == [15, 25]
 
@@ -468,11 +471,11 @@ def test_elliptic_nontorsion_nonzero():
     c = build_elliptic_character(E37, P57, 4)
     q = E37.point(0, 0)
     assert not torsion_test(q)
-    r = eval_elliptic_character(c, q, 12)
+    r = evaluate(c, q, 12)
     assert r.nonzero_primes() == (5, 7)
     assert r.scalings == [reduction_group_order(E37, 5, 1),
                           reduction_group_order(E37, 7, 1)] == [8, 9]
-    double = eval_elliptic_character(c, 2 * q, 12)
+    double = evaluate(c, 2 * q, 12)
     assert not double.is_zero()
     for k in range(2):
         assert double.values[k] == r.values[k].times_rational(2)
@@ -482,7 +485,7 @@ def test_elliptic_frozen_over_gaussian_residue_rings():
     # 37a at (0,0) with m = 4: M = #E(F_29)^2 = 576 and #E(F_961) = 1008;
     # values frozen from exact scaling over Q(i)
     P = PrimeSet((29, 31))
-    r = eval_elliptic_character(build_elliptic_character(E37, P, 8),
+    r = evaluate(build_elliptic_character(E37, P, 8),
                                 AdelePoint.elliptic(E37.point(0, 0), P, 12, 4),
                                 12)
     assert r.to_json_dict() == {"precision": 12, "components": [
@@ -508,11 +511,11 @@ def test_elliptic_precision_monotone():
             m = rng.choice((1, 4) if 3 in primes else (1, 3, 4))
             c = build_elliptic_character(curve, primes, 8)
             n = rng.randint(4, 48)
-            base = eval_elliptic_character(
+            base = evaluate(
                 c, AdelePoint.elliptic(q, primes, n, m), n)
             assert not base.is_zero()
             for k in (1, 7):
-                finer = eval_elliptic_character(
+                finer = evaluate(
                     c, AdelePoint.elliptic(q, primes, n + k, m), n + k)
                 assert finer.scalings == base.scalings
                 assert ([v.reduce_to(n).coeffs for v in finer.values]
@@ -734,21 +737,101 @@ def test_elliptic_formal_group_homomorphism():
         elliptic_formal_value(E37, q, 5, 10)  # not in the kernel
 
 
+GRID_CASES = 416
+GRID_DIGEST = ("78588d5794b45888e9d327feac5f77dd"
+               "061bdb06fe2aab7644e86e452c6074f4")
+
+
+def _evaluation_grid():
+    """(label, thunk) for every case the evaluation digest pins: G_m at
+    m in {1, 4, 8, 12} on rational, root-of-unity and nontorsion units and a
+    per-prime adele, with rho = 1 and a twisted rho; 11a, 37a and 43a on
+    torsion points, infinity, nontorsion points and 43a's Q(i) point at
+    m in {1, 3, 4, 8}; each at precision 1, 5 and 12."""
+    P5_13 = PrimeSet((5, 13))
+    cases = []
+    twists = (SymbolPoly.one(), SymbolPoly({1: 2, 5: -1, 7: 1}))
+    for rho in twists:
+        built = build_gm_character(P57, 8)
+        c = (built if rho == SymbolPoly.one()
+             else Character("Gm", P57, rho * built.symbol, built.series))
+        for m in (1, 4, 8, 12):
+            config = CyclotomicConfig(m, P57)
+            z = CyclotomicElement.zeta(config)
+            units = [F(2), F(-4, 3), -z, z ** 3, 2 + 3 * z, 1 + z + z ** 2]
+            for n in (1, 5, 12):
+                for u in units:
+                    cases.append((("gm", str(rho), m, str(u), n),
+                                  lambda c=c, u=u, m=m, n=n: evaluate(
+                                      c, AdelePoint.multiplicative(u, P57, n, m),
+                                      n)))
+                comps = [PadicCyclotomic.from_cyclotomic(2 + 3 * z, 5, n + 1),
+                         PadicCyclotomic.from_rational(config, 3, 7, n + 1)]
+                cases.append((("gm-components", str(rho), m, n),
+                              lambda c=c, comps=comps, n=n: evaluate(
+                                  c, AdelePoint.from_components(comps, P57, n),
+                                  n)))
+    curves = ((E11, P35, ((0, 0), (1, -1), None)),
+              (E37, P57, ((0, 0), (1, 0), None)),
+              (E43, P35, ((0, 0), None)),
+              (E43, P5_13, ((0, 0), "i")))
+    for curve, primes, points in curves:
+        for rho in (SymbolPoly.one(), SymbolPoly({1: 1, primes[0]: 1})):
+            built = build_elliptic_character(curve, primes, 8)
+            c = (built if rho == SymbolPoly.one()
+                 else Character("Elliptic", primes, rho * built.symbol,
+                                built.series, curve))
+            for xy in points:
+                if xy is None:
+                    q = curve.infinity()
+                elif xy == "i":
+                    q = _gaussian_point_43a(primes)
+                else:
+                    q = curve.point(*xy)
+                for m in (1, 3, 4, 8):
+                    for n in (1, 5, 12):
+                        cases.append((("ell", curve.coefficients(), str(rho),
+                                       str(xy), m, n),
+                                      lambda c=c, q=q, primes=primes, m=m,
+                                      n=n: evaluate(
+                                          c, AdelePoint.elliptic(q, primes, n, m),
+                                          n)))
+            cases.append((("ell-bare", curve.coefficients(), str(rho)),
+                          lambda c=c, q=q: evaluate(c, q, 5)))
+    return cases
+
+
+def test_evaluation_grid_digest():
+    # every result, or the exception type and message, on a grid of G_m
+    # and curve cases: the digest was taken when each group still had its
+    # own evaluator, so the shared loop must reproduce it byte for byte
+    outcomes = []
+    for label, thunk in _evaluation_grid():
+        try:
+            got = thunk().to_json_dict()
+        except (DomainError, ArithmeticError) as exc:
+            got = [type(exc).__name__, str(exc)]
+        outcomes.append([repr(label), got])
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert len(outcomes) == GRID_CASES
+    assert digest == GRID_DIGEST
+
+
 def test_evaluate_dispatch_and_errors():
     cg = build_gm_character(P35, 4)
     ce = build_elliptic_character(E11, P35, 4)
     assert evaluate(cg, 2, 10).nonzero_primes() == (3, 5)
     assert evaluate(ce, E11.point(0, 0), 10).is_zero()
-    with pytest.raises(DomainError):
-        eval_gm_character(ce, 2, 10)
-    with pytest.raises(DomainError):
-        eval_elliptic_character(cg, E11.point(0, 0), 10)
-    with pytest.raises(DomainError):
-        eval_elliptic_character(ce, E37.point(0, 0), 10)
-    # a point of the wrong kind, or given at other primes, is refused
+    # a point of the wrong kind or curve, or given at other primes, or a
+    # group with no local step, is refused
     c37 = build_elliptic_character(E37, P57, 4)
     c57 = build_gm_character(P57, 4)
+    cga = build_ga_character(SymbolPoly.one(), P35)
     for c, q in (
+            (ce, 2),
+            (cg, E11.point(0, 0)),
+            (ce, E37.point(0, 0)),
+            (cga, 2),
             (c37, 2),
             (c37, AdelePoint.multiplicative(2, P57, 10)),
             (c37, AdelePoint.elliptic(E37.point(0, 0), PrimeSet((3,)), 10)),
@@ -760,6 +843,13 @@ def test_evaluate_dispatch_and_errors():
             (c57, AdelePoint.multiplicative(2, PrimeSet((5, 7, 11)), 10))):
         with pytest.raises(DomainError):
             evaluate(c, q, 10)
+    with pytest.raises(DomainError, match="no evaluator for group 'Ga'"):
+        evaluate(cga, 2, 10)
+    # precision is a positive int, checked before any arithmetic
+    for c, q in ((c57, 2), (c37, E37.point(0, 0))):
+        for precision in (-3, 0, 2.0, True):
+            with pytest.raises(DomainError, match="precision"):
+                evaluate(c, q, precision)
 
 
 def test_torsion_test():
@@ -782,9 +872,9 @@ def test_torsion_test():
 
 def test_precision_audit():
     c = build_gm_character(P35, 4)
-    r = eval_gm_character(c, 2, 15)
+    r = evaluate(c, 2, 15)
     assert all(v.precision == 15 for v in r.values)
-    low = eval_gm_character(c, 2, 6)
+    low = evaluate(c, 2, 6)
     for k, p in enumerate(P35):
         assert low.values[k].coeffs[0] % p ** 6 == r.values[k].coeffs[0] % p ** 6
 
