@@ -88,9 +88,6 @@ class SymbolPoly:
     def is_p_local(self, primes: Iterable[int]) -> bool:
         return _coprime_to(self.coeffs, primes)
 
-    def is_smooth(self, primes: PrimeSet) -> bool:
-        return all(smooth_exponents(n, primes) is not None for n in self.coeffs)
-
     def __add__(self, other):
         o = _as_symbol(other)
         if o is None:
@@ -260,6 +257,7 @@ class DiracComponent:
 class Character:
     """A character: group descriptor, symbol, representing series, Dirac data.
 
+    `order` is `symbol_order(symbol, primes)`, so a stored symbol is P-smooth.
     Evaluation reads the private `_twist` (see `_twisted_euler_symbols`),
     never the Dirac rows; it is derived from primes, curve and symbol, so
     these are not to be reassigned.
@@ -270,8 +268,7 @@ class Character:
 
     def __init__(self, group: str, primes: PrimeSet, symbol: SymbolPoly,
                  series: TruncSeries, curve: Optional[WeierstrassCurve] = None,
-                 dirac: Optional[List[DiracComponent]] = None,
-                 order: Optional[Tuple[int, ...]] = None):
+                 dirac: Optional[List[DiracComponent]] = None):
         if (group == "Elliptic") != (curve is not None):
             raise DomainError("a character has a curve exactly when its group"
                               " is Elliptic")
@@ -281,7 +278,7 @@ class Character:
         self.symbol = symbol
         self.series = series
         self.dirac = list(dirac or [])
-        self.order = order if order is not None else symbol_order(symbol, primes)
+        self.order = symbol_order(symbol, primes)
         self._twist = None
 
     def to_json_dict(self) -> dict:
@@ -314,7 +311,8 @@ def _symbol_from_json(rows: Iterable[dict]) -> SymbolPoly:
 
 
 def character_from_json_dict(data: dict) -> Character:
-    """Inverse of Character.to_json_dict; integer fields go through `_json_int`."""
+    """Inverse of Character.to_json_dict; integer fields go through `_json_int`,
+    and an `order` other than the symbol's is refused."""
     primes = PrimeSet(_json_int(p) for p in data["primes"])
     curve = None
     if "curve" in data:
@@ -329,21 +327,24 @@ def character_from_json_dict(data: dict) -> Character:
             raise DomainError("Dirac row at %d: kind %r does not match ap %r"
                               % (comp.prime, d["kind"], d["ap"]))
         dirac.append(comp)
-    return Character(data["group"], primes, _symbol_from_json(data["symbol"]),
-                     TruncSeries.from_json_dict(data["series"]),
-                     curve=curve, dirac=dirac,
-                     order=tuple(_json_int(n) for n in data["order"]))
+    order = tuple(_json_int(n) for n in data["order"])
+    c = Character(data["group"], primes, _symbol_from_json(data["symbol"]),
+                  TruncSeries.from_json_dict(data["series"]),
+                  curve=curve, dirac=dirac)
+    if order != c.order:
+        raise DomainError("order %s is not the symbol's order %s"
+                          % (list(order), list(c.order)))
+    return c
 
 
 def symbol_order(symbol: SymbolPoly, primes: PrimeSet) -> Tuple[int, ...]:
-    """Componentwise maximal Frobenius exponent appearing in the support."""
-    order = [0] * len(primes)
-    for n in symbol.support():
-        exps = smooth_exponents(n, primes)
-        if exps is None:
-            raise DomainError("symbol support %d is not P-smooth" % n)
-        order = [max(o, e) for o, e in zip(order, exps)]
-    return tuple(order)
+    """Componentwise maximal Frobenius exponent appearing in the support;
+    a support that is not P-smooth is refused, naming its least index."""
+    exps = [smooth_exponents(n, primes) for n in symbol.coeffs]
+    if None in exps:
+        raise DomainError("symbol support %d is not P-smooth" % min(
+            n for n, e in zip(symbol.coeffs, exps) if e is None))
+    return tuple(map(max, zip((0,) * len(primes), *exps)))
 
 
 def formal_group(group: str, order: int,
@@ -360,15 +361,12 @@ def formal_group(group: str, order: int,
     raise DomainError("unknown group %r" % (group,))
 
 
-def build_ga_character(L: SymbolPoly, primes: PrimeSet,
-                       order: Optional[int] = None) -> Character:
-    """The additive character with symbol L: series L * T."""
+def build_ga_character(L: SymbolPoly, primes: PrimeSet) -> Character:
+    """The additive character with symbol L: series L * T, to the order of
+    the largest index plus one."""
     if not L.is_p_local(primes):
         raise DomainError("symbol coefficients are not P-local")
-    if not L.is_smooth(primes):
-        raise DomainError("symbol support is not P-smooth")
-    n_t = order if order is not None else (max(L.support(), default=1) + 1)
-    series = L.star(TruncSeries.var(n_t))
+    series = L.star(TruncSeries.var(max(L.support(), default=1) + 1))
     return Character("Ga", primes, L, series)
 
 
@@ -397,9 +395,7 @@ def _fundamental_character(primes: PrimeSet, n_t: int,
     series = symbol.star(formal_group(group, n_t, curve).log)
     if not series.denominators_coprime_to(primes):
         raise DomainError("integrality failure in the fundamental series (bug)")
-    degree = 1 if curve is None else 2
-    c = Character(group, primes, symbol, series, curve=curve, dirac=dirac,
-                  order=(degree,) * len(primes))
+    c = Character(group, primes, symbol, series, curve=curve, dirac=dirac)
     c._twist = (SymbolPoly.one(), euler)
     return c
 

@@ -571,10 +571,11 @@ class PadicCyclotomic:
 
     # -- Frobenius / delta ---------------------------------------------------
     def frobenius(self, p: int = None) -> "PadicCyclotomic":
-        """Galois substitution zeta -> zeta^q; defaults to the ring prime."""
-        if self.config.m == 1:
-            return self
+        """Galois substitution zeta -> zeta^q; defaults to the ring prime.
+        The identity when q = 1 mod m (every q at m = 1)."""
         q = self.p if p is None else p
+        if q % self.config.m == 1 % self.config.m:
+            return self
         return PadicCyclotomic(self.config, self.p, self.precision,
                                _galois_image(self.config, self.coeffs, q))
 

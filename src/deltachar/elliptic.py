@@ -216,10 +216,10 @@ def _legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _affine_count(curve: WeierstrassCurve, p: int) -> int:
-    """Number of affine F_p-points on the (possibly singular) reduction."""
-    cs = [fraction_mod(c, p, 1) for c in curve.coefficients()]
-    c1, c2, c3, c4, c6 = cs
+def _affine_count(coefficients, p: int) -> int:
+    """Number of affine F_p-points on the (possibly singular) reduction of
+    the curve with these coefficients."""
+    c1, c2, c3, c4, c6 = (fraction_mod(c, p, 1) for c in coefficients)
     if p == 2:
         return sum(1 for x in range(2) for y in range(2)
                    if (y * y + c1 * x * y + c3 * y
@@ -232,38 +232,12 @@ def _affine_count(curve: WeierstrassCurve, p: int) -> int:
     return total
 
 
-def _singular_count(curve: WeierstrassCurve, p: int) -> int:
-    """Number of singular F_p-points of the reduction (0 for good p)."""
-    cs = [fraction_mod(c, p, 1) for c in curve.coefficients()]
-    c1, c2, c3, c4, c6 = cs
-    found = 0
-    if p == 2:
-        for x in range(2):
-            for y in range(2):
-                on = (y * y + c1 * x * y + c3 * y - x ** 3 - c2 * x * x
-                      - c4 * x - c6) % 2 == 0
-                dx = (c1 * y - 3 * x * x - 2 * c2 * x - c4) % 2 == 0
-                dy = (2 * y + c1 * x + c3) % 2 == 0
-                if on and dx and dy:
-                    found += 1
-        return found
-    inv2 = pow(2, -1, p)
-    for x in range(p):
-        y = (-(c1 * x + c3) * inv2) % p          # forces dF/dy = 0
-        on = (y * y + c1 * x * y + c3 * y - x ** 3 - c2 * x * x
-              - c4 * x - c6) % p == 0
-        dx = (c1 * y - 3 * x * x - 2 * c2 * x - c4) % p == 0
-        if on and dx:
-            found += 1
-    return found
-
-
 def count_points_ap(curve: WeierstrassCurve, p: int) -> int:
-    """The L-series coefficient a_p.
+    """The L-series coefficient a_p = p - #(affine F_p-points of the reduction).
 
-    Good reduction: a_p = p + 1 - #E(F_p).  Bad reduction: a_p = p - #E_ns(F_p)
-    with E_ns the smooth locus (including infinity), which lands in {-1, 0, 1}
-    for split/additive/non-split types.  Validated and stored once per
+    That is p + 1 - #E(F_p) at a good prime and p - #E_ns(F_p) (E_ns the
+    smooth locus with infinity; 1, 0, -1 for split/additive/non-split) at a
+    bad one, as `_count_points_ap` proves.  Validated and stored once per
     (curve object, p); `_count_points_ap` shares counts between objects.
     """
     ap = curve._ap.get(p)
@@ -278,16 +252,17 @@ def count_points_ap(curve: WeierstrassCurve, p: int) -> int:
 
 @lru_cache(maxsize=1024)
 def _count_points_ap(coefficients, p: int) -> int:
-    """count_points_ap for a validated (curve coefficients, p), memoized."""
-    curve = WeierstrassCurve(*coefficients)
-    affine = _affine_count(curve, p)
-    if vp(curve.discriminant(), p) == 0:
-        return p + 1 - (affine + 1)
-    smooth = affine - _singular_count(curve, p) + 1
-    ap = p - smooth
-    if ap not in (-1, 0, 1):
-        raise DomainError("bad-reduction count out of range at %d" % p)
-    return ap
+    """p - #(affine F_p-points), memoized: a_p at every prime.
+
+    At a good prime infinity is the one point of E(F_p) off the affine
+    chart.  At a bad prime the reduction is a singular Weierstrass cubic
+    (AEC III.1.4), irreducible (a factor y - g(x) would need
+    g^2 + (c1 x + c3) g = f of degree 3, but the left side has degree at
+    most 2 or even), so a line through two singular points would meet it
+    four times.  Its singular point is thus unique, hence rational, and
+    affine (infinity is smooth); E_ns (AEC III.2.5) trades it for infinity.
+    """
+    return p - _affine_count(coefficients, p)
 
 
 def is_ordinary(curve: WeierstrassCurve, p: int) -> bool:

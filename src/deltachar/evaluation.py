@@ -85,7 +85,6 @@ from .exact_arith import (
     _ilog,
     log_budget,
     rational_reconstruct,
-    smooth_exponents,
     vp,
 )
 from .series_fgl import TruncSeries, elliptic_log
@@ -307,19 +306,16 @@ def _ring_level(point: CurvePoint) -> int:
     return point.x.config.m if isinstance(point.x, CyclotomicElement) else 1
 
 
-def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic,
-                  primes: PrimeSet) -> PadicCyclotomic:
-    """sum_n c_n phi_n(value): Frobenius word by the factorization of n."""
+def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic) -> PadicCyclotomic:
+    """sum_n c_n phi_n(value), phi_n the one Galois element zeta -> zeta^n.
+
+    It is the composite of the Frobenius lifts zeta -> zeta^p over the
+    factors p of n (the identity at m = 1); n is prime to m, as a
+    `Character` stores only P-smooth symbols.
+    """
     total = PadicCyclotomic.zero(value.config, value.p, value.precision)
     for n, c in sym.coeffs.items():
-        exps = smooth_exponents(n, primes)
-        if exps is None:
-            raise DomainError("symbol index %d is not P-smooth" % n)
-        conj = value
-        for p, e in zip(primes, exps):
-            for _ in range(e):
-                conj = conj.frobenius(p)
-        total = total + conj.times_rational(c)
+        total = total + value.frobenius(n).times_rational(c)
     return total
 
 
@@ -327,16 +323,14 @@ def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic,
 # character evaluation
 # ---------------------------------------------------------------------------
 
-def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int,
-                          config: Optional[CyclotomicConfig] = None
+def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int
                           ) -> PadicCyclotomic:
     """(1/p)[l(t^(phi^2)) - a_p l(t^phi) + p l(t)] for a kernel point.
 
     The point must reduce to the identity mod p; its parameter is embedded
-    p-adically and conjugated by the Frobenius lift.
+    p-adically in its own ring and conjugated by the Frobenius lift.
     """
-    if config is None:
-        config = CyclotomicConfig(_ring_level(point), (p,))
+    config = CyclotomicConfig(_ring_level(point), (p,))
     order, (work,) = log_budget(precision, (p,))
     t_exact = to_formal_parameter(point, p)
     if isinstance(t_exact, CyclotomicElement):
@@ -425,7 +419,8 @@ _LOCAL_STEPS = {"Gm": _unit_step, "Elliptic": _curve_step}
 
 def evaluate(c: Character, q, precision: int) -> EvaluationResult:
     """The character's value at q, an `AdelePoint` or a global unit or
-    curve point (embedded at every prime of P), one component per prime."""
+    curve point (embedded at every prime of P), one component per prime.
+    An `AdelePoint` must be given to at least `precision` digits."""
     if type(precision) is not int or precision < 1:
         raise DomainError("precision must be an integer >= 1, not %r"
                           % (precision,))
@@ -435,12 +430,15 @@ def evaluate(c: Character, q, precision: int) -> EvaluationResult:
     if q.primes != c.primes:
         raise DomainError("the point is given at primes %s, the character"
                           " at %s" % (tuple(q.primes), tuple(c.primes)))
+    if q.precision < precision:
+        raise DomainError("the point is given to precision %d, below the"
+                          " requested %d" % (q.precision, precision))
     symbols = _twisted_euler_symbols(c)[1]
     values, scalings = [], []
     for k, p in enumerate(c.primes):
         value, scaling = step(k, p)
         if not value.is_zero():
-            value = _apply_symbol(symbols[k], value, c.primes)
+            value = _apply_symbol(symbols[k], value)
         values.append(value.reduce_to(precision))
         scalings.append(scaling)
     return EvaluationResult(c.primes, values, precision, scalings)

@@ -29,11 +29,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _add_into(out: Dict, terms: Iterable, factor=None) -> Dict:
-    """out += factor * terms in place, for (key, coefficient) pairs."""
+def _add_into(out: Dict, terms: Iterable) -> Dict:
+    """out += terms in place, for (key, coefficient) pairs."""
     get = out.get
     for key, c in terms:
-        s = get(key, _ZERO) + (c if factor is None else c * factor)
+        s = get(key, _ZERO) + c
         if s:
             out[key] = s
         else:

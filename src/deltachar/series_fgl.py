@@ -258,17 +258,6 @@ class TruncSeries:
             g = g - (fg - t.truncate(n)) * dfg.reciprocal().with_order(n)
         return g
 
-    def embed(self, nvars: int, index: int) -> "TruncSeries":
-        """View a univariate series as a series in variable `index` of nvars."""
-        if self.nvars != 1:
-            raise DomainError("embed expects a univariate series")
-        out = {}
-        for (n,), c in self.coeffs.items():
-            exps = [0] * nvars
-            exps[index] = n
-            out[tuple(exps)] = c
-        return TruncSeries._from_clean(nvars, self.order, out)
-
     def __repr__(self):
         if not self.coeffs:
             return "TruncSeries(0 + O(deg %d))" % (self.order + 1)
@@ -319,11 +308,10 @@ class FormalGroupLaw:
     instead).  Both are computed on each call.
     """
 
-    def __init__(self, kind: str, order: int, log: TruncSeries, curve=None):
+    def __init__(self, kind: str, order: int, log: TruncSeries):
         self.kind = kind
         self.order = order
         self.log = log
-        self.curve = curve
 
     def _order(self, order: Optional[int]) -> int:
         n = self.order if order is None else order
@@ -430,5 +418,4 @@ def elliptic_log(curve, order: int) -> TruncSeries:
 
 def elliptic_group(curve, order: int) -> FormalGroupLaw:
     """Formal group of a Weierstrass curve in the parameter T = x/(2y)."""
-    return FormalGroupLaw("weierstrass", order, elliptic_log(curve, order),
-                          curve=curve)
+    return FormalGroupLaw("weierstrass", order, elliptic_log(curve, order))

@@ -19,6 +19,7 @@ from deltachar.characters import (
     full_symbol,
     honda_integrality_check,
     symbol_of_character,
+    symbol_order,
 )
 from deltachar.elliptic import WeierstrassCurve, is_ordinary, lseries_coefficients
 from deltachar.exact_arith import DomainError, PrimeSet, mobius, vp
@@ -67,7 +68,9 @@ def test_symbol_ring_basics():
     assert 3 * a == a * 3
     assert a - 2 == SymbolPoly({9: F(1, 2)})
     assert a.is_p_local((3, 5)) and not (a / 3).is_p_local((3, 5))
-    assert a.is_smooth(P35) and not SymbolPoly.phi(14).is_smooth(P35)
+    assert symbol_order(a, P35) == (2, 0)
+    with pytest.raises(DomainError):
+        symbol_order(SymbolPoly.phi(14), P35)
     with pytest.raises(DomainError):
         SymbolPoly({0: 1})
 
@@ -374,6 +377,14 @@ def test_character_json_refuses_dirac_kind_mismatch():
                              (ell, "kind", "Elliptic")):
         data = json.loads(json.dumps(base))
         data["dirac"][1][key] = value
+        with pytest.raises(DomainError):
+            character_from_json_dict(data)
+    # the order is the symbol's, and a support that is not P-smooth is
+    # refused even when the JSON gives it an order
+    outside = SymbolPoly.phi(7) * full_symbol(P35)
+    for data in (dict(gm, symbol=outside.to_json_list(),
+                      series=outside.star(gm_log(50)).to_json_dict()),
+                 dict(gm, order=[2, 7])):
         with pytest.raises(DomainError):
             character_from_json_dict(data)
     # and a curve belongs to an elliptic character alone

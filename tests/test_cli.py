@@ -218,8 +218,19 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
     _pipe(monkeypatch, json.dumps(data))
     assert main(["decompose"]) == 2
     assert capsys.readouterr().err.startswith("error: input is not character JSON: ")
-    # integer fields refuse floats and booleans rather than truncating them
+    # a support that is not P-smooth, or an order that is not the symbol's,
+    # is not a character, with or without points
     gm = build_gm_character(P35, 8).to_json_dict()
+    outside = SymbolPoly.phi(7) * full_symbol(P35)
+    not_smooth = dict(gm, symbol=outside.to_json_list(),
+                      series=outside.star(gm_log(50)).to_json_dict())
+    for data, argv in ((not_smooth, ()), (not_smooth, ("--point", "1")),
+                       (dict(gm, order=[2, 7]), ())):
+        _pipe(monkeypatch, json.dumps(data))
+        assert main(["decompose", *argv]) == 2, data["order"]
+        assert capsys.readouterr().err.startswith(
+            "error: input is not character JSON: ")
+    # integer fields refuse floats and booleans rather than truncating them
     ell = build_elliptic_character(WeierstrassCurve.from_label("37a"),
                                    PrimeSet((5, 7)), 8).to_json_dict()
     for base, path, value in (

@@ -67,7 +67,11 @@ def test_singular_equation_rejected():
 
 def test_counts_match_brute_force_both_routes():
     primes = [p for p in range(2, 62) if all(p % d for d in range(2, p))]
-    for curve in (E11, E37):
+    # 43a, 53a, 389a, y^2 = x^3 + 5 and y^2 = x^3 + 3x; the last two reduce
+    # additively at 2 and 3, and y^2 = x^3 + 5 at 5 as well
+    others = ((0, 1, 1, 0, 0), (1, -1, 1, 0, 0), (0, 1, 1, -2, 0),
+              (0, 0, 0, 0, 5), (0, 0, 0, 3, 0))
+    for curve in (E11, E37, *(WeierstrassCurve(*c) for c in others)):
         for p in primes:
             assert count_points_ap(curve, p) == brute_force_ap(curve, p), (curve, p)
 

@@ -569,7 +569,7 @@ def _evaluate_scaling_by_m(c, q, precision):
         else:
             w = _formal_value(c.curve, t, precision, log)
             sym = rho * euler_symbol(c.primes, k + 1, c.curve)
-            value = _apply_symbol(sym, w, c.primes).reduce_to(precision)
+            value = _apply_symbol(sym, w).reduce_to(precision)
         values.append(value)
         scalings.append(scale)
     return EvaluationResult(c.primes, values, precision, scalings)
@@ -840,9 +840,15 @@ def test_evaluate_dispatch_and_errors():
             (c57, E37.point(0, 0)),
             (c57, AdelePoint.elliptic(E37.point(0, 0), P57, 10)),
             (c57, AdelePoint.multiplicative(2, PrimeSet((5,)), 10)),
-            (c57, AdelePoint.multiplicative(2, PrimeSet((5, 7, 11)), 10))):
+            (c57, AdelePoint.multiplicative(2, PrimeSet((5, 7, 11)), 10)),
+            (c37, AdelePoint.elliptic(E37.point(0, 0), P57, 3)),
+            (c57, AdelePoint.multiplicative(2, P57, 3))):
         with pytest.raises(DomainError):
             evaluate(c, q, 10)
+    # an adele is evaluated to at most its own precision, and the refusal
+    # names both (not the digits of a component)
+    with pytest.raises(DomainError, match="precision 3, below the requested 10"):
+        evaluate(c57, AdelePoint.multiplicative(2, P57, 3), 10)
     with pytest.raises(DomainError, match="no evaluator for group 'Ga'"):
         evaluate(cga, 2, 10)
     # precision is a positive int, checked before any arithmetic
