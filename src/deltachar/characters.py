@@ -311,8 +311,12 @@ def _symbol_from_json(rows: Iterable[dict]) -> SymbolPoly:
 
 
 def character_from_json_dict(data: dict) -> Character:
-    """Inverse of Character.to_json_dict; integer fields go through `_json_int`,
-    and an `order` other than the symbol's is refused."""
+    """Inverse of Character.to_json_dict; integer fields go through `_json_int`.
+
+    What the symbol fixes is checked against it: the `order`, the series
+    (symbol applied to the group logarithm at the series' own order), and
+    the Dirac rows (one per prime of P in order, ode times euler the symbol).
+    """
     primes = PrimeSet(_json_int(p) for p in data["primes"])
     curve = None
     if "curve" in data:
@@ -334,6 +338,18 @@ def character_from_json_dict(data: dict) -> Character:
     if order != c.order:
         raise DomainError("order %s is not the symbol's order %s"
                           % (list(order), list(c.order)))
+    rows = [d.prime for d in dirac]
+    if rows and rows != list(primes):
+        raise DomainError("Dirac rows at %s are not one per prime of %s"
+                          % (rows, list(primes)))
+    for d in dirac:
+        if d.ode_symbol * d.euler_symbol != c.symbol:
+            raise DomainError("Dirac row at %d: ode times euler is not the"
+                              " symbol" % d.prime)
+    log = formal_group(c.group, c.series.order, curve).log
+    if c.symbol.star(log) != c.series:
+        raise DomainError("series is not the symbol applied to the logarithm"
+                          " to order %d" % c.series.order)
     return c
 
 

@@ -19,6 +19,8 @@ verify --depth 1..120, verify --samples 1..400, each at least ten times the
 largest value tests and examples use; --primes at most 6 primes, each at
 most 1000 (the fundamental symbol has up to 3^|P| terms), and for verify
 claim2, which builds the Gm logarithm to order p^3, p^3 at most 5000.
+`decompose` refuses character JSON whose series order is above the --order
+limit (exit 2), since reading it builds the logarithm to that order.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 domain error
 (supersingular or bad-reduction prime, invalid point, input that is not a
@@ -53,7 +55,7 @@ from .characters import (
 from .cyclotomic import CyclotomicConfig, CyclotomicElement, check_delta_ring_axioms
 from .elliptic import WeierstrassCurve, lseries_coefficients
 from .evaluation import AdelePoint, continuation_witness, evaluate, torsion_test
-from .exact_arith import DomainError, PrimeSet, vp
+from .exact_arith import DomainError, PrimeSet, _json_int, vp
 from .jet_rings import DeltaPolynomial, canonical_lift
 from .polys import MPoly
 from .series_fgl import gm_log
@@ -386,6 +388,10 @@ def cmd_decompose(args, cfg: RunConfig):
     raw = Path(args.input).read_text() if args.input else sys.stdin.read()
     try:
         data = json.loads(raw)
+        order = _json_int(data["series"]["order"])
+        if order > _MAX_ORDER:
+            raise DomainError("series order %d is above the --order limit %d"
+                              % (order, _MAX_ORDER))
         c = character_from_json_dict(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError("input is not character JSON: %s" % exc)

@@ -130,6 +130,10 @@ class AdelePoint:
                 raise DomainError("component prime mismatch at %d" % p)
             if not comp.is_unit():
                 raise NonUnitError("component at %d is not a unit" % p)
+            if comp.precision < precision + 1:
+                raise DomainError("component at %d has %d digits, precision %d"
+                                  " needs %d" % (p, comp.precision, precision,
+                                                 precision + 1))
         return cls(components[0].config, primes, precision,
                    list(components), None)
 

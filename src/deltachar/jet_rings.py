@@ -4,10 +4,10 @@ An element is stored as a polynomial in the delta-generators
 d^i x = delta_{p_1}^{i_1} ... delta_{p_d}^{i_d} x (`i` a multi-index, primes
 ascending, so the smallest prime acts last), the normal order the commutation
 relations fix.  It lies in the P-local jet ring exactly when its coefficients
-are P-local, which apply_delta checks by a scan.  The commuting coordinates
-phi^i x, where a Frobenius lift just shifts the index, serve only as an
-invertible triangular change of variables (memoized recursion); through it
-each image phi_p(d^i x) is written in the delta-generators once and memoized.
+are P-local, which apply_delta checks by a scan.  Frobenius lifts at
+different primes commute, so phi_q delta_p = delta_p phi_q, and that relation
+writes each image phi_p(d^i x) straight in the delta-generators by one
+recursion, memoized in one table; the library has no phi-coordinates.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .polys import MPoly
 
 MultiIndex = Tuple[int, ...]
 
-# variable keys inside MPoly: ("phi"|"delta", base variable name, multi-index)
-_PHI = "phi"
+# variable key inside MPoly: ("delta", base variable name, multi-index)
 _DEL = "delta"
 
 
@@ -39,13 +38,6 @@ def _zero_index(d: int) -> MultiIndex:
 
 def _bump(idx: MultiIndex, k: int) -> MultiIndex:
     return idx[:k] + (idx[k] + 1,) + idx[k + 1:]
-
-
-def _prime_power(primes: PrimeSet, idx: MultiIndex) -> int:
-    out = 1
-    for p, e in zip(primes, idx):
-        out *= p ** e
-    return out
 
 
 def _generator_key(primes: PrimeSet, name: str, idx: MultiIndex):
@@ -69,62 +61,29 @@ def generator_name(name: str, idx: MultiIndex, primes: PrimeSet) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the triangular change of variables between phi- and delta-coordinates
+# Frobenius images of the delta-generators
 # ---------------------------------------------------------------------------
 
-_DELTA_IN_PHI: Dict[Tuple[PrimeSet, str, MultiIndex], MPoly] = {}
-_PHI_IN_DELTA: Dict[Tuple[PrimeSet, str, MultiIndex], MPoly] = {}
 _PHI_IMAGE: Dict[Tuple[PrimeSet, int, str, MultiIndex], MPoly] = {}
 
 
-def _delta_generator_as_phi(primes: PrimeSet, name: str, idx: MultiIndex) -> MPoly:
-    """d^i x written in the phi-coordinates (rational coefficients)."""
-    key = (primes, name, idx)
-    if key in _DELTA_IN_PHI:
-        return _DELTA_IN_PHI[key]
-    if not any(idx):
-        out = MPoly.variable((_PHI, name, idx))
-    else:
-        k = next(j for j, e in enumerate(idx) if e)       # outermost operator
-        lower = idx[:k] + (idx[k] - 1,) + idx[k + 1:]
-        prev = _delta_generator_as_phi(primes, name, lower)
-        out = (_phi_shift(prev, k) - prev ** primes[k]) / primes[k]
-    _DELTA_IN_PHI[key] = out
-    return out
-
-
-def _phi_as_delta_generators(primes: PrimeSet, name: str, idx: MultiIndex) -> MPoly:
-    """phi^i x written in the delta-generators (integral coefficients)."""
-    key = (primes, name, idx)
-    if key in _PHI_IN_DELTA:
-        return _PHI_IN_DELTA[key]
-    if not any(idx):
-        out = MPoly.variable((_DEL, name, idx))
-    else:
-        # d^i x = phi^i x / p^i + (terms in phi^j x, j <= i, j != i)
-        scale = _prime_power(primes, idx)
-        rest = _delta_generator_as_phi(primes, name, idx) - \
-            MPoly.variable((_PHI, name, idx)) / scale
-        out = scale * (MPoly.variable((_DEL, name, idx)) - rest.substitute(
-            {var: _phi_as_delta_generators(primes, var[1], var[2])
-             for var in rest.variables()}))
-    _PHI_IN_DELTA[key] = out
-    return out
-
-
-def _phi_shift(poly: MPoly, k: int) -> MPoly:
-    return poly.map_variables(
-        lambda var: (var[0], var[1], _bump(var[2], k)) if var[0] == _PHI else var)
-
-
 def _phi_image(primes: PrimeSet, k: int, name: str, idx: MultiIndex) -> MPoly:
-    """phi_{p_k}(d^i x) written in the delta-generators (integral coefficients)."""
+    """phi_{p_k}(d^i x) in the delta-generators, j the outermost operator of
+    d^i x (its first nonzero entry; |P| for x itself).  For k <= j it is
+    (d^i x)^{p_k} + p_k d^{i+e_k} x.  For k > j, phi_{p_k} delta_{p_j} =
+    delta_{p_j} phi_{p_k} makes it delta_{p_j}(phi_{p_k}(d^{i-e_j} x)), and
+    phi_{p_j} of each generator of that inner image is the first case."""
     key = (primes, k, name, idx)
     if key not in _PHI_IMAGE:
-        shifted = _phi_shift(_delta_generator_as_phi(primes, name, idx), k)
-        _PHI_IMAGE[key] = shifted.substitute(
-            {var: _phi_as_delta_generators(primes, var[1], var[2])
-             for var in shifted.variables()})
+        j = next((m for m, e in enumerate(idx) if e), len(idx))
+        if k <= j:
+            _PHI_IMAGE[key] = MPoly.variable((_DEL, name, idx)) ** primes[k] + \
+                primes[k] * MPoly.variable((_DEL, name, _bump(idx, k)))
+        else:
+            inner = _phi_image(primes, k, name,
+                               idx[:j] + (idx[j] - 1,) + idx[j + 1:])
+            _PHI_IMAGE[key] = DeltaPolynomial(primes, inner).apply_delta(
+                primes[j]).poly
     return _PHI_IMAGE[key]
 
 
@@ -321,6 +280,8 @@ def jet_localizer(f: Union[MPoly, DeltaPolynomial], order: Sequence[int],
                   primes: PrimeSet = None) -> DeltaPolynomial:
     """The multiplier prod_{i <= order} phi^i(f) that localizes jets at f != 0."""
     if isinstance(f, MPoly):
+        if primes is None:
+            raise DomainError("an MPoly needs primes to be lifted to jets")
         f = DeltaPolynomial.from_base_polynomial(primes, f)
     out = DeltaPolynomial.constant(f.primes, 1)
     for idx in multi_indices(order):

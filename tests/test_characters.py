@@ -392,3 +392,23 @@ def test_character_json_refuses_dirac_kind_mismatch():
                  {k: v for k, v in ell.items() if k != "curve"}):
         with pytest.raises(DomainError):
             character_from_json_dict(data)
+    # the Dirac rows and the series are derived from the symbol: a row off P
+    # or out of order, a row whose ode times euler is not the symbol, and a
+    # series that is not the symbol applied to the logarithm are refused
+    first = dict(gm["series"], terms=[dict(gm["series"]["terms"][0], num="12345")]
+                 + gm["series"]["terms"][1:])
+    for base, change in ((gm, {"dirac": [gm["dirac"][0],
+                                         dict(gm["dirac"][1], p=7)]}),
+                         (gm, {"dirac": gm["dirac"][::-1]}),
+                         (gm, {"dirac": gm["dirac"][:1]}),
+                         (gm, {"dirac": [gm["dirac"][0], dict(
+                             gm["dirac"][1],
+                             euler=SymbolPoly({1: 7}).to_json_list())]}),
+                         (ell, {"dirac": [dict(ell["dirac"][0],
+                                               euler=gm["dirac"][0]["euler"]),
+                                          ell["dirac"][1]]}),
+                         (gm, {"series": first}),
+                         (gm, {"series": {"vars": 1, "order": 3, "terms": []}}),
+                         (ell, {"series": gm["series"]})):
+        with pytest.raises(DomainError):
+            character_from_json_dict(dict(base, **change))

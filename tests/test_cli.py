@@ -224,12 +224,24 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
     outside = SymbolPoly.phi(7) * full_symbol(P35)
     not_smooth = dict(gm, symbol=outside.to_json_list(),
                       series=outside.star(gm_log(50)).to_json_dict())
+    # nor are Dirac rows or a series that the symbol does not give
+    off_p = copy.deepcopy(gm)
+    off_p["dirac"][1]["p"] = 7
+    first = copy.deepcopy(gm)
+    first["series"]["terms"][0]["num"] = "12345"
+    empty = dict(gm, series={"vars": 1, "order": 3, "terms": []})
     for data, argv in ((not_smooth, ()), (not_smooth, ("--point", "1")),
-                       (dict(gm, order=[2, 7]), ())):
+                       (dict(gm, order=[2, 7]), ()), (off_p, ()), (first, ()),
+                       (empty, ())):
         _pipe(monkeypatch, json.dumps(data))
         assert main(["decompose", *argv]) == 2, data["order"]
         assert capsys.readouterr().err.startswith(
             "error: input is not character JSON: ")
+    # a series order above the --order limit is refused before the loader
+    # builds the logarithm to that order
+    _pipe(monkeypatch, json.dumps(dict(gm, series=dict(gm["series"], order=5001))))
+    assert main(["decompose"]) == 2
+    assert "above the --order limit 5000" in capsys.readouterr().err
     # integer fields refuse floats and booleans rather than truncating them
     ell = build_elliptic_character(WeierstrassCurve.from_label("37a"),
                                    PrimeSet((5, 7)), 8).to_json_dict()

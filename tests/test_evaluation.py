@@ -18,6 +18,7 @@ from deltachar.characters import (
     character_from_json_dict,
     decompose_over_fundamental,
     euler_symbol,
+    formal_group,
     full_symbol,
 )
 from deltachar.cyclotomic import (
@@ -88,6 +89,8 @@ def test_adele_construction():
         AdelePoint.from_components(comps[:1], P35, 10)
     with pytest.raises(DomainError):
         AdelePoint.from_components(list(reversed(comps)), P35, 10)
+    with pytest.raises(DomainError):
+        AdelePoint.from_components(comps, P35, 20)
 
 
 def test_gm_ode_values():
@@ -405,12 +408,13 @@ def test_stored_bare_and_loaded_characters_evaluate_alike():
             built = (build_gm_character(P35, 8) if curve is None
                      else build_elliptic_character(curve, P35, 8))
             group, sym = built.group, rho * built.symbol
+            series = sym.star(formal_group(group, 8, curve).log)
             if rho == SymbolPoly.one():
                 stored = built
             else:
-                stored = Character(group, P35, sym, built.series, curve)
+                stored = Character(group, P35, sym, series, curve)
                 _twisted_euler_symbols(stored, rho)
-            bare = Character(group, P35, sym, built.series, curve)
+            bare = Character(group, P35, sym, series, curve)
             loaded = character_from_json_dict(
                 json.loads(json.dumps(stored.to_json_dict())))
             assert bare._twist is None and loaded._twist is None

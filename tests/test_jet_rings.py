@@ -9,8 +9,6 @@ from deltachar.exact_arith import DomainError, NotPLocalError, PrimeSet
 from deltachar.jet_rings import (
     DeltaPolynomial,
     JetPresentation,
-    _delta_generator_as_phi,
-    _phi_as_delta_generators,
     canonical_lift,
     generator_name,
     jet_generators,
@@ -96,6 +94,56 @@ def test_delta_stability_on_random_elements():
             assert g.is_p_local()
 
 
+# ---------------------------------------------------------------------------
+# reference: the commuting phi-coordinates phi^i x, where a Frobenius lift
+# shifts the index, and the triangular change of variables between them and
+# the delta-generators.  The library writes Frobenius images without them.
+# ---------------------------------------------------------------------------
+
+_DELTA_IN_PHI = {}
+_PHI_IN_DELTA = {}
+
+
+def _phi_shift(poly, k):
+    return poly.map_variables(
+        lambda v: (v[0], v[1], v[2][:k] + (v[2][k] + 1,) + v[2][k + 1:]))
+
+
+def _delta_generator_as_phi(primes, name, idx):
+    """d^i x written in the phi-coordinates (rational coefficients)."""
+    key = (primes, name, idx)
+    if key not in _DELTA_IN_PHI:
+        if not any(idx):
+            out = MPoly.variable(("phi", name, idx))
+        else:
+            k = next(j for j, e in enumerate(idx) if e)   # outermost operator
+            lower = idx[:k] + (idx[k] - 1,) + idx[k + 1:]
+            prev = _delta_generator_as_phi(primes, name, lower)
+            out = (_phi_shift(prev, k) - prev ** primes[k]) / primes[k]
+        _DELTA_IN_PHI[key] = out
+    return _DELTA_IN_PHI[key]
+
+
+def _phi_as_delta_generators(primes, name, idx):
+    """phi^i x written in the delta-generators (integral coefficients)."""
+    key = (primes, name, idx)
+    if key not in _PHI_IN_DELTA:
+        if not any(idx):
+            out = MPoly.variable(("delta", name, idx))
+        else:
+            # d^i x = phi^i x / p^i + (terms in phi^j x, j <= i, j != i)
+            scale = 1
+            for p, e in zip(primes, idx):
+                scale *= p ** e
+            rest = _delta_generator_as_phi(primes, name, idx) - \
+                MPoly.variable(("phi", name, idx)) / scale
+            out = scale * (MPoly.variable(("delta", name, idx)) - rest.substitute(
+                {v: _phi_as_delta_generators(primes, v[1], v[2])
+                 for v in rest.variables()}))
+        _PHI_IN_DELTA[key] = out
+    return _PHI_IN_DELTA[key]
+
+
 def _phi_coordinates(f):
     return f.poly.substitute({v: _delta_generator_as_phi(f.primes, v[1], v[2])
                               for v in f.poly.variables()})
@@ -104,11 +152,6 @@ def _phi_coordinates(f):
 def _delta_coordinates(primes, poly):
     return poly.substitute({v: _phi_as_delta_generators(primes, v[1], v[2])
                             for v in poly.variables()})
-
-
-def _phi_shift_reference(poly, k):
-    return poly.map_variables(
-        lambda v: (v[0], v[1], v[2][:k] + (v[2][k] + 1,) + v[2][k + 1:]))
 
 
 def test_operators_match_phi_coordinate_route():
@@ -136,8 +179,7 @@ def test_operators_match_phi_coordinate_route():
             phi_form = _phi_coordinates(f)
             assert _delta_coordinates(primes, phi_form) == f.poly
             for k, p in enumerate(primes):
-                shifted = _delta_coordinates(
-                    primes, _phi_shift_reference(phi_form, k))
+                shifted = _delta_coordinates(primes, _phi_shift(phi_form, k))
                 assert f.apply_phi(p).poly == shifted
                 assert f.apply_delta(p).poly == (shifted - f.poly ** p) / p
 
@@ -180,8 +222,10 @@ def test_commutation_identity_on_jet_elements():
     x = MPoly.variable(("delta", "x", (0, 0)))
     d3x = MPoly.variable(("delta", "x", (1, 0)))
     d5x = MPoly.variable(("delta", "x", (0, 1)))
+    d35x = MPoly.variable(("delta", "x", (1, 1)))
+    d355x = MPoly.variable(("delta", "x", (1, 2)))
     fixed = [x, x * x, x / 2 + d3x, x * d5x, 2 + x + d3x * x,
-             x * x - d5x, x + x * d5x]
+             x * x - d5x, x + x * d5x, d35x, x * d35x, d355x]
     for g in fixed:
         f = DeltaPolynomial.from_delta_generators(P35, g)
         f3 = f.apply_delta(3)
@@ -189,6 +233,22 @@ def test_commutation_identity_on_jet_elements():
         lhs = f5.apply_delta(3).poly - f3.apply_delta(5).poly
         rhs = C.substitute({"X0": f.poly, "X1": f3.poly, "X2": f5.poly})
         assert lhs == rhs
+
+
+def test_frobenius_images_fix_canonical_lifts():
+    # Frobenius is the identity on Q and evaluation at the canonical lift of
+    # a commutes with delta, so phi_p(d^i x) evaluates there to d^i a
+    P357 = PrimeSet((3, 5, 7))
+    for primes, orders in ((P35, [(2, 1), (1, 2)]), (P357, [(1, 1, 1)])):
+        idxs = sorted({i for order in orders for i in multi_indices(order)})
+        for a in (2, -3, Fraction(1, 2), Fraction(-4, 11)):
+            for idx in idxs:
+                gen = DeltaPolynomial.delta_generator(primes, "x", idx)
+                for p in primes:
+                    image = gen.apply_phi(p).poly
+                    got = image.evaluate({v: iterated_delta(a, primes, v[2])
+                                          for v in image.variables()})
+                    assert got == iterated_delta(a, primes, idx), (a, idx, p)
 
 
 def test_coordinate_round_trips():
@@ -266,6 +326,8 @@ def test_jet_localizer():
     assert loc.delta_expansion() == d0 * (d0 ** 3 + 3 * d1)
     assert jet_localizer(MPoly.const(1), (1, 1), P35).poly == MPoly.const(1)
     assert jet_localizer(xv, (0,), P3) == DeltaPolynomial.variable(P3, "x")
+    with pytest.raises(DomainError):
+        jet_localizer(xv, (1,))
     # iterating deltas on the localizer stays integral (localization lemma)
     assert loc.apply_delta(3).is_p_local()
 
