@@ -15,9 +15,12 @@ Every fundamental symbol is derived from one Euler factor per prime,
 `euler_polynomial`: E_p = phi_p - p for G_m, phi_p^2 - a_p phi_p + p for a
 curve.  The local operator at p is E_p/p, the Euler symbol at p is the
 product of E_l/E_l(0) over the other primes, the fundamental symbol is their
-product at any p, and decomposition divides by the same E_p.  The Euler
-symbols are derived once per character, each E_l/E_l(0) formed once, and
-stored on it times rho (`_twisted_euler_symbols`): evaluation rebuilds none.
+product at any p, and decomposition divides by the same E_p.  The a_p and
+Euler symbols of a prime set come from one helper (`_euler_symbols`), which
+checks the reduction and forms each E_l/E_l(0) once.  A character's twist
+rho and its Euler symbols times rho are stored on it by the builders
+(rho = 1) and by `decompose_over_fundamental`, the only derivation of rho;
+evaluation reads them (`_twisted_euler_symbols`) and rebuilds none.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .exact_arith import (
     Rational,
     _ilog,
     _json_int,
+    _rational,
     smooth_exponents,
     vp,
 )
@@ -50,11 +54,11 @@ class SymbolPoly:
     def __init__(self, coeffs: Optional[Dict[int, Rational]] = None):
         clean: Dict[int, Fraction] = {}
         for n, c in (coeffs or {}).items():
-            if n < 1:
+            if type(n) is not int or n < 1:
                 raise DomainError("symbol index %r must be a positive integer" % (n,))
-            c = Fraction(c)
+            c = Fraction(_rational(c))
             if c:
-                clean[int(n)] = c
+                clean[n] = c
         self.coeffs = clean
 
     @classmethod
@@ -120,7 +124,7 @@ class SymbolPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        return self * (Fraction(1, 1) / Fraction(c))
+        return self * (1 / Fraction(_rational(c)))
 
     def __eq__(self, other):
         o = _as_symbol(other)
@@ -195,18 +199,14 @@ def euler_symbol(primes: PrimeSet, k: int,
     (coefficients mu(n)/n) for G_m, 1 - a_l phi_l/l + phi_l^2/l for a curve."""
     if not 1 <= k <= len(primes):
         raise DomainError("prime index %d out of range 1..%d" % (k, len(primes)))
-    out = SymbolPoly.one()
-    for j, p in enumerate(primes):
-        if j != k - 1:
-            out = out * _euler_over(p, _ordinary_ap(curve, p), None)
-    return out
+    return _euler_symbols(primes, curve)[1][k - 1]
 
 
 def _euler_symbols(primes: PrimeSet, curve: Optional[WeierstrassCurve] = None
                    ) -> Tuple[List[Optional[int]], List[SymbolPoly]]:
     """The a_p of every prime (None for G_m) and euler_symbol(primes, k,
-    curve) for every k, from one `_ordinary_ap` and one E_l/E_l(0) per
-    prime, multiplied in the order `euler_symbol` uses."""
+    curve) for every k.  The one place that checks the reduction at a prime
+    set (`_ordinary_ap`) and forms the E_l/E_l(0), each once per prime."""
     aps = [_ordinary_ap(curve, p) for p in primes]
     factors = [_euler_over(p, ap, None) for p, ap in zip(primes, aps)]
     symbols = []
@@ -225,8 +225,9 @@ def full_symbol(primes: PrimeSet,
     prod(1 - a_p phi_p/p + phi_p^2/p) for a curve: E_p/p times
     euler_symbol(primes, 1) at the first prime p, and since E_p(0) is
     (-1)^deg p the same product at every other."""
+    aps, euler = _euler_symbols(primes, curve)
     p = primes[0]
-    return _euler_over(p, _ordinary_ap(curve, p), p) * euler_symbol(primes, 1, curve)
+    return _euler_over(p, aps[0], p) * euler[0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +260,9 @@ class Character:
 
     `order` is `symbol_order(symbol, primes)`, so a stored symbol is P-smooth.
     Evaluation reads the private `_twist` (see `_twisted_euler_symbols`),
-    never the Dirac rows; it is derived from primes, curve and symbol, so
-    these are not to be reassigned.
+    never the Dirac rows.  The builders store it, and
+    `decompose_over_fundamental` stores it from primes, curve and symbol,
+    so these are not to be reassigned.
     """
 
     __slots__ = ("group", "curve", "primes", "order", "symbol", "series",
@@ -508,13 +510,14 @@ def decompose_over_fundamental(c: Character) -> SymbolPoly:
     non-P-local quotient coefficient means the input is not a multiple of
     the fundamental character.  The fundamental symbol is E_p/p at the
     first prime times E_l/E_l(0) at the others (`full_symbol`), so the
-    quotient is scaled by p and by each E_l(0).
+    quotient is scaled by p and by each E_l(0).  On success the twist
+    (rho, rho times each Euler symbol) is stored on c as `c._twist`.
     """
     if c.group not in ("Gm", "Elliptic"):
         raise DomainError("decomposition needs a Gm or elliptic character")
+    aps, euler = _euler_symbols(c.primes, c.curve)
     rho, scale = c.symbol, 1
-    for k, p in enumerate(c.primes):
-        ap = _ordinary_ap(c.curve, p)
+    for k, (p, ap) in enumerate(zip(c.primes, aps)):
         rho, rem = divide_by_euler_factor(rho, p, ap)
         if not rem.is_zero():
             raise DomainError("nonzero remainder at the Euler factor at %d: "
@@ -523,26 +526,17 @@ def decompose_over_fundamental(c: Character) -> SymbolPoly:
     rho = rho * scale
     if not rho.is_p_local(c.primes):
         raise DomainError("decomposition coefficients are not P-local")
+    c._twist = (rho, [rho * e for e in euler])
     return rho
 
 
-def _twisted_euler_symbols(c: Character, rho: Optional[SymbolPoly] = None
-                           ) -> Tuple[SymbolPoly, List[SymbolPoly]]:
+def _twisted_euler_symbols(c: Character) -> Tuple[SymbolPoly, List[SymbolPoly]]:
     """(rho, [rho * euler_symbol(c.primes, k, c.curve) for each k]) with
-    c.symbol = rho * full_symbol(c.primes, c.curve), stored on c as
-    `c._twist`: `build_*` store it, and otherwise the first call derives it
-    by one `_euler_symbols`, and one `decompose_over_fundamental` unless
-    rho is given or c.symbol is the fundamental symbol."""
+    c.symbol = rho * full_symbol(c.primes, c.curve): the twist stored on c
+    by `build_*` or `decompose_over_fundamental`, which runs here when
+    nothing is stored."""
     if c._twist is None:
-        aps, euler = _euler_symbols(c.primes, c.curve)
-        if rho is None:
-            p = c.primes[0]
-            if c.symbol != _euler_over(p, aps[0], p) * euler[0]:
-                rho = decompose_over_fundamental(c)
-        if rho is None or rho == 1:
-            c._twist = (SymbolPoly.one(), euler)
-        else:
-            c._twist = (rho, [rho * e for e in euler])
+        decompose_over_fundamental(c)
     return c._twist
 
 

@@ -42,7 +42,6 @@ from pathlib import Path
 
 from .characters import (
     SymbolPoly,
-    _twisted_euler_symbols,
     build_elliptic_character,
     build_ga_character,
     build_gm_character,
@@ -395,8 +394,7 @@ def cmd_decompose(args, cfg: RunConfig):
         c = character_from_json_dict(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError("input is not character JSON: %s" % exc)
-    rho = decompose_over_fundamental(c)
-    _twisted_euler_symbols(c, rho)          # the points' evaluations reuse rho
+    rho = decompose_over_fundamental(c)     # stored: the points reuse it
     aug = rho.augmentation()
     report = {
         "group": c.group,

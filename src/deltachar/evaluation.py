@@ -8,8 +8,10 @@ E(Z_p[zeta_m']/p^K) by `elliptic.scaled_formal_parameter`, which returns
 the formal parameter of the scaled point, scaling M), and the loop applies
 the complementary symbol through Frobenius on the value.  The
 complementary symbols, rho times the Euler symbol of the other primes, are
-derived once per character and stored on it
-(`characters._twisted_euler_symbols`); an evaluation reads them.
+stored on the character by its builder or by
+`characters.decompose_over_fundamental`, which the first evaluation of a
+character that stores none runs (`characters._twisted_euler_symbols`); an
+evaluation reads them.
 
 A curve point is scaled by N = #E(F_{p^f'}), the count of the residue field
 of its own ring Z[zeta_m'] (m' = 1 for a rational point, f' the order of p

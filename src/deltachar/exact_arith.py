@@ -84,10 +84,13 @@ class PrimeSet(tuple):
     """
 
     def __new__(cls, primes: Iterable[int]) -> "PrimeSet":
-        ps = tuple(int(p) for p in primes)
+        ps = tuple(primes)
         if not ps:
             raise DomainError("a prime set must contain at least one prime")
         for p in ps:
+            # type, not int(): a float or bool prime would be truncated
+            if type(p) is not int:
+                raise DomainError("%r is not an integer" % (p,))
             if p == 2:
                 raise DomainError("2 is not admitted in a prime set")
             if not is_prime(p):

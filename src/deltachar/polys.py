@@ -4,8 +4,10 @@ The kernel (`_add_into`, `_combine`, `_scale`, `_sum_terms`, `_convolve`,
 `_power`, `_coprime_to`) acts on {key: Fraction} dicts that store no zero; a
 missing coefficient reads as the shared `_ZERO`.  `MPoly`,
 `series_fgl.TruncSeries` and `characters.SymbolPoly` are built on it:
-constructors coerce outside input, and `_from_clean` stores kernel output as
-it is.  Products (`_convolve`, hence `_power`) and the star action
+constructors take outside input (int or Fraction coefficients and divisors,
+through `exact_arith._rational`; int indices and exponents; each MPoly
+monomial put in the form `_mono_mul` gives), and `_from_clean` stores
+kernel output as it is.  Products (`_convolve`, hence `_power`) and the star action
 (`series_fgl.star_apply`) hand their terms to `_sum_terms` as integer
 (key, numerator, denominator) triples, so each coefficient is summed in ints
 and becomes one Fraction, rather than paying a Fraction multiply and add per
@@ -22,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterable, Optional, Tuple
+
+from .exact_arith import DomainError, _rational
 
 Monomial = Tuple[Tuple[object, int], ...]
 
@@ -108,6 +112,18 @@ def _coprime_to(a: Dict, primes: Iterable[int]) -> bool:
     return all(all(c.denominator % p for p in ps) for c in a.values())
 
 
+def _monomial(mono: Iterable) -> Monomial:
+    """The stored form of outside (variable, exponent) pairs, as `_mono_mul`
+    gives it: sorted, repeated variables merged, zero exponents dropped."""
+    exps: Dict = {}
+    for v, e in mono:
+        # type, not int(): a float or bool exponent would be truncated
+        if type(e) is not int or e < 0:
+            raise DomainError("bad exponent %r of %r" % (e, v))
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
@@ -127,10 +143,8 @@ class MPoly:
     def __init__(self, coeffs: Dict[Monomial, Fraction] = None):
         self.coeffs: Dict[Monomial, Fraction] = {}
         if coeffs:
-            for mono, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[mono] = c
+            _add_into(self.coeffs, ((_monomial(mono), Fraction(_rational(c)))
+                                    for mono, c in coeffs.items()))
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -139,7 +153,7 @@ class MPoly:
 
     @classmethod
     def const(cls, c) -> "MPoly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, name) -> "MPoly":
@@ -180,7 +194,7 @@ class MPoly:
         return MPoly._from_clean(_power(self.coeffs, k, _mono_mul, {(): _ONE}))
 
     def __truediv__(self, c):
-        return MPoly._from_clean(_scale(self.coeffs, 1 / Fraction(c)))
+        return MPoly._from_clean(_scale(self.coeffs, 1 / Fraction(_rational(c))))
 
     @staticmethod
     def _coerce(x) -> "MPoly":
@@ -207,7 +221,7 @@ class MPoly:
         return max((sum(e for _, e in m) for m in self.coeffs), default=0)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.coeffs.get(tuple(sorted(mono)), _ZERO)
+        return self.coeffs.get(_monomial(mono), _ZERO)
 
     def constant_term(self) -> Fraction:
         return self.coeffs.get((), _ZERO)

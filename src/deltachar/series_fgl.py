@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exact_arith import DomainError, _json_int
+from .exact_arith import DomainError, _json_int, _rational
 from .polys import (_ONE, _ZERO, _add_into, _combine, _convolve, _coprime_to,
                     _power, _scale, _sum_terms)
 
@@ -51,7 +51,7 @@ class TruncSeries:
                     raise DomainError("bad exponent %r" % (exps,))
                 if sum(exps) > order:
                     continue
-                c = Fraction(c)
+                c = Fraction(_rational(c))
                 if c:
                     self.coeffs[exps] = c
 
@@ -62,7 +62,7 @@ class TruncSeries:
 
     @classmethod
     def const(cls, c, nvars: int, order: int) -> "TruncSeries":
-        return cls(nvars, order, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, order, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, order: int, index: int = 0, nvars: int = 1) -> "TruncSeries":
@@ -77,8 +77,13 @@ class TruncSeries:
         out.nvars, out.order, out.coeffs = nvars, order, coeffs
         return out
 
-    def _cut(self, order: int) -> "TruncSeries":
-        """The same coefficients read at `order`: those above it dropped."""
+    def with_order(self, order: int) -> "TruncSeries":
+        """The same coefficients read at `order`: those above it dropped.
+
+        At a higher order the missing coefficients read as 0, which is only
+        meaningful inside iterations that are about to correct the high part
+        (Newton); not for honest data.
+        """
         if order < 0:
             raise DomainError("bad series shape")
         coeffs = self.coeffs
@@ -97,7 +102,7 @@ class TruncSeries:
             other = TruncSeries.const(other, self.nvars, self.order)
         n = self._check(other)   # the sum is known to the lower order only
         return TruncSeries._from_clean(self.nvars, n, _combine(
-            self._cut(n).coeffs, other._cut(n).coeffs))
+            self.with_order(n).coeffs, other.with_order(n).coeffs))
 
     __radd__ = __add__
 
@@ -123,7 +128,7 @@ class TruncSeries:
 
     def __truediv__(self, c):
         return TruncSeries._from_clean(self.nvars, self.order,
-                                       _scale(self.coeffs, 1 / Fraction(c)))
+                                       _scale(self.coeffs, 1 / Fraction(_rational(c))))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -137,7 +142,7 @@ class TruncSeries:
         if not isinstance(other, TruncSeries) or self.nvars != other.nvars:
             return NotImplemented
         n = min(self.order, other.order)
-        return self._cut(n).coeffs == other._cut(n).coeffs
+        return self.with_order(n).coeffs == other.with_order(n).coeffs
 
     __hash__ = None
 
@@ -156,15 +161,7 @@ class TruncSeries:
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise DomainError("cannot extend a truncated series")
-        return self._cut(order)
-
-    def with_order(self, order: int) -> "TruncSeries":
-        """Reinterpret at a higher order (missing coefficients read as 0).
-
-        Only meaningful inside iterations that are about to correct the high
-        part (Newton); not for honest data.
-        """
-        return self._cut(order)
+        return self.with_order(order)
 
     def denominators_coprime_to(self, primes) -> bool:
         return _coprime_to(self.coeffs, primes)
@@ -313,17 +310,11 @@ class FormalGroupLaw:
         self.order = order
         self.log = log
 
-    def _order(self, order: Optional[int]) -> int:
-        n = self.order if order is None else order
-        if n > self.order:
-            raise DomainError("group was built at order %d" % self.order)
-        return n
+    def exp(self) -> TruncSeries:
+        return self.log.truncate(self.order).compositional_inverse()
 
-    def exp(self, order: Optional[int] = None) -> TruncSeries:
-        return self.log.truncate(self._order(order)).compositional_inverse()
-
-    def law(self, order: Optional[int] = None) -> TruncSeries:
-        n = self._order(order)
+    def law(self) -> TruncSeries:
+        n = self.order
         t1 = TruncSeries.var(n, 0, 2)
         t2 = TruncSeries.var(n, 1, 2)
         if self.kind == "additive":
@@ -332,12 +323,7 @@ class FormalGroupLaw:
             return t1 + t2 + t1 * t2
         # G = exp(log T1 + log T2)
         log = self.log.truncate(n)
-        return self.exp(n).compose([log.compose([t1]) + log.compose([t2])])
-
-    def add(self, f: TruncSeries, g: TruncSeries) -> TruncSeries:
-        """Formal sum of two series points (no constant terms)."""
-        n = min(f.order, g.order, self.order)
-        return self.law(n).compose([f.truncate(n), g.truncate(n)])
+        return self.exp().compose([log.compose([t1]) + log.compose([t2])])
 
 
 def additive_group(order: int) -> FormalGroupLaw:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,13 +16,15 @@ from deltachar.characters import (
     continuation_criterion,
     decompose_over_fundamental,
     divide_by_euler_factor,
+    euler_polynomial,
     euler_symbol,
     full_symbol,
     honda_integrality_check,
     symbol_of_character,
     symbol_order,
 )
-from deltachar.elliptic import WeierstrassCurve, is_ordinary, lseries_coefficients
+from deltachar.elliptic import (WeierstrassCurve, count_points_ap, is_ordinary,
+                               lseries_coefficients)
 from deltachar.exact_arith import DomainError, PrimeSet, mobius, vp
 from deltachar.series_fgl import TruncSeries, elliptic_log, gm_log
 
@@ -174,9 +177,11 @@ def test_dirac_consistency():
 
 
 def test_stored_euler_symbols_match_the_reference():
-    """A built character stores rho = 1 and euler_symbol(primes, k, curve)
-    for every k, its Dirac rows hold the same symbols, and ode x euler of the
-    first row is full_symbol, at |P| = 1..4 on G_m and four curves."""
+    """A built character stores rho = 1 and, for every k, the product of
+    E_l/E_l(0) over the primes but the k-th, formed here from
+    `euler_polynomial` and `count_points_ap`; `euler_symbol` and the Dirac
+    rows hold the same, and ode x euler of the first row is the symbol and
+    E_p/p times the first product, at |P| = 1..4 on G_m and four curves."""
     for curve in (None, E11, E37, E43, E389):
         ordinary = [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
                     if curve is None or is_ordinary(curve, p)][:4]
@@ -184,14 +189,22 @@ def test_stored_euler_symbols_match_the_reference():
             primes = PrimeSet(ordinary[:size])
             c = (build_gm_character(primes, 6) if curve is None
                  else build_elliptic_character(curve, primes, 6))
+            euler = [euler_polynomial(l, None if curve is None
+                                      else count_points_ap(curve, l))
+                     for l in primes]
+            reference = [math.prod((e / e.coefficient(1) for j, e
+                                    in enumerate(euler) if j != k),
+                                   start=SymbolPoly.one())
+                         for k in range(size)]
             rho, stored = c._twist
             assert rho == SymbolPoly.one()
-            assert stored == [euler_symbol(primes, k, curve)
-                              for k in range(1, size + 1)], (curve, primes)
+            assert stored == reference, (curve, primes)
+            assert [euler_symbol(primes, k, curve)
+                    for k in range(1, size + 1)] == stored
             assert [d.euler_symbol for d in c.dirac] == stored
             first = c.dirac[0]
-            assert first.ode_symbol * first.euler_symbol == full_symbol(
-                primes, curve) == c.symbol
+            assert first.ode_symbol * first.euler_symbol == c.symbol == (
+                euler[0] / primes[0] * reference[0]) == full_symbol(primes, curve)
 
 
 def test_check_additivity():

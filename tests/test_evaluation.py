@@ -11,7 +11,6 @@ import deltachar.evaluation
 from deltachar.characters import (
     Character,
     SymbolPoly,
-    _twisted_euler_symbols,
     build_elliptic_character,
     build_ga_character,
     build_gm_character,
@@ -400,8 +399,8 @@ def _points_at_level(curve, m):
 
 def test_stored_bare_and_loaded_characters_evaluate_alike():
     """One character in three forms evaluates the same: with its Euler
-    symbols stored (built, or given its rho as `decompose` gives it), made
-    by hand with nothing stored, and read back from its JSON."""
+    symbols stored (built, or decomposed as `decompose` does it), made by
+    hand with nothing stored, and read back from its JSON."""
     for rho in (SymbolPoly.one(), SymbolPoly({1: 1, 3: -1}),
                 SymbolPoly({1: 1, 3: 1})):
         for curve in (None, E11, E43):
@@ -413,7 +412,7 @@ def test_stored_bare_and_loaded_characters_evaluate_alike():
                 stored = built
             else:
                 stored = Character(group, P35, sym, series, curve)
-                _twisted_euler_symbols(stored, rho)
+                decompose_over_fundamental(stored)
             bare = Character(group, P35, sym, series, curve)
             loaded = character_from_json_dict(
                 json.loads(json.dumps(stored.to_json_dict())))
@@ -426,6 +425,23 @@ def test_stored_bare_and_loaded_characters_evaluate_alike():
                            for c in (stored, bare, loaded)]
                     assert got[0] == got[1] == got[2], (group, rho, m)
             assert bare._twist[0] == loaded._twist[0] == rho
+
+
+def test_bare_character_decomposes_once(monkeypatch):
+    # the first evaluation stores rho, and the second reads it
+    calls = []
+    divide = deltachar.characters.divide_by_euler_factor
+
+    def counted(*args):
+        calls.append(args)
+        return divide(*args)
+
+    monkeypatch.setattr(deltachar.characters, "divide_by_euler_factor", counted)
+    sym = SymbolPoly({1: 1, 3: -1}) * full_symbol(P35)
+    c = Character("Gm", P35, sym, sym.star(gm_log(30)))
+    assert evaluate(c, 2, 10).is_zero()
+    assert not evaluate(c, 2 + 3 * Z4, 10).is_zero()
+    assert len(calls) == len(P35)
 
 
 def test_built_characters_evaluate_without_rebuilding_symbols(monkeypatch):

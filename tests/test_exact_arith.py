@@ -74,6 +74,13 @@ def test_is_p_local():
     assert not is_p_local(Fraction(2, 45), P)
 
 
+def test_prime_set_refuses_non_integers():
+    # type, not int(): 3.5 is not 3, nor True a prime
+    for primes in ((3.5, 5), (3.0, 5), (True, 3), ("3", 5)):
+        with pytest.raises(DomainError):
+            PrimeSet(primes)
+
+
 def test_floats_are_refused_at_every_door():
     # a float is never read as its binary expansion
     P = PrimeSet([3])

@@ -112,6 +112,38 @@ def test_mpoly_constructor_coerces_and_drops_zeros():
     assert p.coefficient((("b", 1),)) == 0 and p.constant_term() == 0
 
 
+def test_mpoly_monomials_are_stored_canonically():
+    # sorted, with a repeated variable merged, as products store them
+    x, y = MPoly.variable("x"), MPoly.variable("y")
+    p = MPoly({(("y", 1), ("x", 1)): 1})
+    assert p == x * y and p.coefficient((("x", 1), ("y", 1))) == 1
+    assert (p + x * y).coeffs == {(("x", 1), ("y", 1)): Fraction(2)}
+    assert MPoly({(("x", 1), ("x", 2)): 1}) == x ** 3
+    for exponent in (1.0, True, -1):
+        with pytest.raises(DomainError):
+            MPoly({(("x", exponent),): 1})
+
+
+def test_mpoly_zero_exponents_are_dropped():
+    assert MPoly({(("x", 0),): 3}) == MPoly.const(3)
+    assert MPoly({(("x", 0),): 3}).constant_term() == 3
+    assert MPoly({(("x", 0), ("y", 2)): 1}) == MPoly.variable("y") ** 2
+
+
+def test_sparse_coefficients_and_divisors_are_exact():
+    # a float is never read as its binary expansion, nor a bool as an int
+    for bad in (0.1, True):
+        for build in (lambda: SymbolPoly({1: bad}),
+                      lambda: TruncSeries(1, 3, {(1,): bad}),
+                      lambda: MPoly({(): bad}), lambda: MPoly.const(bad),
+                      lambda: TruncSeries.const(bad, 1, 3),
+                      lambda: SymbolPoly.one() / bad,
+                      lambda: TruncSeries.var(3) / bad,
+                      lambda: MPoly.variable("x") / bad):
+            with pytest.raises(DomainError):
+                build()
+
+
 def test_mpoly_substitute_against_evaluate():
     rng = random.Random(3)
     for a, b, c in mpoly_cases(3, 25):
@@ -343,6 +375,13 @@ def test_kernel_sums_match_naive_double_loop():
 def rand_symbol(rng):
     return SymbolPoly({n: rand_coeff(rng)
                        for n in rng.sample(range(1, 13), rng.randint(0, 4))})
+
+
+def test_symbol_indices_must_be_ints():
+    # type, not int(): 2.5 is not phi_2, nor True phi_1
+    for n in (2.5, 2.0, True):
+        with pytest.raises(DomainError):
+            SymbolPoly({n: 1})
 
 
 def test_symbols_match_dict_reference_and_ring_laws():
