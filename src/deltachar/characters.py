@@ -36,6 +36,7 @@ from .exact_arith import (
     PrimeSet,
     Rational,
     _ilog,
+    _is_rational,
     _json_int,
     _rational,
     smooth_exponents,
@@ -93,10 +94,8 @@ class SymbolPoly:
         return _coprime_to(self.coeffs, primes)
 
     def __add__(self, other):
-        o = _as_symbol(other)
-        if o is None:
-            return NotImplemented
-        return SymbolPoly._from_clean(_combine(self.coeffs, o.coeffs))
+        return SymbolPoly._from_clean(_combine(self.coeffs,
+                                               _as_symbol(other).coeffs))
 
     __radd__ = __add__
 
@@ -104,22 +103,16 @@ class SymbolPoly:
         return SymbolPoly._from_clean(_scale(self.coeffs, -1))
 
     def __sub__(self, other):
-        o = _as_symbol(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-_as_symbol(other))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return SymbolPoly._from_clean(_scale(self.coeffs, other))
-        o = _as_symbol(other)
-        if o is None:
-            return NotImplemented
         return SymbolPoly._from_clean(
-            _convolve(self.coeffs, o.coeffs, operator.mul))
+            _convolve(self.coeffs, _as_symbol(other).coeffs, operator.mul))
 
     __rmul__ = __mul__
 
@@ -127,10 +120,9 @@ class SymbolPoly:
         return self * (1 / Fraction(_rational(c)))
 
     def __eq__(self, other):
-        o = _as_symbol(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if isinstance(other, SymbolPoly) or _is_rational(other):
+            return self.coeffs == _as_symbol(other).coeffs
+        return NotImplemented
 
     __hash__ = None
 
@@ -156,12 +148,12 @@ class SymbolPoly:
         return "SymbolPoly(%s)" % " + ".join(bits)
 
 
-def _as_symbol(x) -> Optional[SymbolPoly]:
+def _as_symbol(x) -> SymbolPoly:
+    """x itself, or an int or Fraction as a constant symbol; the constructor
+    refuses anything else (a bool or float too) with a DomainError."""
     if isinstance(x, SymbolPoly):
         return x
-    if isinstance(x, (int, Fraction)):
-        return SymbolPoly({1: x})
-    return None
+    return SymbolPoly({1: x})
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .characters import (
@@ -595,7 +596,17 @@ _COMMANDS = {"char": cmd_char, "eval": cmd_eval, "verify": cmd_verify,
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main`
+    call in the process.
+
+    Reuse is safe: argparse keeps no state of a parse on the parser, and
+    each parse returns a fresh namespace.  The one `append` option
+    (decompose --point) has the default None, so no list is shared between
+    calls.  Help, usage and errors are written to sys.stdout or sys.stderr
+    as they are at the time of the call.
+    """
     parser = _Parser(prog="deltachar",
                      description="arithmetic delta-characters toolkit")
     common = argparse.ArgumentParser(add_help=False)

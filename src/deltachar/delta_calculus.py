@@ -94,13 +94,3 @@ def commutator_polynomial(p1: int, p2: int) -> MPoly:
         raise ExactDivisionError(
             "commutator polynomial for (%d, %d) is not integral" % (p1, p2))
     return c
-
-
-def commutator_defect(a: Rational, p1: int, p2: int) -> Fraction:
-    """C_{p1,p2}(a, delta_{p1} a, delta_{p2} a) evaluated on a rational."""
-    c = commutator_polynomial(p1, p2)
-    return c.evaluate({
-        "X0": Fraction(a),
-        "X1": fermat_quotient(a, p1),
-        "X2": fermat_quotient(a, p2),
-    })

@@ -336,30 +336,39 @@ def torsion_multiple(curve: WeierstrassCurve, m: int = 1) -> int:
 
 
 def lseries_coefficients(curve: WeierstrassCurve, bound: int) -> Dict[int, int]:
-    """a_n for 1 <= n <= bound: multiplicative, with the good-prime recursion
-    a_{p^{k+1}} = a_p a_{p^k} - p a_{p^{k-1}} and a_{p^k} = a_p^k at bad primes.
+    """a_n for 1 <= n <= bound, by one sieve to the bound.
+
+    A smallest-prime-factor table marks the primes.  At each prime p the
+    powers follow from a_p: a_{p^{k+1}} = a_p a_{p^k} - p a_{p^{k-1}} at a
+    good prime, a_{p^k} = a_p^k at a bad one (p dividing the discriminant).
+    Every other n is p^k m with p its smallest prime factor and m > 1 prime
+    to p, both smaller than n, so a_n = a_{p^k} a_m is set once, in order.
     """
     if bound < 1:
         raise DomainError("bound must be positive")
-    a = {1: 1}
-    for p in range(2, bound + 1):
-        if not is_prime(p):
-            continue
-        ap = count_points_ap(curve, p)
-        good = vp(curve.discriminant(), p) == 0
-        powers = {1: 1, p: ap} if p <= bound else {1: 1}
-        pk_prev, pk = 1, p
-        while pk * p <= bound:
-            nxt = ap * powers[pk] - (p * powers[pk_prev] if good else 0)
-            powers[pk * p] = nxt
-            pk_prev, pk = pk, pk * p
-        for q, aq in powers.items():
-            if q == 1:
-                continue
-            for n in list(a):
-                if n * q <= bound and n % p != 0:
-                    a[n * q] = a[n] * aq
-    return {n: a[n] for n in sorted(a)}
+    spf = list(range(bound + 1))
+    for p in range(2, math.isqrt(bound) + 1):
+        if spf[p] == p:
+            for n in range(p * p, bound + 1, p):
+                if spf[n] == n:
+                    spf[n] = p
+    discriminant = curve.discriminant()
+    a = [0, 1] + [None] * (bound - 1)
+    for n in range(2, bound + 1):
+        p = spf[n]
+        if p == n:
+            ap = a[p] = count_points_ap(curve, p)
+            good = vp(discriminant, p) == 0
+            pk = p
+            while pk * p <= bound:
+                a[pk * p] = ap * a[pk] - (p * a[pk // p] if good else 0)
+                pk *= p
+        elif a[n] is None:
+            pk, m = p, n // p
+            while m % p == 0:
+                pk, m = pk * p, m // p
+            a[n] = a[pk] * a[m]
+    return {n: a[n] for n in range(1, bound + 1)}
 
 
 # ---------------------------------------------------------------------------

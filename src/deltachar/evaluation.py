@@ -170,10 +170,6 @@ class EvaluationResult:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
 
-    def nonzero_primes(self) -> Tuple[int, ...]:
-        return tuple(p for p, v in zip(self.primes, self.values)
-                     if not v.is_zero())
-
     def to_json_dict(self) -> dict:
         return {
             "precision": self.precision,

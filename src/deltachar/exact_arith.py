@@ -157,18 +157,6 @@ def smooth_exponents(n: int, primes: Sequence[int]) -> Optional[tuple]:
     return tuple(exps) if n == 1 else None
 
 
-def smooth_numbers(primes: Sequence[int], limit: int) -> list:
-    """All integers <= limit whose prime factors lie in the given set, sorted."""
-    found = {1}
-    for p in primes:
-        for n in sorted(found):
-            m = n * p
-            while m <= limit:
-                found.add(m)
-                m *= p
-    return sorted(n for n in found if n <= limit)
-
-
 def mobius(n: int) -> int:
     """Moebius function by trial factorization."""
     if n < 1:

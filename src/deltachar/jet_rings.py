@@ -12,12 +12,11 @@ recursion, memoized in one table; the library has no phi-coordinates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as _cartesian
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .delta_calculus import iterated_delta
-from .exact_arith import DomainError, PrimeSet, ensure_p_local
+from .exact_arith import DomainError, PrimeSet, _is_rational, ensure_p_local
 from .polys import MPoly
 
 MultiIndex = Tuple[int, ...]
@@ -139,20 +138,20 @@ class DeltaPolynomial:
         return cls(primes, poly)
 
     # -- ring structure -------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, DeltaPolynomial):
-            if other.primes != self.primes:
-                raise DomainError("mixed prime families")
-            return other
-        if isinstance(other, (int, Fraction)):
+    def _coerce(self, other) -> "DeltaPolynomial":
+        """other in this ring: an int or Fraction as a constant, or a
+        DeltaPolynomial over the same primes; anything else is a DomainError."""
+        if _is_rational(other):
             return DeltaPolynomial.constant(self.primes, other)
-        return None
+        if not isinstance(other, DeltaPolynomial):
+            raise DomainError("%r is neither a delta-polynomial, an int nor a"
+                              " Fraction" % (other,))
+        if other.primes != self.primes:
+            raise DomainError("mixed prime families")
+        return other
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DeltaPolynomial(self.primes, self.poly + o.poly)
+        return DeltaPolynomial(self.primes, self.poly + self._coerce(other).poly)
 
     __radd__ = __add__
 
@@ -160,19 +159,13 @@ class DeltaPolynomial:
         return DeltaPolynomial(self.primes, -self.poly)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DeltaPolynomial(self.primes, self.poly - o.poly)
+        return DeltaPolynomial(self.primes, self.poly - self._coerce(other).poly)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DeltaPolynomial(self.primes, self.poly * o.poly)
+        return DeltaPolynomial(self.primes, self.poly * self._coerce(other).poly)
 
     __rmul__ = __mul__
 
@@ -180,10 +173,9 @@ class DeltaPolynomial:
         return DeltaPolynomial(self.primes, self.poly ** k)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.poly == o.poly
+        if isinstance(other, DeltaPolynomial) or _is_rational(other):
+            return self.poly == self._coerce(other).poly
+        return NotImplemented
 
     __hash__ = None
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .exact_arith import DomainError, _rational
+from .exact_arith import DomainError, _is_rational, _rational
 
 Monomial = Tuple[Tuple[object, int], ...]
 
@@ -182,9 +182,10 @@ class MPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return MPoly._from_clean(_scale(self.coeffs, other))
-        return MPoly._from_clean(_convolve(self.coeffs, other.coeffs, _mono_mul))
+        return MPoly._from_clean(_convolve(self.coeffs, self._coerce(other).coeffs,
+                                           _mono_mul))
 
     __rmul__ = __mul__
 
@@ -216,9 +217,6 @@ class MPoly:
         for mono in self.coeffs:
             out.update(v for v, _ in mono)
         return out
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.coeffs), default=0)
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.coeffs.get(_monomial(mono), _ZERO)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exact_arith import DomainError, _json_int, _rational
+from .exact_arith import DomainError, _is_rational, _json_int, _rational
 from .polys import (_ONE, _ZERO, _add_into, _combine, _convolve, _coprime_to,
                     _power, _scale, _sum_terms)
 
@@ -93,12 +93,15 @@ class TruncSeries:
 
     # -- ring ops -----------------------------------------------------------
     def _check(self, other: "TruncSeries") -> int:
+        if not isinstance(other, TruncSeries):
+            raise DomainError("%r is neither a series, an int nor a Fraction"
+                              % (other,))
         if self.nvars != other.nvars:
             raise DomainError("mixed variable counts")
         return min(self.order, other.order)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = TruncSeries.const(other, self.nvars, self.order)
         n = self._check(other)   # the sum is known to the lower order only
         return TruncSeries._from_clean(self.nvars, n, _combine(
@@ -111,13 +114,15 @@ class TruncSeries:
                                        _scale(self.coeffs, -1))
 
     def __sub__(self, other):
+        if not _is_rational(other):
+            self._check(other)   # -True would pass as the int -1
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return TruncSeries._from_clean(self.nvars, self.order,
                                            _scale(self.coeffs, other))
         n = self._check(other)
@@ -137,7 +142,7 @@ class TruncSeries:
             self.coeffs, k, _exp_add, {(0,) * self.nvars: _ONE}, self.order))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = TruncSeries.const(other, self.nvars, self.order)
         if not isinstance(other, TruncSeries) or self.nvars != other.nvars:
             return NotImplemented

@@ -29,6 +29,7 @@ from deltachar.cli import (
     _MAX_PREC,
     _MAX_PRIMES,
     _MAX_SAMPLES,
+    build_parser,
     format_symbol,
     main,
     parse_symbol,
@@ -738,6 +739,45 @@ def test_argparse_usage_exits_1(capsys):
         main(["frobnicate"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_shared_parser_keeps_no_state(capsys, monkeypatch, tmp_path):
+    # one parser serves every call in the process; no call sees another's
+    built = []
+
+    class CountedParser(deltachar.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(deltachar.cli, "_Parser", CountedParser)
+    build_parser.cache_clear()
+    try:
+        first = ["eval", "ell", "--curve", "37a", "--primes", "5,7",
+                 "--point", "0,0", "--kernel-test"]
+        rc, out = run(capsys, *first)
+        assert rc == 0 and '"verdict": "nonzero"' in out
+        with pytest.raises(SystemExit) as exc:
+            main(["char", "gb"])
+        assert exc.value.code == 1 and "error:" in capsys.readouterr().err
+        assert main(["eval", "gm", "--point", "1/3", "--primes", "3,5"]) == 2
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--help"])
+        assert exc.value.code == 0 and "--point" in capsys.readouterr().out
+        path = tmp_path / "gm.json"
+        assert main(["char", "gm", "--primes", "3,5", "--order", "12",
+                     "--output", str(path)]) == 0
+        for points in (["2"], ["-1", "1/2"]):
+            argv = ["decompose", "--input", str(path), "--prec", "10"]
+            for point in points:
+                argv += ["--point", point]
+            rc, doc = run_json(capsys, *argv)
+            assert rc == 0 and [e["point"] for e in doc["points"]] == points
+        assert run(capsys, *first) == (0, out)
+    finally:
+        build_parser.cache_clear()
+    assert built.count("deltachar") == 1
 
 
 def _fuzz_argv(rng, tmp_path):

@@ -18,7 +18,7 @@ from deltachar.elliptic import (
     to_formal_parameter,
     torsion_multiple,
 )
-from deltachar.exact_arith import DomainError, vp
+from deltachar.exact_arith import DomainError, is_prime, vp
 
 E11 = WeierstrassCurve.from_label("11a")
 E37 = WeierstrassCurve.from_label("37a")
@@ -244,6 +244,41 @@ def test_lseries_coefficients_multiplicative_and_recursive():
     # bad-prime powers are plain powers
     a11 = lseries_coefficients(E11, 122)
     assert a11[121] == a11[11] ** 2 == 1
+
+
+def lseries_reference(curve, bound):
+    """a_n by the multiplicative closure: each prime power's a_{p^k}, from
+    the recursion, times every a_n already known with p not dividing n."""
+    a = {1: 1}
+    for p in range(2, bound + 1):
+        if not is_prime(p):
+            continue
+        ap = count_points_ap(curve, p)
+        good = vp(curve.discriminant(), p) == 0
+        powers = {1: 1, p: ap}
+        pk_prev, pk = 1, p
+        while pk * p <= bound:
+            powers[pk * p] = ap * powers[pk] - (p * powers[pk_prev] if good else 0)
+            pk_prev, pk = pk, pk * p
+        for q, aq in powers.items():
+            if q == 1:
+                continue
+            for n in list(a):
+                if n * q <= bound and n % p != 0:
+                    a[n * q] = a[n] * aq
+    return {n: a[n] for n in sorted(a)}
+
+
+def test_lseries_sieve_matches_the_multiplicative_closure():
+    curves = (E11, E37, WeierstrassCurve(0, 1, 1, 0, 0),
+              WeierstrassCurve(1, -1, 1, 0, 0), WeierstrassCurve(0, 1, 1, -2, 0))
+    for curve in curves:
+        for bound in (1, 2, 97, 1000):
+            a = lseries_coefficients(curve, bound)
+            assert a == lseries_reference(curve, bound), (curve, bound)
+            assert list(a) == list(range(1, bound + 1))
+    with pytest.raises(DomainError):
+        lseries_coefficients(E11, 0)
 
 
 def test_reduction_group_orders():

@@ -29,7 +29,6 @@ from deltachar.exact_arith import (
     mobius,
     rational_reconstruct,
     smooth_exponents,
-    smooth_numbers,
     vp,
 )
 
@@ -99,6 +98,18 @@ def test_floats_are_refused_at_every_door():
         character_from_json_dict(data)
     data["curve"][3] = -1
     assert character_from_json_dict(data).curve.c4 == -1
+
+
+def smooth_numbers(primes, limit):
+    """All integers <= limit whose prime factors lie in the given set, sorted."""
+    found = {1}
+    for p in primes:
+        for n in sorted(found):
+            m = n * p
+            while m <= limit:
+                found.add(m)
+                m *= p
+    return sorted(n for n in found if n <= limit)
 
 
 def test_smooth_helpers():

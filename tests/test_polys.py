@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from deltachar.characters import SymbolPoly
-from deltachar.exact_arith import DomainError
+from deltachar.exact_arith import DomainError, PrimeSet
+from deltachar.jet_rings import DeltaPolynomial
 from deltachar.polys import MPoly, _convolve
 from deltachar.series_fgl import TruncSeries, star_apply
 
@@ -142,6 +143,36 @@ def test_sparse_coefficients_and_divisors_are_exact():
                       lambda: MPoly.variable("x") / bad):
             with pytest.raises(DomainError):
                 build()
+
+
+@pytest.mark.parametrize("expression", [
+    "SymbolPoly.one() * True", "MPoly.variable('x') * True",
+    "MPoly.variable('x') * 0.5", "TruncSeries.var(3) * 0.5",
+    "TruncSeries.var(3) + 0.5", "SymbolPoly.one() * 0.5"])
+def test_scalar_bool_or_float_is_refused(expression):
+    # the scalar branches of the products and sums take an int or Fraction
+    # only: a bool is not multiplied as 0 or 1, nor a float met by an
+    # AttributeError or TypeError further on
+    with pytest.raises(DomainError):
+        eval(expression)
+
+
+def test_scalar_refusals_reach_every_operator():
+    x = DeltaPolynomial.variable(PrimeSet((3,)), "x")
+    for bad in (True, 0.5, "1"):
+        for expression in (lambda: SymbolPoly.one() + bad,
+                           lambda: bad - SymbolPoly.one(),
+                           lambda: bad * MPoly.variable("x"),
+                           lambda: TruncSeries.var(3) - bad,
+                           lambda: bad + TruncSeries.var(3),
+                           lambda: x * bad, lambda: bad - x):
+            with pytest.raises(DomainError):
+                expression()
+        # equality declines, and so reads False, rather than raising
+        assert SymbolPoly.one() != bad and TruncSeries.var(3) != bad
+        assert x != bad
+    assert SymbolPoly.one() == 1 and TruncSeries.const(2, 1, 3) == 2
+    assert 2 * x == x + x and x - 1 == -(1 - x)
 
 
 def test_mpoly_substitute_against_evaluate():
