@@ -18,7 +18,6 @@ from .exact_arith import (  # noqa: F401
     fraction_mod,
     is_p_local,
     is_prime,
-    mobius,
     rational_reconstruct,
     vp,
 )

@@ -7,9 +7,11 @@ pipeline does not use it to reach the kernel of reduction: it scales a point
 by the point count of its residue field in E(Z_p[zeta_m]/p^K) with
 `scaled_formal_parameter`, whose cost does not grow with the height of the
 scaled point; the exact group law stays as the reference it is tested
-against.  Counting over F_p is done by quadratic character sums (completing
-the square is legitimate for odd p); the test suite recounts by brute
-enumeration.
+against.  That scaling has one copy of the projective formulas: a rational
+point runs them on plain ints mod p^K, a point over Q(zeta_m) on coefficient
+lists in each local factor, and both give the same residues.  Counting over
+F_p completes the square (legitimate for odd p) and looks each value up in a
+table of square roots mod p; the test suite recounts by brute enumeration.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ class WeierstrassCurve:
 
 
 class CurvePoint:
-    """A point on a Weierstrass curve; coordinates exact (Q or Q(zeta_m))."""
+    """A point on a Weierstrass curve; coordinates exact, both in Q or both
+    in one Q(zeta_m)."""
 
     __slots__ = ("curve", "x", "y")
 
@@ -136,6 +139,11 @@ class CurvePoint:
         elif not all(_is_rational(c) or isinstance(c, CyclotomicElement)
                      for c in (x, y)):
             raise DomainError("coordinates (%r, %r) are not exact" % (x, y))
+        elif _is_rational(x):
+            # both in one field: scaling and evaluation read it from x
+            x = CyclotomicElement.from_rational(y.config, x)
+        elif _is_rational(y):
+            y = CyclotomicElement.from_rational(x.config, y)
         self.x, self.y = x, y
         if curve.equation_value(x, y) != 0:
             raise DomainError("(%s, %s) does not satisfy the curve equation" % (x, y))
@@ -209,13 +217,6 @@ class CurvePoint:
 # counting
 # ---------------------------------------------------------------------------
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def _affine_count(coefficients, p: int) -> int:
     """Number of affine F_p-points on the (possibly singular) reduction of
     the curve with these coefficients."""
@@ -224,12 +225,14 @@ def _affine_count(coefficients, p: int) -> int:
         return sum(1 for x in range(2) for y in range(2)
                    if (y * y + c1 * x * y + c3 * y
                        - x ** 3 - c2 * x * x - c4 * x - c6) % 2 == 0)
-    # complete the square: (2y + c1 x + c3)^2 = (c1 x + c3)^2 + 4 f(x)
-    total = 0
-    for x in range(p):
-        d = ((c1 * x + c3) ** 2 + 4 * (x ** 3 + c2 * x * x + c4 * x + c6)) % p
-        total += 1 + _legendre(d, p)
-    return total
+    # complete the square: (2y + c1 x + c3)^2 = d(x) = 4x^3 + d2 x^2 +
+    # d1 x + d0, and y -> 2y + c1 x + c3 is a bijection, so each x has as
+    # many points as d(x) has square roots mod p
+    roots = [0] * p
+    for y in range(p):
+        roots[y * y % p] += 1
+    d2, d1, d0 = c1 * c1 + 4 * c2, 2 * c1 * c3 + 4 * c4, c3 * c3 + 4 * c6
+    return sum(roots[(((4 * x + d2) * x + d1) * x + d0) % p] for x in range(p))
 
 
 def count_points_ap(curve: WeierstrassCurve, p: int) -> int:
@@ -408,9 +411,41 @@ def to_formal_parameter(Q: CurvePoint, p: int) -> Coord:
 # scaling into the kernel of reduction over Z_p[zeta_m]/p^K
 # ---------------------------------------------------------------------------
 
-def _comb(*terms):
-    """sum of c*a over the (integer c, coefficient list a) pairs."""
-    return [sum(c * a[i] for c, a in terms) for i in range(len(terms[0][1]))]
+class _Coeffs:
+    """An element of Z[zeta_m] as a power-basis coefficient list.
+
+    It has the operations the group law of `_FactorCurve` uses, with ints
+    and with each other: + and - coefficientwise, * by an int or (mod phi)
+    by another element, and % and // by an int on every coefficient.  It is
+    true when some coefficient is nonzero.
+    """
+
+    __slots__ = ("c", "phi")
+
+    def __init__(self, c, phi):
+        self.c, self.phi = c, phi
+
+    def __add__(self, other):
+        return _Coeffs([a + b for a, b in zip(self.c, other.c)], self.phi)
+
+    def __sub__(self, other):
+        return _Coeffs([a - b for a, b in zip(self.c, other.c)], self.phi)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _Coeffs([other * a for a in self.c], self.phi)
+        return _Coeffs(_mulmod(self.c, other.c, self.phi), self.phi)
+
+    __rmul__ = __mul__
+
+    def __mod__(self, n: int):
+        return _Coeffs([a % n for a in self.c], self.phi)
+
+    def __floordiv__(self, n: int):
+        return _Coeffs([a // n for a in self.c], self.phi)
+
+    def __bool__(self):
+        return any(self.c)
 
 
 def _factor_idempotents(config: CyclotomicConfig, p: int):
@@ -422,7 +457,7 @@ def _factor_idempotents(config: CyclotomicConfig, p: int):
     """
     n, phi = config.degree, config.phi
     orbit = _frobenius_orbit(p, config.m)
-    one = [1] + [0] * (n - 1)
+    one = _Coeffs([1] + [0] * (n - 1), phi)
     idempotents = [one]
     for k in range(1, n):
         if len(idempotents) == n // len(orbit):
@@ -435,21 +470,21 @@ def _factor_idempotents(config: CyclotomicConfig, p: int):
         for e in idempotents:
             for c in range(p):
                 miss = _powmod([(b[0] - c) % p] + b[1:], p - 1, phi, p)
-                f = _mulmod(e, _comb((1, one), (-1, miss)), phi, p)
-                if any(f):
+                f = e * (one - _Coeffs(miss, phi)) % p
+                if f:
                     split.append(f)
         idempotents = split
     return idempotents
 
 
-def _lift_idempotent(e, phi, p: int, precision: int):
+def _lift_idempotent(e: _Coeffs, p: int, precision: int) -> _Coeffs:
     """The idempotent mod p**precision above e (Newton: e -> 3e^2 - 2e^3)."""
     k = 1
     while k < precision:
         k = min(2 * k, precision)
-        e2 = _mulmod(e, e, phi, p ** k)
-        e = _comb((3, e2), (-2, _mulmod(e2, e, phi, p ** k)))
-    return [c % p ** precision for c in e]
+        e2 = e * e % p ** k
+        e = (3 * e2 - 2 * e2 * e) % p ** k
+    return e
 
 
 class _PrecisionExhausted(Exception):
@@ -459,62 +494,53 @@ class _PrecisionExhausted(Exception):
 class _FactorCurve:
     """y^2 = x^3 + A x^2 + B x + C over one local factor of Z_p[zeta_m]/p^k.
 
-    The factor is e*R for a primitive idempotent e of R = Z_p[zeta_m]/p^k; its
-    elements are coefficient lists of R, and one of them is divisible by p^j
-    in the factor exactly when all its coefficients are.  Points are
-    projective triples, primitive in the factor and taken up to units, so
-    they name the points of E(e*R), whose group law is followed exactly: a
-    triple with X = Z = 0 is the identity and proportional triples are one
-    point.  A formula output that shares a factor p^j is divided by it at
-    the cost of j digits of k; an output with no digit left raises
-    _PrecisionExhausted.  C never enters the formulas.
+    The factor is e*R for a primitive idempotent e of R = Z_p[zeta_m]/p^k.
+    Its elements are plain ints when R is Z/p^k (a rational point, e = 1)
+    and `_Coeffs` lists of R otherwise (a point over Q(zeta_m)); the
+    formulas below are written once, with + - * % // and truth, and serve
+    both.  An element is divisible by p^j in the factor exactly when all its
+    coefficients are.  Points are projective triples, primitive in the
+    factor and taken up to units, so they name the points of E(e*R), whose
+    group law is followed exactly: a triple with X = Z = 0 is the identity
+    and proportional triples are one point.  Products are reduced mod p^k
+    only in `primitive`, which every formula output goes through.  A triple
+    that shares a factor p^j is divided by it at the cost of j digits of k;
+    one with no digit left raises _PrecisionExhausted.  C never enters the
+    formulas.
     """
 
-    __slots__ = ("A", "B", "phi", "p", "k", "mod")
+    __slots__ = ("A", "B", "p", "k", "mod")
 
-    def __init__(self, A: int, B: int, phi, p: int, k: int):
-        self.A, self.B, self.phi, self.p = A, B, phi, p
+    def __init__(self, A: int, B: int, p: int, k: int):
+        self.A, self.B, self.p = A, B, p
         self.k, self.mod = k, p ** k
-
-    def _mul(self, a, b):
-        return _mulmod(a, b, self.phi, self.mod)
-
-    def _vanishes(self, coords) -> bool:
-        return all(c % self.mod == 0 for coord in coords for c in coord)
 
     def primitive(self, triple):
         """The triple divided by its common p-power; None when it is 0 mod p^k."""
-        p = self.p
-        triple = [[c % self.mod for c in coord] for coord in triple]
-        e = self.k
-        for coord in triple:
-            for c in filter(None, coord):
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                e = min(e, v)
-                if e == 0:
-                    return triple
+        p, mod = self.p, self.mod
+        X, Y, Z = triple = [a % mod for a in triple]
+        if X % p or Y % p or Z % p:
+            return triple
+        e = 1
+        while e < self.k and not any(a % p ** (e + 1) for a in triple):
+            e += 1
         if e == self.k:
             return None
         self.k -= e
         self.mod = p ** self.k
-        return [[c // p ** e for c in coord] for coord in triple]
+        return [a // p ** e for a in triple]
 
     def double(self, P):
         X, Y, Z = P
-        if self._vanishes((X, Z)):
+        if not (X % self.mod or Z % self.mod):
             return P
-        m = self._mul
-        s = m(Y, Z)
-        ys = m(Y, s)
-        w = _comb((3, m(X, X)), (2 * self.A, m(X, Z)), (self.B, m(Z, Z)))
-        h = _comb((1, m(w, w)), (-4, m(ys, _comb((self.A, Z), (2, X)))))
-        doubled = self.primitive(
-            (_comb((2, m(h, s))),
-             _comb((1, m(w, _comb((4, m(X, ys)), (-1, h)))), (-8, m(ys, ys))),
-             _comb((8, m(m(s, s), s)))))
+        s = Y * Z
+        ys = Y * s
+        w = 3 * X * X + 2 * self.A * X * Z + self.B * Z * Z
+        h = w * w - 4 * ys * (self.A * Z + 2 * X)
+        doubled = self.primitive((2 * h * s,
+                                  w * (4 * X * ys - h) - 8 * ys * ys,
+                                  8 * s * s * s))
         if doubled is None:
             raise _PrecisionExhausted
         return doubled
@@ -522,26 +548,22 @@ class _FactorCurve:
     def add(self, P, Q):
         X1, Y1, Z1 = P
         X2, Y2, Z2 = Q
-        if self._vanishes((X1, Z1)):
+        mod = self.mod
+        if not (X1 % mod or Z1 % mod):
             return Q
-        if self._vanishes((X2, Z2)):
+        if not (X2 % mod or Z2 % mod):
             return P
-        m = self._mul
-        x1z2, x2z1, y1z2, z1z2 = m(X1, Z2), m(X2, Z1), m(Y1, Z2), m(Z1, Z2)
-        u = _comb((1, m(Y2, Z1)), (-1, y1z2))
-        v = _comb((1, x2z1), (-1, x1z2))
-        v2 = m(v, v)
-        v3 = m(v2, v)
-        w = _comb((1, m(m(u, u), z1z2)),
-                  (-1, m(v2, _comb((1, x1z2), (1, x2z1), (self.A, z1z2)))))
-        total = self.primitive(
-            (m(v, w),
-             _comb((1, m(u, _comb((1, m(v2, x1z2)), (-1, w)))),
-                   (-1, m(v3, y1z2))),
-             m(v3, z1z2)))
+        x1z2, x2z1, y1z2, z1z2 = X1 * Z2, X2 * Z1, Y1 * Z2, Z1 * Z2
+        u = Y2 * Z1 - y1z2
+        v = x2z1 - x1z2
+        v2 = v * v
+        v3 = v2 * v
+        w = u * u * z1z2 - v2 * (x1z2 + x2z1 + self.A * z1z2)
+        total = self.primitive((v * w, u * (v2 * x1z2 - w) - v3 * y1z2,
+                                v3 * z1z2))
         if total is not None:
             return total
-        if self._vanishes((u, v, _comb((1, m(X1, Y2)), (-1, m(X2, Y1))))):
+        if not (u % mod or v % mod or (X1 * Y2 - X2 * Y1) % mod):
             return self.double(P)
         raise _PrecisionExhausted
 
@@ -563,57 +585,69 @@ def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
     Equal to to_formal_parameter(scale * Q, p) reduced mod p**precision, but
     scale*Q is computed in E(Z_p[zeta_m]/p^K), one local factor at a time, on
     the model y^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4 (p is odd).  A point
-    with rational coordinates lies in E(Z_p), so its lists have length one
-    whatever m is.  Q enters each factor as a primitive projective triple;
-    the digits that group-law steps lose are counted, and a factor whose t
-    would keep fewer than `precision` digits is recomputed at a higher K.
-    The result lives in Q's cyclotomic ring, or in `config` for a rational Q.
+    with rational coordinates lies in E(Z_p): its one factor is Z/p^K and
+    the group law runs on plain ints, whatever m is.  A point over Q(zeta_m)
+    runs on `_Coeffs` lists in each factor e*R.  Both follow the same
+    formulas on the same residues mod p^K, so the digits lost and the value
+    do not depend on the element type.  Q enters each factor as a primitive
+    projective triple; the digits that group-law steps lose are counted, and
+    a factor whose t would keep fewer than `precision` digits is recomputed
+    at a higher K.  The result lives in Q's cyclotomic ring, or in `config`
+    for a rational Q.
     """
     if scale < 1:
         raise DomainError("scale must be positive")
     if Q.is_infinity:
         return PadicCyclotomic.zero(config, p, precision)
-    if isinstance(Q.x, CyclotomicElement):
-        config = ring = Q.x.config
-    else:
-        ring = CyclotomicConfig(1, (p,))
-    n, phi = ring.degree, ring.phi
     c = Q.curve
     b2, b4, _, _ = c.b_invariants()
-    one = [1] + [0] * (n - 1)
-    # x, and y + (c1 x + c3)/2 on the completed-square model, then Z = 1, as
-    # (integer list, denominator); scaled by p^shift they are p-integral
+    # x, and y + (c1 x + c3)/2 on the completed-square model, as (integer
+    # coefficients, denominator); scaled by p^shift they are p-integral
     exact = [_num_den(a) for a in (Q.x, Q.y + (Q.x * c.c1 + c.c3) / 2)]
-    exact.append((one, 1))
     shift = max(vp(den, p) for _, den in exact)
-    t = [0] * n
-    for e0 in _factor_idempotents(ring, p):
+    if isinstance(Q.x, CyclotomicElement):
+        config = ring = Q.x.config
+        one = _Coeffs([1] + [0] * (ring.degree - 1), ring.phi)
+        idempotents = _factor_idempotents(ring, p)
+        exact = [(_Coeffs(list(num), ring.phi), den) for num, den in exact]
+    else:
+        ring, one, idempotents = None, 1, [1]
+        exact = [(num[0], den) for num, den in exact]
+    t = 0 * one
+    for e0 in idempotents:
         K = precision
         while True:
             k = K + shift
-            e = _lift_idempotent(e0, phi, p, k)
+            mod = p ** k
+            e = e0 if ring is None else _lift_idempotent(e0, p, k)
             curve = _FactorCurve(fraction_mod(b2 / 4, p, k),
-                                 fraction_mod(b4 / 2, p, k), phi, p, k)
+                                 fraction_mod(b4 / 2, p, k), p, k)
             scaled = []
-            for num, den in exact:
+            for a, den in exact:
                 v = vp(den, p)
-                r = pow(den // p ** v, -1, p ** k) * p ** (shift - v)
-                scaled.append(_mulmod([a * r for a in num], e, phi, p ** k))
+                scaled.append(e * a * (pow(den // p ** v, -1, mod)
+                                       * p ** (shift - v)))
+            scaled.append(e * p ** shift)                   # Z = 1
             base = curve.primitive(scaled)
             try:
                 X, Y, Z = curve.multiply(base, scale)
             except _PrecisionExhausted:
                 K *= 2
                 continue
-            if any(z % p for z in Z):
+            if Z % p:
                 raise DomainError("point does not reduce to the identity mod %d"
                                   % p)
             if curve.k >= precision:
                 break
             K += precision - curve.k
-        denominator = _comb((2, Y), (-fraction_mod(c.c1, p, curve.k), X),
-                            (-fraction_mod(c.c3, p, curve.k), Z),
-                            (1, one), (-1, e))
-        inverse = _unit_inverse(ring, denominator, p, curve.k)
-        t = _comb((1, t), (1, _mulmod(X, inverse, phi, p ** curve.k)))
-    return PadicCyclotomic(config, p, precision, t)
+        # 2y = 2Y - c1 X - c3 Z back on the given model, made a unit of R
+        # off the factor
+        denominator = (2 * Y - fraction_mod(c.c1, p, curve.k) * X
+                       - fraction_mod(c.c3, p, curve.k) * Z + one - e)
+        if ring is None:
+            inverse = pow(denominator, -1, curve.mod)
+        else:
+            inverse = _Coeffs(_unit_inverse(ring, denominator.c, p, curve.k),
+                              ring.phi)
+        t = t + X * inverse
+    return PadicCyclotomic(config, p, precision, [t] if ring is None else t.c)

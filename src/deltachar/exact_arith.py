@@ -4,10 +4,10 @@ Everything in this package computes with exact integers and rationals for as
 long as possible; reduction modulo a prime power happens once, at the end of a
 computation.  This module provides the shared pieces: prime sets, p-adic
 valuations and locality checks, reduction of a rational mod p**precision,
-the precision budget of every logarithm series, the Moebius function, and
-rational reconstruction from residues at several primes.  Z_p itself is
-cyclotomic.PadicCyclotomic at m = 1, which also holds the p-adic logarithm
-and quadratic Hensel lifting (this module cannot import cyclotomic).
+the precision budget of every logarithm series, and rational reconstruction
+from residues at several primes.  Z_p itself is cyclotomic.PadicCyclotomic
+at m = 1, which also holds the p-adic logarithm and quadratic Hensel lifting
+(this module cannot import cyclotomic).
 """
 
 from __future__ import annotations
@@ -155,24 +155,6 @@ def smooth_exponents(n: int, primes: Sequence[int]) -> Optional[tuple]:
             e += 1
         exps.append(e)
     return tuple(exps) if n == 1 else None
-
-
-def mobius(n: int) -> int:
-    """Moebius function by trial factorization."""
-    if n < 1:
-        raise DomainError("mobius is defined on positive integers")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1 if d == 2 else 2
-    if n > 1:
-        result = -result
-    return result
 
 
 # ---------------------------------------------------------------------------

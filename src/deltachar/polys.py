@@ -204,7 +204,9 @@ class MPoly:
         return MPoly.const(x)
 
     def __eq__(self, other):
-        return isinstance(other, MPoly) and self.coeffs == other.coeffs
+        if isinstance(other, MPoly) or _is_rational(other):
+            return self.coeffs == self._coerce(other).coeffs
+        return NotImplemented
 
     __hash__ = None
 

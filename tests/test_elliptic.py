@@ -441,6 +441,14 @@ def test_scaled_parameter_with_gaussian_coordinates():
         scale = reduction_group_order(E43, p, 4)
         assert scale <= 64
         _assert_matches_exact(Q, scale, p, (1, 12), config)
+    # a rational x beside a Q(i) y is lifted into Q(i): the scaling reads
+    # the point's field from x
+    mixed = E43.point(x, Q.y)
+    assert isinstance(mixed.x, CyclotomicElement) and mixed == Q
+    assert isinstance(E43.point(0 * i, 0).y, CyclotomicElement)
+    for p in (5, 7):
+        _assert_matches_exact(mixed, reduction_group_order(E43, p, 4), p,
+                              (12,), config)
     with pytest.raises(DomainError):
         scaled_formal_parameter(Q, 1, 5, 12, config)
     for p, scale in ((3, 3), (29, 18)):

@@ -31,6 +31,7 @@ from deltachar.elliptic import (
     WeierstrassCurve,
     _FactorCurve,
     _PrecisionExhausted,
+    _factor_idempotents,
     count_points_ap,
     is_ordinary,
     reduction_group_order,
@@ -690,7 +691,9 @@ ELL_SCALE_ROWS = [
 def test_ell_scale_table_never_exhausts_precision(monkeypatch):
     # stopping at the count N keeps the group law out of the kernel of
     # reduction, where each doubling loses about 6 v(t) digits: no factor
-    # run loses every digit, and few rerun for a deficit
+    # run loses every digit, and few rerun for a deficit.  The table's
+    # points are rational, so every run is a multiply on plain ints, and
+    # each scaling makes at least one
     runs, exhausted = [], []
     multiply = _FactorCurve.multiply
 
@@ -711,8 +714,53 @@ def test_ell_scale_table_never_exhausts_precision(monkeypatch):
         assert not r.is_zero()
         scalings += len(primes)
     assert scalings == 30
+    assert len(runs) >= scalings
     assert exhausted == []
     assert len(runs) <= 1.25 * scalings
+
+
+def test_scaled_parameter_same_on_ints_and_coefficient_lists(monkeypatch):
+    # a rational point runs the group law on ints in Z/p^K; the same point
+    # with cyclotomic coordinates of zero zeta-part runs it on coefficient
+    # lists in each factor e*R of Z_p[zeta_m]/p^K, split or inert: the two
+    # must lose the same digits and give the same residues
+    element_types = set()
+    multiply = _FactorCurve.multiply
+
+    def typed(self, P, k):
+        element_types.add(type(P[0]))
+        return multiply(self, P, k)
+
+    monkeypatch.setattr(_FactorCurve, "multiply", typed)
+    points = []
+    for curve, xy, _, _ in ELL_SCALE_ROWS:
+        if (curve, xy) not in points:
+            points.append((curve, xy))
+    factors = {}
+    for m, primes in ((3, (5, 7, 13)), (4, (5, 7, 13)), (8, (5, 13))):
+        for p in primes:
+            config = CyclotomicConfig(m, (p,))
+            factors[m, p] = len(_factor_idempotents(config, p))
+            for curve, xy in points:
+                q = curve.point(*xy)
+                lifted = curve.point(*(CyclotomicElement.from_rational(config, a)
+                                       for a in xy))
+                for scale in (reduction_group_order(curve, p, 1),
+                              reduction_group_order(curve, p, m)):
+                    for precision in (1, 12, 24):
+                        a = scaled_formal_parameter(q, scale, p, precision,
+                                                    config)
+                        b = scaled_formal_parameter(lifted, scale, p,
+                                                    precision, config)
+                        assert a.config == b.config
+                        assert (a.precision, a.coeffs) == (b.precision,
+                                                           b.coeffs), (
+                            curve, xy, m, p, scale, precision)
+                        assert precision == 1 or not a.is_zero()
+    assert len(element_types) == 2 and int in element_types
+    # 5 and 13 split at m = 4 and 8 and 7 is inert at m = 4, 5 at m = 3
+    assert factors == {(3, 5): 1, (3, 7): 2, (3, 13): 2, (4, 5): 2,
+                       (4, 7): 1, (4, 13): 2, (8, 5): 2, (8, 13): 2}
 
 
 def test_gm_precision_monotone():

