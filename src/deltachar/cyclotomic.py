@@ -106,8 +106,16 @@ def _series_mod(ints, x, phi, modulus):
     """sum_{j>=1} ints[j-1] * x^j mod (phi, modulus), by Horner's rule.
 
     `ints` are integers (the series coefficients, already reduced) and `x` is
-    a coefficient list of length deg(phi); one multiply-reduce per term.
+    a coefficient list of length deg(phi); one multiply-reduce per term.  An
+    x with no zeta-part (every x at m = 1, and a rational point's parameter
+    at any level) keeps the sum in Z: Horner runs on its constant
+    coefficient in plain ints, and the result is padded back to deg(phi).
     """
+    if not any(x[1:]):
+        acc, x0 = 0, x[0]
+        for c in reversed(ints):
+            acc = (acc + c) * x0 % modulus
+        return [acc] + [0] * (len(x) - 1)
     acc = [0] * len(x)
     for c in reversed(ints):
         acc[0] += c

@@ -41,10 +41,15 @@ short budget fails the final reduction to N digits instead of giving wrong
 ones.
 
 Each per-prime series is summed by one Horner pass on integer residues
-(`cyclotomic._series_mod`), its rational coefficients reduced to integers
-once per (series, p).  The curve's formal logarithm is summed at t, its
-coefficients with p in the denominator scaled by p^S, where S digits of t
-are spent (see `_series_value`).  The log-series of delta_p u / u^p is
+(`cyclotomic._series_mod`; in plain ints when the argument has no
+zeta-part, as a rational point's parameter has at any level), its rational
+coefficients reduced to integers once per (series, p).  The curve's formal
+logarithm comes as integer (numerator, denominator) pairs from
+`series_fgl._log_terms`, derived from the invariant differential at most
+once per evaluation (by a four-term recurrence when c6 = 0), and is summed
+at t, its coefficients with p in the denominator scaled by p^S, where S
+digits of t are spent (see `_series_value`); no Fraction is formed on this
+path for an integral model.  The log-series of delta_p u / u^p is
 summed after a p-power descent, log x = p^-k log(x^(p^k)) for the 1-unit
 x = (phi u)/u^p: each p-th power of a 1-unit gains a digit, so the series
 in (x^(p^k) - 1)/p^(k+1) needs about N/(k+1) terms instead of N, for k
@@ -89,7 +94,7 @@ from .exact_arith import (
     rational_reconstruct,
     vp,
 )
-from .series_fgl import TruncSeries, elliptic_log
+from .series_fgl import _log_terms
 
 class AdelePoint:
     """A point given per prime, normally as reductions of one global value."""
@@ -262,15 +267,21 @@ def _split_prime(n: int, p: int) -> Tuple[int, int]:
     return s, n
 
 
-def _series_value(series: TruncSeries, t: PadicCyclotomic) -> PadicCyclotomic:
+def _series_value(terms: Sequence[Tuple[int, int]], t: PadicCyclotomic
+                  ) -> PadicCyclotomic:
     """Evaluate a logarithm-type series at an element of positive valuation.
 
+    The series is sum_j c_j T^j, j = 1..order, given as integer pairs
+    (numerator, denominator) with c_j = numerator/denominator, not
+    necessarily reduced, a positive denominator, and order = len(terms).
     Coefficients may carry powers of p in their denominators (logarithms
-    do).  With s_j = v_p(den c_j), S the largest s_j and K the precision of
-    t, the integers a_j = p^S c_j mod p^(K+S) are reduced once, as
-    numerator * p^(S-s_j) * (den c_j / p^s_j)^-1, and summed at t's
-    residues by Horner's rule (`_series_mod`).  The sum is p^S times the
-    value, so it divides by p^S exactly (each a_j t^j has valuation
+    do).  With s_j = max(0, -v_p(c_j)), found by splitting p off the
+    denominator and cancelling it against the numerator, S the largest s_j
+    and K the precision of t, the integers a_j = p^S c_j mod p^(K+S) are
+    reduced once each, as numerator * p^(S-s_j) * unit^-1, unit the part of
+    the denominator prime to p; no Fraction is formed.  They are summed at
+    t's residues by Horner's rule (`_series_mod`).  The sum is p^S times
+    the value, so it divides by p^S exactly (each a_j t^j has valuation
     >= S - s_j + j v(t) >= S).  Any lift of t will do: moving t by p^K moves
     a_j t^j by at least K + (j-1) v(t) + S - s_j >= K digits, so the sum
     fixes K - S digits.  Terms with j v(t) >= K + S vanish mod p^(K+S) and
@@ -284,21 +295,26 @@ def _series_value(series: TruncSeries, t: PadicCyclotomic) -> PadicCyclotomic:
     v = t.min_valuation()
     if v < 1:
         raise DomainError("series evaluation needs valuation >= 1")
-    coeffs = [series.coeffs.get((j,), 0) for j in range(1, series.order + 1)]
-    split = [_split_prime(c.denominator, p) for c in coeffs]
-    for j, (s, _) in enumerate(split, 1):
+    split = []
+    for j, (num, den) in enumerate(terms, 1):
+        s, unit = _split_prime(den, p) if num else (0, 1)
+        while s and num % p == 0:
+            num //= p
+            s -= 1
         if s > j * v:
             raise DomainError("element is not divisible by %d^%d" % (p, s))
-    S = max((s for s, _ in split), default=0)
+        split.append((num, s, unit))
+    S = max((s for _, s, _ in split), default=0)
     if K - S < 1:
         raise DomainError("no precision left")
     if t.is_zero():
         return PadicCyclotomic.zero(t.config, p, K - S)
     modulus = p ** (K + S)
-    ints = [c.numerator * p ** (S - s) * pow(unit, -1, modulus) % modulus
-            for c, (s, unit) in zip(coeffs[:(K + S - 1) // v], split)]
+    ints = [num * p ** (S - s) * pow(unit, -1, modulus) % modulus
+            for num, s, unit in split[:(K + S - 1) // v]]
     total = _series_mod(ints, t.coeffs, t.config.phi, modulus)
-    tail = (series.order + 1) * v - _ilog(series.order + 1, p)
+    order = len(terms)
+    tail = (order + 1) * v - _ilog(order + 1, p)
     return PadicCyclotomic(t.config, p, min(K - S, tail),
                            [c // p ** S for c in total])
 
@@ -341,12 +357,13 @@ def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int
         t = PadicCyclotomic.from_rational(config, t_exact, p, work)
     if t.is_zero():
         return PadicCyclotomic.zero(config, p, precision)
-    return _formal_value(curve, t, precision, elliptic_log(curve, order))
+    return _formal_value(curve, t, precision, _log_terms(curve, order))
 
 
 def _formal_value(curve, t: PadicCyclotomic, precision: int,
-                  log: TruncSeries) -> PadicCyclotomic:
-    """The formal value at a nonzero parameter t, with the curve's logarithm.
+                  log: Sequence[Tuple[int, int]]) -> PadicCyclotomic:
+    """The formal value at a nonzero parameter t, with the curve's logarithm
+    given as the integer pairs of `series_fgl._log_terms`.
 
     The logarithm has rational coefficients and Frobenius is a ring
     automorphism of Z_p[zeta_m], so l(phi t) = phi(l(t)): the series is
@@ -379,9 +396,10 @@ def _curve_step(c: Character, q, precision: int):
     multiplied by M_k/N_k (see the module docstring).  A point whose
     ring Z[zeta_m'] is not inside Z[zeta_m] is refused before any
     arithmetic.  Every component, zero or not, lives in Z_p[zeta_m'] (in
-    Z_p[zeta_m] for a rational Q).  The curve's logarithm is built at most
-    once per call, to the order `log_budget` gives at the smallest prime,
-    and only when some component needs it.
+    Z_p[zeta_m] for a rational Q).  The curve's logarithm, as the integer
+    pairs of `series_fgl._log_terms`, is derived at most once per call, to
+    the order `log_budget` gives at the smallest prime, and only when some
+    component needs it.
     """
     point = q.point if isinstance(q, AdelePoint) else q
     if not isinstance(point, CurvePoint):
@@ -410,7 +428,7 @@ def _curve_step(c: Character, q, precision: int):
         if t.min_valuation() + vp(cofactor, p) >= t.precision:
             return PadicCyclotomic.zero(t.config, p, precision), scale
         if log is None:
-            log = elliptic_log(c.curve, order)
+            log = _log_terms(c.curve, order)
         return _formal_value(c.curve, t, precision, log) * cofactor, scale
 
     return q, step

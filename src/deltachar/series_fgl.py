@@ -5,10 +5,12 @@ total degree (`order`, inclusive), computed on the sparse-coefficient kernel
 of `polys` (a product is `_convolve` cut at `order`).  On top of them sit
 the three formal groups the characters live on: the additive and multiplicative groups and
 the formal group of a Weierstrass curve in the uniformizer T = x/(2y).  The
-curve's logarithm comes from one recurrence: the coefficients of w(z), with
-z = -x/y and w = -1/y, then those of the invariant differential, all in
-Z[c1..c6]; fractions enter only when the differential is integrated, and
-T = -z/2 normalizes the result to l(T) = T + O(T^2).
+curve's logarithm integrates the invariant differential, whose coefficients
+lie in Z[c1..c6]: for c6 = 0 they come from omega = dz/sqrt(P(z)), P a
+quartic, by a four-term linear recurrence; otherwise from the coefficients
+of w(z), with z = -x/y and w = -1/y (see `_differential`).  Fractions enter
+only when the differential is integrated, and T = -z/2 normalizes the
+result to l(T) = T + O(T^2).
 
 The "star" action evaluates a symbol sum_n c_n phi_n on a series by
 phi_n * l = l(T^n).
@@ -349,9 +351,8 @@ def gm_group(order: int) -> FormalGroupLaw:
 
 def _curve_coefficients(curve) -> Tuple:
     """(c1, c2, c3, c4, c6), with integral values as ints so Z-curves stay in Z."""
-    cs = (Fraction(curve.c1), Fraction(curve.c2), Fraction(curve.c3),
-          Fraction(curve.c4), Fraction(curve.c6))
-    return tuple(c.numerator if c.denominator == 1 else c for c in cs)
+    return tuple(c.numerator if c.denominator == 1 else c
+                 for c in (curve.c1, curve.c2, curve.c3, curve.c4, curve.c6))
 
 
 def _weierstrass_w(cs: Tuple, order: int) -> Tuple[list, list]:
@@ -383,28 +384,77 @@ def weierstrass_v_series(curve, order: int) -> TruncSeries:
     return u.reciprocal()
 
 
+def _differential(curve, order: int) -> list:
+    """[b_1, ..., b_order], omega = sum b_n z^(n-1) dz the invariant differential.
+
+    Write the w(z) equation as w = F(z, w) with F = z^3 + c1 z w + c2 z^2 w
+    + c3 w^2 + c4 z w^2 + c6 w^3, and e = dF/dw along w(z); then
+    omega = dz/(1 - e) (AEC IV.1).  Each b_n is a polynomial in the c_i with
+    integer coefficients: an int for an integral model, an exact Fraction
+    for a rational one.  This is the only producer of the b_n.
+
+    - c6 = 0: a linear recurrence.  With A = c3 + c4 z and
+      B = 1 - c1 z - c2 z^2 the equation reads A w^2 - B w + z^3 = 0, and
+      1 - e = B - 2 A w.  So (1 - e)^2 = B^2 - 4 A (B w - A w^2) = P with
+          P = B^2 - 4 A z^3 = 1 - 2 c1 z + (c1^2 - 2 c2) z^2
+              + (2 c1 c2 - 4 c3) z^3 + (c2^2 - 4 c4) z^4,
+      and 1 - e is the root of P with constant term 1: omega = P^(-1/2) dz.
+      Differentiating y^2 P = 1 gives 2 P y' + P' y = 0 for y = P^(-1/2).
+      With P = sum_i p_i z^i (p_0 = 1) and y = sum_n y_n z^n, y_n = b_(n+1),
+      the coefficient of z^(n-1) is sum_i p_i (2n - i) y_(n-i) = 0, that is
+          2n y_n = -sum_{i=1..4} p_i (2n - i) y_(n-i),   y_0 = 1:
+      four products a step.  For an integral model the right side is 2n
+      times the integer y_n, so the floor division is exact; a rational
+      model divides exactly in Fractions.  No float enters.
+    - c6 != 0: the w-recurrence.  The coefficients of w, w^2 (and w^3) come
+      from `_weierstrass_w`, e_j is read off them, and b = 1/(1 - e) as a
+      series: b_1 = 1 and b_k = sum_{j>=1} e_j b_(k-j).
+    """
+    c1, c2, c3, c4, c6 = cs = _curve_coefficients(curve)
+    if c6:
+        w, w2 = _weierstrass_w(cs, order)
+        e = [0] + [c1 * (j == 1) + c2 * (j == 2) + 2 * c3 * w[j]
+                   + 2 * c4 * w[j - 1] + 3 * c6 * w2[j] for j in range(1, order)]
+        b = [0, 1]
+        for k in range(2, order + 1):
+            b.append(sum(e[j] * b[k - j] for j in range(1, k)))
+        return b[1:order + 1]
+    p1, p2, p3, p4 = (-2 * c1, c1 * c1 - 2 * c2, 2 * c1 * c2 - 4 * c3,
+                      c2 * c2 - 4 * c4)
+    integral = all(type(c) is int for c in cs)
+    y = [0, 0, 0, 1]                    # y_(-3), y_(-2), y_(-1), y_0
+    for n in range(1, order):
+        m = 2 * n
+        s = -(p1 * (m - 1) * y[-1] + p2 * (m - 2) * y[-2]
+              + p3 * (m - 3) * y[-3] + p4 * (m - 4) * y[-4])
+        y.append(s // m if integral else Fraction(s, m))
+    return y[3:order + 3]
+
+
+def _log_terms(curve, order: int) -> List[Tuple[int, int]]:
+    """The curve's logarithm in T as integer pairs, one per j = 1..order.
+
+    l(z) = sum b_n z^n / n integrates omega, and T = -z/2 turns it into
+    l(T) = sum_j b_j (-2)^(j-1) T^j / j; the pair for T^j is
+    (numerator(b_j) (-2)^(j-1), denominator(b_j) j), not reduced.
+    """
+    return [(b.numerator * (-2) ** j, b.denominator * (j + 1))
+            for j, b in enumerate(_differential(curve, order))]
+
+
 def elliptic_log(curve, order: int) -> TruncSeries:
     """The logarithm of the curve's formal group in T = x/(2y), with l'(0)=1.
 
-    With e = d/dw of the right-hand side of the w(z) equation, the invariant
-    differential is dz/(1 - e) = sum b_n z^(n-1) dz, so b_1 = 1 and
-    b_k = sum_{j>=1} e_j b_(k-j).  The b_n are integral when the curve is,
-    and T = -z/2 turns l(z) = sum b_n z^n/n into sum b_n (-2)^(n-1) T^n/n.
+    Its coefficients are the pairs of `_log_terms`, each made one normalized
+    Fraction; the b_n are integral when the curve is, so only the division
+    by j brings a denominator (beside b_j's own, for a rational model).
     """
     if order < 0:
         raise DomainError("bad series shape")
-    cs = _curve_coefficients(curve)
-    c1, c2, c3, c4, c6 = cs
-    w, w2 = _weierstrass_w(cs, order)
-    e = [0] + [c1 * (j == 1) + c2 * (j == 2) + 2 * c3 * w[j] + 2 * c4 * w[j - 1]
-               + 3 * c6 * w2[j] for j in range(1, order)]
-    b = [0, 1]
-    for k in range(2, order + 1):
-        b.append(sum(e[j] * b[k - j] for j in range(1, k)))
     # the kernel stores no zero, and b_n can vanish (b_2 = 0 when c1 = 0)
     return TruncSeries._from_clean(1, order, {
-        (n,): Fraction(b[n] * (-2) ** (n - 1), n)
-        for n in range(1, order + 1) if b[n]})
+        (j,): Fraction(num, den)
+        for j, (num, den) in enumerate(_log_terms(curve, order), 1) if num})
 
 
 def elliptic_group(curve, order: int) -> FormalGroupLaw:

@@ -344,13 +344,16 @@ def test_series_mod_matches_power_sum():
         for modulus in (5 ** 9, 7 ** 20, 13 ** 4):
             for n in (0, 1, 2, 17):
                 ints = [rng.randrange(-modulus, modulus) for _ in range(n)]
-                x = [rng.randrange(modulus) for _ in range(deg)]
-                want = [0] * deg
-                power = [1] + [0] * (deg - 1)
-                for c in ints:
-                    power = _mulmod(power, x, phi, modulus)
-                    want = [(w + c * e) % modulus for w, e in zip(want, power)]
-                assert _series_mod(ints, x, phi, modulus) == want
+                # a general x, and one with no zeta-part (summed in ints)
+                for x in ([rng.randrange(modulus) for _ in range(deg)],
+                          [rng.randrange(modulus)] + [0] * (deg - 1)):
+                    want = [0] * deg
+                    power = [1] + [0] * (deg - 1)
+                    for c in ints:
+                        power = _mulmod(power, x, phi, modulus)
+                        want = [(w + c * e) % modulus
+                                for w, e in zip(want, power)]
+                    assert _series_mod(ints, x, phi, modulus) == want
 
 
 # ---------------------------------------------------------------------------

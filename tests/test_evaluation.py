@@ -59,7 +59,7 @@ from deltachar.exact_arith import (
     log_budget,
     vp,
 )
-from deltachar.series_fgl import TruncSeries, elliptic_log, gm_log
+from deltachar.series_fgl import TruncSeries, _log_terms, elliptic_log, gm_log
 
 P35 = PrimeSet((3, 5))
 P57 = PrimeSet((5, 7))
@@ -120,6 +120,12 @@ def test_gm_ode_values():
 
 
 # -- the series kernel against term-by-term evaluation ---------------------
+
+def _pairs(series):
+    """The (numerator, denominator) pairs `_series_value` takes, T^1..T^order."""
+    return [(c.numerator, c.denominator)
+            for c in map(series.coefficient, range(1, series.order + 1))]
+
 
 def _series_reference(series, t):
     """Sum c_j t^j one term at a time, clearing p^s_j against t^j."""
@@ -187,7 +193,7 @@ def test_series_value_matches_term_by_term():
                           default=0)
                 if k - top < 1:
                     continue
-                got = _series_value(series, t)
+                got = _series_value(_pairs(series), t)
                 want = _series_reference(series, t)
                 assert want.precision == k - top
                 # terms past the order may move digits from the tail bound on
@@ -195,6 +201,13 @@ def test_series_value_matches_term_by_term():
                 assert got.precision == min(k - top, tail)
                 assert got.coeffs == want.reduce_to(got.precision).coeffs, (
                     m, p, v, k)
+                # unreduced pairs: a common factor, powers of p included,
+                # cancels before s_j is read, so the sum is the same
+                g = [rng.choice((1, 2, p, 2 * p * p)) for _ in range(order)]
+                loose = [(n * f, d * f) for (n, d), f in zip(_pairs(series), g)]
+                again = _series_value(loose, t)
+                assert (again.precision, again.coeffs) == (got.precision,
+                                                           got.coeffs)
 
 
 def test_series_value_on_elliptic_logs():
@@ -202,7 +215,8 @@ def test_series_value_on_elliptic_logs():
     # against the three term-by-term sums at t, phi t and phi^2 t
     rng = random.Random(4409)
     curves = [E11, E37, WeierstrassCurve(0, 1, 1, 0, 0),
-              WeierstrassCurve(F(1, 3), 2, F(-5, 7), 1, 3)]
+              WeierstrassCurve(F(1, 3), 2, F(-5, 7), 1, 3),
+              WeierstrassCurve(F(1, 2), F(-1, 3), 1, F(2, 5), 0)]
     for curve in curves:
         for m, primes in SERIES_RINGS:
             config = CyclotomicConfig(m, PrimeSet(sorted(primes)))
@@ -211,8 +225,11 @@ def test_series_value_on_elliptic_logs():
                     continue
                 k = rng.randint(8, 40)
                 log = elliptic_log(curve, k + 8)
+                terms = _log_terms(curve, k + 8)
+                assert [F(n, d) for n, d in terms] == [
+                    log.coefficient(j) for j in range(1, k + 9)]
                 t = _random_element(rng, config, p, k, rng.choice((1, 1, 2)))
-                got = _series_value(log, t)
+                got = _series_value(terms, t)
                 want = _series_reference(log, t)
                 assert (got.precision, got.coeffs) == (want.precision, want.coeffs)
                 ap = count_points_ap(curve, p)
@@ -220,7 +237,7 @@ def test_series_value_on_elliptic_logs():
                 combo = (_series_reference(log, t1.frobenius())
                          - _series_reference(log, t1).times_rational(ap)
                          + want.times_rational(p)).divide_by_prime_power(1)
-                value = _formal_value(curve, t, k, log)
+                value = _formal_value(curve, t, k, terms)
                 assert value.precision == combo.precision
                 assert value.coeffs == combo.coeffs
 
@@ -235,10 +252,10 @@ def test_series_value_cut_below_budget():
     full = elliptic_log(E37, order)
     assert vp(full.coefficient(13), 13) == -1
     t = PadicCyclotomic(config, 13, digits, [13 * 5 + 13 ** 2 * 7])
-    whole = _series_value(full, t)
+    whole = _series_value(_log_terms(E37, order), t)
     assert whole.precision == 13
     for cut in range(1, order):
-        short = _series_value(elliptic_log(E37, cut), t)
+        short = _series_value(_log_terms(E37, cut), t)
         assert short.precision == cut + 1 - _ilog(cut + 1, 13) < 13
         assert short.coeffs == whole.reduce_to(short.precision).coeffs
     # summed to full precision, the cut at T^12 is wrong in the 13th digit
@@ -252,15 +269,16 @@ def test_series_value_domain_errors():
     series = TruncSeries(1, 4, {(1,): F(1), (2,): F(1, 9), (4,): F(5, 3)})
     unit = PadicCyclotomic(config, 3, 10, [1, 3])
     with pytest.raises(DomainError):
-        _series_value(series, unit)             # v(t) < 1
+        _series_value(_pairs(series), unit)     # v(t) < 1
     t = PadicCyclotomic(config, 3, 10, [3, 9])
     with pytest.raises(DomainError):
-        _series_value(TruncSeries(1, 2, {(1,): F(1, 9)}), t)   # s_1 > v(t)
-    assert _series_value(series, t) == _series_reference(series, t)
+        _series_value(_pairs(TruncSeries(1, 2, {(1,): F(1, 9)})), t)  # s_1 > v(t)
+    assert _series_value(_pairs(series), t) == _series_reference(series, t)
     with pytest.raises(DomainError):
-        _series_value(series, PadicCyclotomic(config, 3, 2, [3, 9]))  # K - S < 1
+        _series_value(_pairs(series),
+                      PadicCyclotomic(config, 3, 2, [3, 9]))  # K - S < 1
     zero = PadicCyclotomic.zero(config, 3, 10)
-    assert _series_value(series, zero).precision == 8
+    assert _series_value(_pairs(series), zero).precision == 8
 
 
 def test_gm_ode_matches_term_by_term():
@@ -508,6 +526,25 @@ def test_elliptic_nontorsion_nonzero():
         assert double.values[k] == r.values[k].times_rational(2)
 
 
+def test_elliptic_evaluation_with_c6_nonzero():
+    # 11a1 and 57a1 have c6 != 0, so their logarithm comes from the
+    # w-recurrence, not from the c6 = 0 recurrence for dz/sqrt(P)
+    E11a1 = WeierstrassCurve(0, -1, 1, -10, -20)
+    q = E11a1.point(5, 5)
+    assert torsion_test(q)
+    r = evaluate(build_elliptic_character(E11a1, PrimeSet((3, 7)), 4), q, 12)
+    assert r.is_zero()
+    E57 = WeierstrassCurve(0, -1, 1, -2, 2)
+    c = build_elliptic_character(E57, P57, 4)
+    q = E57.point(2, 1)
+    assert not torsion_test(q)
+    r = evaluate(c, q, 12)
+    assert nonzero_primes(r) == (5, 7)
+    double = evaluate(c, 2 * q, 12)
+    for k in range(2):
+        assert double.values[k] == r.values[k].times_rational(2)
+
+
 def test_elliptic_frozen_over_gaussian_residue_rings():
     # 37a at (0,0) with m = 4: M = #E(F_29)^2 = 576 and #E(F_961) = 1008;
     # values frozen from exact scaling over Q(i)
@@ -586,7 +623,7 @@ def _evaluate_scaling_by_m(c, q, precision):
     point, config = q.point, q.config
     rho = decompose_over_fundamental(c)
     order, digits = log_budget(precision, c.primes)
-    log = elliptic_log(c.curve, order)
+    log = _log_terms(c.curve, order)
     values, scalings = [], []
     for k, p in enumerate(c.primes):
         scale = reduction_group_order(c.curve, p, config.m)
