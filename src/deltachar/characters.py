@@ -18,9 +18,11 @@ product of E_l/E_l(0) over the other primes, the fundamental symbol is their
 product at any p, and decomposition divides by the same E_p.  The a_p and
 Euler symbols of a prime set come from one helper (`_euler_symbols`), which
 checks the reduction and forms each E_l/E_l(0) once.  A character's twist
-rho and its Euler symbols times rho are stored on it by the builders
-(rho = 1) and by `decompose_over_fundamental`, the only derivation of rho;
-evaluation reads them (`_twisted_euler_symbols`) and rebuilds none.
+rho is stored on it by the builders (rho = 1) and by
+`decompose_over_fundamental`, the only derivation of rho, which refuses a
+symbol that is not a multiple of the fundamental one.  Evaluation reads
+only the symbol and rho (`_rho`): it applies the symbol itself to a point's
+formal logarithm, so no Euler factor is written outside this module.
 """
 
 from __future__ import annotations
@@ -251,8 +253,8 @@ class Character:
     """A character: group descriptor, symbol, representing series, Dirac data.
 
     `order` is `symbol_order(symbol, primes)`, so a stored symbol is P-smooth.
-    Evaluation reads the private `_twist` (see `_twisted_euler_symbols`),
-    never the Dirac rows.  The builders store it, and
+    Evaluation reads the symbol and the private `_twist`, rho (see `_rho`),
+    never the Dirac rows.  The builders store rho, and
     `decompose_over_fundamental` stores it from primes, curve and symbol,
     so these are not to be reassigned.
     """
@@ -406,7 +408,7 @@ def _fundamental_character(primes: PrimeSet, n_t: int,
     if not series.denominators_coprime_to(primes):
         raise DomainError("integrality failure in the fundamental series (bug)")
     c = Character(group, primes, symbol, series, curve=curve, dirac=dirac)
-    c._twist = (SymbolPoly.one(), euler)
+    c._twist = SymbolPoly.one()
     return c
 
 
@@ -502,12 +504,12 @@ def decompose_over_fundamental(c: Character) -> SymbolPoly:
     non-P-local quotient coefficient means the input is not a multiple of
     the fundamental character.  The fundamental symbol is E_p/p at the
     first prime times E_l/E_l(0) at the others (`full_symbol`), so the
-    quotient is scaled by p and by each E_l(0).  On success the twist
-    (rho, rho times each Euler symbol) is stored on c as `c._twist`.
+    quotient is scaled by p and by each E_l(0).  On success rho is stored
+    on c as `c._twist`.
     """
     if c.group not in ("Gm", "Elliptic"):
         raise DomainError("decomposition needs a Gm or elliptic character")
-    aps, euler = _euler_symbols(c.primes, c.curve)
+    aps = _euler_symbols(c.primes, c.curve)[0]
     rho, scale = c.symbol, 1
     for k, (p, ap) in enumerate(zip(c.primes, aps)):
         rho, rem = divide_by_euler_factor(rho, p, ap)
@@ -518,15 +520,14 @@ def decompose_over_fundamental(c: Character) -> SymbolPoly:
     rho = rho * scale
     if not rho.is_p_local(c.primes):
         raise DomainError("decomposition coefficients are not P-local")
-    c._twist = (rho, [rho * e for e in euler])
+    c._twist = rho
     return rho
 
 
-def _twisted_euler_symbols(c: Character) -> Tuple[SymbolPoly, List[SymbolPoly]]:
-    """(rho, [rho * euler_symbol(c.primes, k, c.curve) for each k]) with
-    c.symbol = rho * full_symbol(c.primes, c.curve): the twist stored on c
-    by `build_*` or `decompose_over_fundamental`, which runs here when
-    nothing is stored."""
+def _rho(c: Character) -> SymbolPoly:
+    """rho with c.symbol = rho * full_symbol(c.primes, c.curve): stored on c
+    by `build_*` or `decompose_over_fundamental`, which runs here, once per
+    character, when nothing is stored."""
     if c._twist is None:
         decompose_over_fundamental(c)
     return c._twist

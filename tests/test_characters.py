@@ -177,11 +177,11 @@ def test_dirac_consistency():
 
 
 def test_stored_euler_symbols_match_the_reference():
-    """A built character stores rho = 1 and, for every k, the product of
-    E_l/E_l(0) over the primes but the k-th, formed here from
-    `euler_polynomial` and `count_points_ap`; `euler_symbol` and the Dirac
-    rows hold the same, and ode x euler of the first row is the symbol and
-    E_p/p times the first product, at |P| = 1..4 on G_m and four curves."""
+    """A built character stores rho = 1, and its Dirac rows hold, for every
+    k, the product of E_l/E_l(0) over the primes but the k-th, formed here
+    from `euler_polynomial` and `count_points_ap`; `euler_symbol` gives the
+    same, and ode x euler of the first row is the symbol and E_p/p times
+    the first product, at |P| = 1..4 on G_m and four curves."""
     for curve in (None, E11, E37, E43, E389):
         ordinary = [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
                     if curve is None or is_ordinary(curve, p)][:4]
@@ -196,7 +196,7 @@ def test_stored_euler_symbols_match_the_reference():
                                     in enumerate(euler) if j != k),
                                    start=SymbolPoly.one())
                          for k in range(size)]
-            rho, stored = c._twist
+            rho, stored = c._twist, [d.euler_symbol for d in c.dirac]
             assert rho == SymbolPoly.one()
             assert stored == reference, (curve, primes)
             assert [euler_symbol(primes, k, curve)

@@ -32,6 +32,7 @@ from deltachar.elliptic import (
     _FactorCurve,
     _PrecisionExhausted,
     _factor_idempotents,
+    _residue_field_count,
     count_points_ap,
     is_ordinary,
     reduction_group_order,
@@ -40,8 +41,6 @@ from deltachar.elliptic import (
 from deltachar.evaluation import (
     AdelePoint,
     EvaluationResult,
-    _apply_symbol,
-    _formal_value,
     _series_value,
     eval_gm_ode,
     elliptic_formal_value,
@@ -80,7 +79,7 @@ def nonzero_primes(result):
 def test_adele_construction():
     a = AdelePoint.multiplicative(2, P35, 10)
     assert [c.p for c in a.components] == [3, 5]
-    assert a.components[0].precision == 11  # one digit for the Fermat quotient
+    assert a.components[0].precision == 11  # one digit for the division by p
     az = AdelePoint.multiplicative(Z4, P35, 10)
     assert az.config.m == 4
     with pytest.raises(NonUnitError):
@@ -116,7 +115,7 @@ def test_gm_ode_values():
     with pytest.raises(DomainError):
         eval_gm_ode(two, 5, 10)
     with pytest.raises(DomainError):
-        eval_gm_ode(two, 3, 14)  # no digit left for the Fermat quotient
+        eval_gm_ode(two, 3, 14)  # no digit left for the division by p
 
 
 # -- the series kernel against term-by-term evaluation ---------------------
@@ -155,6 +154,64 @@ def _gm_ode_reference(u, p, precision):
         total = total + power.times_rational(F((-1) ** (n - 1) * p ** (n - 1), n))
         n += 1
     return total.reduce_to(min(precision, total.precision))
+
+
+# -- the Dirac route: an independent reference for `evaluate` --------------
+
+def _dirac_apply(sym, value):
+    """sum_n c_n phi_n(value), one Galois image per term."""
+    total = PadicCyclotomic.zero(value.config, value.p, value.precision)
+    for n, c in sym.coeffs.items():
+        total = total + value.frobenius(n).times_rational(c)
+    return total
+
+
+def _dirac_formal_value(curve, t, precision, log):
+    """(1/p)[l(t)^(phi^2) - a_p l(t)^phi + p l(t)], l(t) summed once at t:
+    E_p/p written out on the curve's logarithm."""
+    p = t.p
+    l0 = _series_value(log, t)
+    l1 = l0.frobenius()
+    w = (l1.frobenius() - l1 * count_points_ap(curve, p)
+         + l0 * p).divide_by_prime_power(1)
+    return w.reduce_to(min(precision, w.precision))
+
+
+def _dirac_evaluate(c, q, precision, by_m=False):
+    """`evaluate` through the Dirac rows: E_p/p on the point's value
+    (`eval_gm_ode` at a unit; `_dirac_formal_value` at the scaled curve
+    point, times M/N), then rho * euler_symbol(P, k) one term at a time,
+    prime by prime.  With `by_m` a curve point is scaled by M itself, with
+    no cofactor: the group law runs on from N Q to M Q inside the kernel of
+    reduction, and the value at M Q is computed directly."""
+    rho = decompose_over_fundamental(c)
+    if c.group == "Elliptic":
+        point, config = q.point, q.config
+        level = (point.x.config.m if isinstance(point.x, CyclotomicElement)
+                 else 1)
+        order, digits = log_budget(precision, c.primes)
+        log = _log_terms(c.curve, order)
+    values, scalings = [], []
+    for k, p in enumerate(c.primes):
+        if c.group == "Gm":
+            value, scale = eval_gm_ode(q.components[k], p, precision), 1
+        else:
+            scale = reduction_group_order(c.curve, p, config.m)
+            count = (scale if by_m
+                     else _residue_field_count(c.curve, p, level)[0])
+            t = scaled_formal_parameter(point, count, p, digits[k], config)
+            cofactor = scale // count
+            if t.min_valuation() + vp(cofactor, p) >= t.precision:
+                value = PadicCyclotomic.zero(t.config, p, precision)
+            else:
+                value = _dirac_formal_value(c.curve, t, precision,
+                                            log) * cofactor
+        if not value.is_zero():
+            value = _dirac_apply(rho * euler_symbol(c.primes, k + 1, c.curve),
+                                 value)
+        values.append(value.reduce_to(precision))
+        scalings.append(scale)
+    return EvaluationResult(c.primes, values, precision, scalings)
 
 
 # (m, primes): split primes (p = 1 mod m) and inert or partly split ones
@@ -237,7 +294,7 @@ def test_series_value_on_elliptic_logs():
                 combo = (_series_reference(log, t1.frobenius())
                          - _series_reference(log, t1).times_rational(ap)
                          + want.times_rational(p)).divide_by_prime_power(1)
-                value = _formal_value(curve, t, k, terms)
+                value = _dirac_formal_value(curve, t, k, terms)
                 assert value.precision == combo.precision
                 assert value.coeffs == combo.coeffs
 
@@ -333,7 +390,123 @@ def test_gm_ode_descent_matches_term_by_term():
     with pytest.raises(DomainError):
         eval_gm_ode(u, 11, 20)
     with pytest.raises(DomainError):
-        eval_gm_ode(u, 13, 30)  # no digit left for the Fermat quotient
+        eval_gm_ode(u, 13, 30)  # no digit left for the division by p
+
+
+def _random_rho(rng, primes):
+    """A P-local symbol on three of 1, p, p', p p', p^2 (p, p' the least
+    and largest prime of P), with augmentation 0 about a third of the time."""
+    p, q = primes[0], primes[-1]
+    dens = [d for d in (1, 2, 4, 11) if all(d % l for l in primes)]
+    coeffs = {n: F(rng.randint(-3, 3), rng.choice(dens))
+              for n in rng.sample([1, p, q, p * q, p * p], 3)}
+    if rng.random() < 0.3:
+        coeffs[1] = coeffs.get(1, 0) - sum(coeffs.values())
+    return SymbolPoly(coeffs)
+
+
+def _random_unit_components(rng, config, primes, digits):
+    """Per-prime unit components with `digits` digits, drawn independently."""
+    comps = []
+    for p in primes:
+        u = PadicCyclotomic(config, p, digits, [rng.randrange(p ** digits)
+                                                for _ in range(config.degree)])
+        while not u.is_unit():
+            u = u + 1
+        comps.append(u)
+    return comps
+
+
+def test_evaluate_matches_the_dirac_route():
+    """`evaluate` applies the character's own symbol to the point's formal
+    logarithm; the reference applies E_p/p to the point's value and then
+    rho * euler_symbol(P, k) one Galois image per term.  The two agree byte
+    for byte, errors included, on random P-local rho at m in
+    {1, 3, 4, 5, 8, 12} and precision in {1, 2, 5, 12, 40}: G_m rationals,
+    roots of unity, nontorsion units and per-prime adeles, and points of
+    11a, 37a and 43a, among them 43a's Q(i) point."""
+    rng = random.Random(2511)
+    gm_sets = ((3, 5), (5, 7), (3, 7), (7, 13), (3, 5, 7))
+    curves = ((E11, ((3, 5), (3, 7), (5, 7)), ((0, 0), (1, -1))),
+              (E37, ((5, 7), (5, 13), (7, 11)), ((0, 0), (1, 0))),
+              (E43, ((3, 5), (5, 13), (3, 11), (11, 13)),
+               ((0, 0), "i", None)))
+    errors = zeros = gm_points = 0
+    for m in (1, 3, 4, 5, 8, 12):
+        primes = PrimeSet(rng.choice([ps for ps in gm_sets
+                                      if all(m % p for p in ps)]))
+        config = CyclotomicConfig(m, primes)
+        z = CyclotomicElement.zeta(config)
+        rho = _random_rho(rng, primes)
+        sym = rho * full_symbol(primes)
+        for n in (1, 2, 5, 12, 40):
+            points = [F(2), F(-4, 11), -z ** rng.randrange(2 * m)]
+            if m > 1:
+                points.append(2 + 3 * z + z ** (m - 1))
+            adeles = []
+            for u in points:
+                try:
+                    adeles.append(AdelePoint.multiplicative(u, primes, n, m))
+                except NonUnitError:
+                    pass
+            adeles.append(AdelePoint.from_components(
+                _random_unit_components(rng, config, primes, n + 1), primes, n))
+            gm_points += len(adeles)
+            for a in adeles:
+                # a symbol off the fundamental one by phi_p is refused
+                for s in (sym, sym + SymbolPoly.phi(primes[0])):
+                    c = Character("Gm", primes, s, s.star(gm_log(8)))
+                    got = _outcome(lambda: evaluate(c, a, n))
+                    assert got == _outcome(lambda: _dirac_evaluate(c, a, n)), (
+                        m, tuple(primes), s, n)
+                    errors += type(got) is tuple
+        for curve, prime_sets, xys in curves:
+            primes = PrimeSet(rng.choice([ps for ps in prime_sets
+                                          if all(m % p for p in ps)]))
+            built = build_elliptic_character(curve, primes, 8)
+            rho = _random_rho(rng, primes)
+            sym = rho * built.symbol
+            series = sym.star(formal_group("Elliptic", 8, curve).log)
+            for xy in xys:
+                if xy == "i":
+                    if m % 4:
+                        continue
+                    q = _gaussian_point_43a(primes)
+                else:
+                    q = curve.infinity() if xy is None else curve.point(*xy)
+                for n in (1, 2, 5, 12, 40):
+                    c = Character("Elliptic", primes, sym, series, curve)
+                    a = AdelePoint.elliptic(q, primes, n, m)
+                    got = _outcome(lambda: evaluate(c, a, n))
+                    assert got == _outcome(lambda: _dirac_evaluate(c, a, n)), (
+                        curve.coefficients(), xy, m, tuple(primes), rho, n)
+                    errors += type(got) is tuple
+                    zeros += type(got) is dict and all(
+                        comp["zero"] for comp in got["components"])
+    assert errors == gm_points > 100    # the one refusal per G_m point
+    assert zeros > 50                   # torsion points and infinity
+
+
+def test_twisted_gm_closed_form_at_m_1():
+    # at m = 1 every phi_n acts trivially, so a twist rho multiplies the
+    # fundamental character's value on a rational b by its augmentation
+    for primes in ((3, 5), (5, 7), (3, 5, 7)):
+        ps = PrimeSet(primes)
+        lo, hi = primes[0], primes[-1]
+        for rho in (SymbolPoly({1: 3, lo: -1, lo * hi: F(1, 2)}),
+                    SymbolPoly({hi * hi: -2, lo: F(1, 4)})):
+            aug = rho.augmentation()
+            assert aug not in (0, 1)
+            sym = rho * full_symbol(ps)
+            c = Character("Gm", ps, sym, sym.star(gm_log(8)))
+            for b in (F(2), F(-4, 11), F(13)):
+                for n in (1, 5, 12, 30):
+                    r = evaluate(c, b, n)
+                    for p in primes:
+                        want = gm_closed_form(ps, b, p, n).times_rational(aug)
+                        got = r.component(p)
+                        assert got.precision == want.precision == n
+                        assert got.coeffs[0] == want.residue, (primes, rho, b)
 
 
 def test_gm_kernel_at_torsion():
@@ -449,7 +622,7 @@ def test_stored_bare_and_loaded_characters_evaluate_alike():
                     got = [evaluate(c, q, 8).to_json_dict()
                            for c in (stored, bare, loaded)]
                     assert got[0] == got[1] == got[2], (group, rho, m)
-            assert bare._twist[0] == loaded._twist[0] == rho
+            assert bare._twist == loaded._twist == rho
 
 
 def test_bare_character_decomposes_once(monkeypatch):
@@ -614,31 +787,6 @@ def test_elliptic_precision_at_primes_above_n():
     assert ("37a", (0, 0), (13, 23), 4, 12) in seen
 
 
-def _evaluate_scaling_by_m(c, q, precision):
-    """Reference: scale Q by M itself, with no cofactor.
-
-    The group law runs on from N Q to M Q inside the kernel of reduction,
-    and the value at M Q is computed directly.
-    """
-    point, config = q.point, q.config
-    rho = decompose_over_fundamental(c)
-    order, digits = log_budget(precision, c.primes)
-    log = _log_terms(c.curve, order)
-    values, scalings = [], []
-    for k, p in enumerate(c.primes):
-        scale = reduction_group_order(c.curve, p, config.m)
-        t = scaled_formal_parameter(point, scale, p, digits[k], config)
-        if t.is_zero():
-            value = PadicCyclotomic.zero(t.config, p, precision)
-        else:
-            w = _formal_value(c.curve, t, precision, log)
-            sym = rho * euler_symbol(c.primes, k + 1, c.curve)
-            value = _apply_symbol(sym, w).reduce_to(precision)
-        values.append(value)
-        scalings.append(scale)
-    return EvaluationResult(c.primes, values, precision, scalings)
-
-
 def _outcome(fn):
     try:
         return fn().to_json_dict()
@@ -664,7 +812,7 @@ def test_elliptic_cofactor_route_matches_scaling_by_m():
         c = build_elliptic_character(curve, ps, 8)
         a = AdelePoint.elliptic(q, ps, n, m)
         got = _outcome(lambda: evaluate(c, a, n))
-        assert got == _outcome(lambda: _evaluate_scaling_by_m(c, a, n)), (
+        assert got == _outcome(lambda: _dirac_evaluate(c, a, n, by_m=True)), (
             q, primes, m, n)
         return got
 
