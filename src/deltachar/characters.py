@@ -15,14 +15,16 @@ Every fundamental symbol is derived from one Euler factor per prime,
 `euler_polynomial`: E_p = phi_p - p for G_m, phi_p^2 - a_p phi_p + p for a
 curve.  The local operator at p is E_p/p, the Euler symbol at p is the
 product of E_l/E_l(0) over the other primes, the fundamental symbol is their
-product at any p, and decomposition divides by the same E_p.  The a_p and
-Euler symbols of a prime set come from one helper (`_euler_symbols`), which
-checks the reduction and forms each E_l/E_l(0) once.  A character's twist
-rho is stored on it by the builders (rho = 1) and by
-`decompose_over_fundamental`, the only derivation of rho, which refuses a
-symbol that is not a multiple of the fundamental one.  Evaluation reads
-only the symbol and rho (`_rho`): it applies the symbol itself to a point's
-formal logarithm, so no Euler factor is written outside this module.
+product at any p, and decomposition divides by the same E_p.  A builder
+forms the fundamental symbol as one product of |P| factors (`full_symbol`);
+the Euler symbols of a prime set, formed by `_euler_symbols`, make its Dirac
+rows, derived when first read (`Character.dirac`): evaluation never reads
+them.  A character's twist rho is stored on it by the builders (rho = 1)
+and by `decompose_over_fundamental`, the only derivation of rho, which
+refuses a symbol that is not a multiple of the fundamental one.
+Evaluation reads only the symbol and rho (`_rho`): it applies the symbol
+itself to a point's formal logarithm, so no Euler factor is written
+outside this module.
 """
 
 from __future__ import annotations
@@ -199,8 +201,7 @@ def euler_symbol(primes: PrimeSet, k: int,
 def _euler_symbols(primes: PrimeSet, curve: Optional[WeierstrassCurve] = None
                    ) -> Tuple[List[Optional[int]], List[SymbolPoly]]:
     """The a_p of every prime (None for G_m) and euler_symbol(primes, k,
-    curve) for every k.  The one place that checks the reduction at a prime
-    set (`_ordinary_ap`) and forms the E_l/E_l(0), each once per prime."""
+    curve) for every k, each E_l/E_l(0) formed once."""
     aps = [_ordinary_ap(curve, p) for p in primes]
     factors = [_euler_over(p, ap, None) for p, ap in zip(primes, aps)]
     symbols = []
@@ -219,9 +220,11 @@ def full_symbol(primes: PrimeSet,
     prod(1 - a_p phi_p/p + phi_p^2/p) for a curve: E_p/p times
     euler_symbol(primes, 1) at the first prime p, and since E_p(0) is
     (-1)^deg p the same product at every other."""
-    aps, euler = _euler_symbols(primes, curve)
-    p = primes[0]
-    return _euler_over(p, aps[0], p) * euler[0]
+    out = None
+    for k, p in enumerate(primes):
+        factor = _euler_over(p, _ordinary_ap(curve, p), None if k else p)
+        out = factor if out is None else out * factor
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +259,13 @@ class Character:
     Evaluation reads the symbol and the private `_twist`, rho (see `_rho`),
     never the Dirac rows.  The builders store rho, and
     `decompose_over_fundamental` stores it from primes, curve and symbol,
-    so these are not to be reassigned.
+    so these are not to be reassigned.  A built character derives its
+    Dirac rows when `dirac` is first read; any other keeps the rows it was
+    given (by hand or from JSON), if any.
     """
 
     __slots__ = ("group", "curve", "primes", "order", "symbol", "series",
-                 "dirac", "_twist")
+                 "_dirac", "_twist")
 
     def __init__(self, group: str, primes: PrimeSet, symbol: SymbolPoly,
                  series: TruncSeries, curve: Optional[WeierstrassCurve] = None,
@@ -273,9 +278,17 @@ class Character:
         self.primes = primes
         self.symbol = symbol
         self.series = series
-        self.dirac = list(dirac or [])
+        self._dirac = list(dirac or [])
         self.order = symbol_order(symbol, primes)
         self._twist = None
+
+    @property
+    def dirac(self) -> List[DiracComponent]:
+        if self._dirac is None:
+            aps, euler = _euler_symbols(self.primes, self.curve)
+            self._dirac = [DiracComponent(p, e, ap)
+                           for p, e, ap in zip(self.primes, euler, aps)]
+        return self._dirac
 
     def to_json_dict(self) -> dict:
         out = {
@@ -396,18 +409,17 @@ def build_elliptic_character(curve: WeierstrassCurve, primes: PrimeSet,
 def _fundamental_character(primes: PrimeSet, n_t: int,
                            curve: Optional[WeierstrassCurve] = None
                            ) -> Character:
-    """full_symbol(primes, curve) applied to the group logarithm, with the
-    Dirac factorization at every prime; G_m when there is no curve."""
+    """full_symbol(primes, curve) applied to the group logarithm, with Dirac
+    rows derived on first read; G_m when there is no curve."""
     if n_t < 2:
         raise DomainError("truncation order must be at least 2")
-    aps, euler = _euler_symbols(primes, curve)   # validates ordinary reduction
-    dirac = [DiracComponent(p, e, ap) for p, e, ap in zip(primes, euler, aps)]
-    symbol = dirac[0].ode_symbol * dirac[0].euler_symbol     # full_symbol
+    symbol = full_symbol(primes, curve)     # validates ordinary reduction
     group = "Gm" if curve is None else "Elliptic"
     series = symbol.star(formal_group(group, n_t, curve).log)
     if not series.denominators_coprime_to(primes):
         raise DomainError("integrality failure in the fundamental series (bug)")
-    c = Character(group, primes, symbol, series, curve=curve, dirac=dirac)
+    c = Character(group, primes, symbol, series, curve=curve)
+    c._dirac = None
     c._twist = SymbolPoly.one()
     return c
 
@@ -509,7 +521,7 @@ def decompose_over_fundamental(c: Character) -> SymbolPoly:
     """
     if c.group not in ("Gm", "Elliptic"):
         raise DomainError("decomposition needs a Gm or elliptic character")
-    aps = _euler_symbols(c.primes, c.curve)[0]
+    aps = [_ordinary_ap(c.curve, p) for p in c.primes]
     rho, scale = c.symbol, 1
     for k, (p, ap) in enumerate(zip(c.primes, aps)):
         rho, rem = divide_by_euler_factor(rho, p, ap)

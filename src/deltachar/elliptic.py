@@ -578,6 +578,26 @@ class _FactorCurve:
         return result
 
 
+def _completed_square(Q: CurvePoint):
+    """(exact, ring, b2/4, b4/2, curve), what scaling Q needs at any prime;
+    None for O.  `exact` holds x and y + (c1 x + c3)/2, Q on the model
+    y^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4, as (numerator, denominator)
+    pairs, the numerator an int for a rational Q (ring None) and a `_Coeffs`
+    list over Q's ring otherwise."""
+    if Q.is_infinity:
+        return None
+    c = Q.curve
+    b2, b4, _, _ = c.b_invariants()
+    exact = [_num_den(a) for a in (Q.x, Q.y + (Q.x * c.c1 + c.c3) / 2)]
+    if isinstance(Q.x, CyclotomicElement):
+        ring = Q.x.config
+        exact = [(_Coeffs(list(num), ring.phi), den) for num, den in exact]
+    else:
+        ring = None
+        exact = [(num[0], den) for num, den in exact]
+    return exact, ring, b2 / 4, b4 / 2, c
+
+
 def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
                             config: CyclotomicConfig) -> PadicCyclotomic:
     """t = x/(2y) of scale*Q modulo p**precision; scale*Q must reduce to O.
@@ -595,24 +615,26 @@ def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
     at a higher K.  The result lives in Q's cyclotomic ring, or in `config`
     for a rational Q.
     """
+    return _scaled_parameter(_completed_square(Q), scale, p, precision,
+                             config)
+
+
+def _scaled_parameter(square, scale: int, p: int, precision: int,
+                      config: CyclotomicConfig) -> PadicCyclotomic:
+    """`scaled_formal_parameter` on the point's `_completed_square`."""
     if scale < 1:
         raise DomainError("scale must be positive")
-    if Q.is_infinity:
+    if square is None:
         return PadicCyclotomic.zero(config, p, precision)
-    c = Q.curve
-    b2, b4, _, _ = c.b_invariants()
-    # x, and y + (c1 x + c3)/2 on the completed-square model, as (integer
-    # coefficients, denominator); scaled by p^shift they are p-integral
-    exact = [_num_den(a) for a in (Q.x, Q.y + (Q.x * c.c1 + c.c3) / 2)]
+    exact, ring, A, B, c = square
+    # scaled by p^shift the coordinates are p-integral
     shift = max(vp(den, p) for _, den in exact)
-    if isinstance(Q.x, CyclotomicElement):
-        config = ring = Q.x.config
+    if ring is None:
+        one, idempotents = 1, [1]
+    else:
+        config = ring
         one = _Coeffs([1] + [0] * (ring.degree - 1), ring.phi)
         idempotents = _factor_idempotents(ring, p)
-        exact = [(_Coeffs(list(num), ring.phi), den) for num, den in exact]
-    else:
-        ring, one, idempotents = None, 1, [1]
-        exact = [(num[0], den) for num, den in exact]
     t = 0 * one
     for e0 in idempotents:
         K = precision
@@ -620,8 +642,8 @@ def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
             k = K + shift
             mod = p ** k
             e = e0 if ring is None else _lift_idempotent(e0, p, k)
-            curve = _FactorCurve(fraction_mod(b2 / 4, p, k),
-                                 fraction_mod(b4 / 2, p, k), p, k)
+            curve = _FactorCurve(fraction_mod(A, p, k), fraction_mod(B, p, k),
+                                 p, k)
             scaled = []
             for a, den in exact:
                 v = vp(den, p)

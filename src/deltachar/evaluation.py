@@ -6,8 +6,13 @@ image in the kernel of reduction, and the loop applies the character's own
 symbol to it (`_apply_symbol`).  For p prime to m, phi_n acts on
 Z_p[zeta_m] as the Galois element sigma_(n mod m), so the value at p is
 (1/p) sum_r (p C_r) sigma_r(Lambda_p), C_r the sum of the c_n with
-n = r mod m.  No Euler factor is written here: E_p/p is a factor of the
-symbol.  rho is read only as the gate that refuses a symbol that is not a
+n = r mod m.  What is the same at every prime is formed once per
+evaluation, not in the loop: the C_r for each level m of the values
+(`_class_sums`; a curve point over Q(zeta_m') gives values at m', not at
+the adele's level), and a curve point's completed-square coordinates
+(`elliptic._completed_square`).  No Euler factor is written here, and no
+Dirac row is read: E_p/p is a factor of the symbol.  rho is read only as
+the gate that refuses a symbol that is not a
 multiple of the fundamental one (`characters._rho`).  For G_m,
 Lambda_p = log(u^(q-1))/(q-1), q = p^f, f the order of p mod m, with
 scaling 1 (`_gm_log`); for a curve, Lambda_p = l(t) M/N with scaling M,
@@ -69,11 +74,12 @@ from .cyclotomic import (
 )
 from .elliptic import (
     CurvePoint,
+    _completed_square,
     _frobenius_orbit,
     _residue_field_count,
+    _scaled_parameter,
     count_points_ap,
     reduction_group_order,
-    scaled_formal_parameter,
     to_formal_parameter,
     torsion_multiple,
 )
@@ -257,7 +263,8 @@ def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
     the unit's logarithm (`_gm_log`).  Input must carry one digit beyond
     `precision`, spent by the division by p; a non-unit raises NonUnitError.
     """
-    return _apply_symbol(euler_polynomial(p) / p, _gm_log(u, p, precision))
+    return _apply_symbol(_class_sums(euler_polynomial(p) / p, u.config.m),
+                         _gm_log(u, p, precision))
 
 
 def _split_prime(n: int, p: int) -> Tuple[int, int]:
@@ -326,23 +333,26 @@ def _ring_level(point: CurvePoint) -> int:
     return point.x.config.m if isinstance(point.x, CyclotomicElement) else 1
 
 
-def _apply_symbol(sym: SymbolPoly, value: PadicCyclotomic) -> PadicCyclotomic:
-    """(1/p) sum_r (p C_r) sigma_r(value), C_r the sum of the c_n with
-    n = r mod m: the symbol sum_n c_n phi_n on a value of valuation >= 1.
-
-    phi_n acts on Z_p[zeta_m] as the Galois element zeta -> zeta^n (n is
-    prime to m, as a `Character` stores only P-smooth symbols), so each
-    class is summed before its one image is formed; at m = 1 the symbol
-    acts as its augmentation.  The p C_r are p-integral for a multiple of
-    the fundamental symbol (E_p/p times P-local coefficients), so the sum
-    divides by p exactly.
-    """
-    if value.is_zero():
-        return value.divide_by_prime_power(1)
-    p, m = value.p, value.config.m
+def _class_sums(sym: SymbolPoly, m: int) -> dict:
+    """{r: C_r}, C_r the sum of the symbol's c_n with n = r mod m: phi_n
+    acts on Z_p[zeta_m] as zeta -> zeta^n (n is prime to m, as a `Character`
+    stores only P-smooth symbols), so these fix the symbol at every p."""
     classes = {}
     for n, c in sym.coeffs.items():
         classes[n % m] = classes.get(n % m, 0) + c
+    return classes
+
+
+def _apply_symbol(classes: dict, value: PadicCyclotomic) -> PadicCyclotomic:
+    """(1/p) sum_r (p C_r) sigma_r(value), the symbol on a value of
+    valuation >= 1 through its `_class_sums` at the value's level.
+
+    The p C_r are p-integral for a multiple of the fundamental symbol
+    (E_p/p times P-local coefficients), so the sum divides by p exactly.
+    """
+    if value.is_zero():
+        return value.divide_by_prime_power(1)
+    p = value.p
     total = [0] * value.config.degree
     for r, c in classes.items():
         k = fraction_mod(c * p, p, value.precision)
@@ -370,7 +380,8 @@ def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int
         t = PadicCyclotomic.from_cyclotomic(t_exact, p, work)
     else:
         t = PadicCyclotomic.from_rational(config, t_exact, p, work)
-    w = _apply_symbol(euler_polynomial(p, count_points_ap(curve, p)) / p,
+    euler = euler_polynomial(p, count_points_ap(curve, p)) / p
+    w = _apply_symbol(_class_sums(euler, t.config.m),
                       _series_value(_log_terms(curve, order), t))
     return w.reduce_to(min(precision, w.precision))
 
@@ -393,10 +404,11 @@ def _curve_step(c: Character, q, precision: int):
     ring Z[zeta_m'] is not inside Z[zeta_m] is refused before any
     arithmetic.  Every component, zero or not, lives in Z_p[zeta_m'] (in
     Z_p[zeta_m] for a rational Q); a zero has precision + 1 digits, one for
-    the symbol's division by p.  The curve's logarithm, as the integer
-    pairs of `series_fgl._log_terms`, is derived at most once per call, to
-    the order `log_budget` gives at the smallest prime, and only when some
-    component needs it.
+    the symbol's division by p.  Q's completed-square coordinates are
+    formed once per call (`elliptic._completed_square`).  The curve's
+    logarithm, as the integer pairs of `series_fgl._log_terms`, is derived
+    at most once per call, to the order `log_budget` gives at the smallest
+    prime, and only when some component needs it.
     """
     point = q.point if isinstance(q, AdelePoint) else q
     if not isinstance(point, CurvePoint):
@@ -411,13 +423,14 @@ def _curve_step(c: Character, q, precision: int):
         raise DomainError("the point lies over Q(zeta_%d), which is not inside"
                           " the adele's level Q(zeta_%d)" % (level, config.m))
     order, digits = log_budget(precision, c.primes)
+    square = _completed_square(point)
     log = None
 
     def step(k, p):
         nonlocal log
         scale = reduction_group_order(c.curve, p, config.m)
         count = _residue_field_count(c.curve, p, level)[0]
-        t = scaled_formal_parameter(point, count, p, digits[k], config)
+        t = _scaled_parameter(square, count, p, digits[k], config)
         cofactor = scale // count
         # on the kernel [p] raises v(t) by exactly one (p odd, v(t) >= 1)
         # and a multiplier prime to p keeps it: so t(M Q) vanishes mod p^K
@@ -452,10 +465,13 @@ def evaluate(c: Character, q, precision: int) -> EvaluationResult:
         raise DomainError("the point is given to precision %d, below the"
                           " requested %d" % (q.precision, precision))
     _rho(c)     # refuses a symbol that is no multiple of the fundamental one
-    values, scalings = [], []
+    values, scalings, sums = [], [], {}
     for k, p in enumerate(c.primes):
         value, scaling = step(k, p)
-        values.append(_apply_symbol(c.symbol, value).reduce_to(precision))
+        m = value.config.m
+        if m not in sums:
+            sums[m] = _class_sums(c.symbol, m)
+        values.append(_apply_symbol(sums[m], value).reduce_to(precision))
         scalings.append(scaling)
     return EvaluationResult(c.primes, values, precision, scalings)
 

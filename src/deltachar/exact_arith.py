@@ -112,15 +112,17 @@ class PrimeSet(tuple):
 
 def vp(x: Rational, p: int) -> Union[int, float]:
     """p-adic valuation of an int or Fraction; vp(0) = +infinity."""
-    x = Fraction(_rational(x))
-    if x == 0:
+    if type(x) is int:
+        n, d = x, 1
+    else:
+        x = _rational(x)
+        n, d = x.numerator, x.denominator
+    if not n:
         return math.inf
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1

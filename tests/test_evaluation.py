@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,12 +11,14 @@ import deltachar.characters
 import deltachar.evaluation
 from deltachar.characters import (
     Character,
+    DiracComponent,
     SymbolPoly,
     build_elliptic_character,
     build_ga_character,
     build_gm_character,
     character_from_json_dict,
     decompose_over_fundamental,
+    euler_polynomial,
     euler_symbol,
     formal_group,
     full_symbol,
@@ -654,6 +657,97 @@ def test_built_characters_evaluate_without_rebuilding_symbols(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     assert not evaluate(gm, 2, 20).is_zero()
     assert not evaluate(ell, E37.point(0, 0), 12).is_zero()
+
+
+def test_evaluate_reads_no_dirac_row(monkeypatch):
+    """A built character derives its Dirac rows only when they are read:
+    with `_euler_symbols` refusing after the build, `evaluate` still runs on
+    G_m and on 11a, 37a and 43a at |P| = 1..3; afterwards `dirac` holds the
+    products of E_l/E_l(0) over the other primes, formed here from
+    `euler_polynomial`, and the JSON is byte-identical to that of the same
+    character given those rows by hand."""
+    rng = random.Random(2611)
+    cases = [(None, (3, 5, 7, 11, 13), None),
+             (E11, (3, 5, 7, 13), [(0, 0), (1, -1), None]),
+             (E37, (5, 7, 11, 13), [(0, 0), (1, 0), (-1, 0)]),
+             (E43, (3, 5, 11, 13), [(0, 0)])]
+    derive = deltachar.characters._euler_symbols
+
+    def refuse(*args):
+        raise AssertionError("a Dirac row was derived during evaluation")
+
+    for curve, primes, points in cases:
+        for size in (1, 2, 3):
+            ps = PrimeSet(sorted(rng.sample(primes, size)))
+            m = rng.choice([m for m in (1, 4, 8) if all(m % p for p in ps)])
+            n = rng.randint(4, 16)
+            if curve is None:
+                c = build_gm_character(ps, 6)
+                u = rng.choice([2, F(4, 17), 1 + CyclotomicElement.zeta(
+                    CyclotomicConfig(m, ps))])
+                q = AdelePoint.multiplicative(u, ps, n, m)
+            else:
+                c = build_elliptic_character(curve, ps, 6)
+                xy = rng.choice(points)
+                point = curve.infinity() if xy is None else curve.point(*xy)
+                q = AdelePoint.elliptic(point, ps, n, m)
+            monkeypatch.setattr(deltachar.characters, "_euler_symbols", refuse)
+            evaluate(c, q, n)
+            monkeypatch.setattr(deltachar.characters, "_euler_symbols", derive)
+            aps = [None if curve is None else count_points_ap(curve, p)
+                   for p in ps]
+            euler = [euler_polynomial(p, ap) for p, ap in zip(ps, aps)]
+            rows = [DiracComponent(p, math.prod(
+                        (e / e.coefficient(1) for j, e in enumerate(euler)
+                         if j != k), start=SymbolPoly.one()), ap)
+                    for k, (p, ap) in enumerate(zip(ps, aps))]
+            assert [(d.prime, d.ap, d.euler_symbol, d.ode_symbol)
+                    for d in c.dirac] == [(d.prime, d.ap, d.euler_symbol,
+                                           d.ode_symbol) for d in rows]
+            by_hand = Character(c.group, ps, c.symbol, c.series, curve,
+                                dirac=rows)
+            assert (json.dumps(c.to_json_dict())
+                    == json.dumps(by_hand.to_json_dict())), (curve, ps)
+
+
+def test_evaluate_forms_per_evaluation_data_once(monkeypatch):
+    """One `evaluate` forms the symbol's class sums once and a curve point's
+    completed-square data once, and gives the values of the Dirac route,
+    which forms everything at each prime: 43a's (0, 0) at m = 1, 3, 4, 12,
+    its Q(i) point at m = 4 and 12, and G_m units at m = 8 and 12.  P is
+    {3, 5, 11}, or {5, 11, 13} where 3 divides m."""
+    calls = {"_class_sums": 0, "_completed_square": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(deltachar.evaluation, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(deltachar.evaluation, name, counted)
+    cases = []
+    for m in (1, 3, 4, 12):
+        cases.append(("43a (0, 0)", m, lambda ps: E43.point(0, 0)))
+    for m in (4, 12):
+        cases.append(("43a over Q(i)", m, _gaussian_point_43a))
+    for m in (8, 12):
+        cases.append(("unit 1 + zeta", m, lambda ps, m=m: 1 + (
+            CyclotomicElement.zeta(CyclotomicConfig(m, ps)))))
+    for label, m, make in cases:
+        ps = PrimeSet((3, 5, 11) if m % 3 else (5, 11, 13))
+        point = make(ps)
+        if isinstance(point, CyclotomicElement):
+            c = build_gm_character(ps, 6)
+            q = AdelePoint.multiplicative(point, ps, 12)
+        else:
+            c = build_elliptic_character(E43, ps, 6)
+            q = AdelePoint.elliptic(point, ps, 12, m)
+        for name in calls:
+            calls[name] = 0
+        got = evaluate(c, q, 12)
+        assert calls == {"_class_sums": 1,
+                         "_completed_square": int(c.group == "Elliptic")}, (
+            label, m)
+        assert not got.is_zero(), (label, m)
+        assert got.to_json_dict() == _dirac_evaluate(c, q, 12).to_json_dict(), (
+            label, m)
 
 
 def test_independent_components():

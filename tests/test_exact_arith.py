@@ -51,6 +51,8 @@ def test_vp_basic():
     assert vp(Fraction(5, 9), 3) == -2
     assert vp(Fraction(-7, 10), 5) == -1
     assert vp(0, 3) == math.inf
+    assert vp(-675, 5) == 2
+    assert vp(Fraction(0), 3) == math.inf
 
 
 def test_vp_multiplicative():
