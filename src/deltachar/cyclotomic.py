@@ -540,7 +540,7 @@ class PadicCyclotomic:
         """min coefficient valuation; infinity when indistinguishable from 0."""
         if self.is_zero():
             return math.inf
-        return min(min(vp(c, self.p) for c in self.coeffs if c), self.precision)
+        return min(vp(math.gcd(*self.coeffs), self.p), self.precision)
 
     def divide_by_prime_power(self, s: int) -> "PadicCyclotomic":
         if s == 0:

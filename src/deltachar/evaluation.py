@@ -1,23 +1,25 @@
 """Evaluate characters on points with p-adic cyclotomic components.
 
 `evaluate` is the one evaluator: one loop over the primes of P, where the
-group's local step gives Lambda_p, the formal logarithm of the point's
-image in the kernel of reduction, and the loop applies the character's own
-symbol to it (`_apply_symbol`).  For p prime to m, phi_n acts on
+group's local step maps the point into the kernel of reduction, and the
+loop (`_symbol_values`) sums the group's formal logarithm there and applies
+the character's own symbol to it (`_apply_symbol`).  A local step gives a
+kernel image (x, e, cofactor): Lambda_p = l(x) cofactor / p^e, l the
+logarithm of `series_fgl._log_terms`.  For G_m, x = u^((q-1) p^e) - 1,
+q = p^f, f the order of p mod m, and cofactor 1/(q-1), with scaling 1
+(`_gm_log`); for a curve, x = t(N Q), e = 0 and cofactor M/N, with scaling
+M, t the formal parameter of N Q scaled p-adically in E(Z_p[zeta_m']/p^K)
+by `elliptic.scaled_formal_parameter`.  For p prime to m, phi_n acts on
 Z_p[zeta_m] as the Galois element sigma_(n mod m), so the value at p is
 (1/p) sum_r (p C_r) sigma_r(Lambda_p), C_r the sum of the c_n with
 n = r mod m.  What is the same at every prime is formed once per
-evaluation, not in the loop: the C_r for each level m of the values
-(`_class_sums`; a curve point over Q(zeta_m') gives values at m', not at
-the adele's level), and a curve point's completed-square coordinates
-(`elliptic._completed_square`).  No Euler factor is written here, and no
-Dirac row is read: E_p/p is a factor of the symbol.  rho is read only as
-the gate that refuses a symbol that is not a
-multiple of the fundamental one (`characters._rho`).  For G_m,
-Lambda_p = log(u^(q-1))/(q-1), q = p^f, f the order of p mod m, with
-scaling 1 (`_gm_log`); for a curve, Lambda_p = l(t) M/N with scaling M,
-t the formal parameter of N Q scaled p-adically in E(Z_p[zeta_m']/p^K) by
-`elliptic.scaled_formal_parameter`.
+evaluation, not in the loop: the logarithm's pairs, only when some value
+needs them; the C_r for each level m of the values (`_class_sums`; a curve
+point over Q(zeta_m') gives values at m', not at the adele's level); and a
+curve point's completed-square coordinates (`elliptic._completed_square`).
+No Euler factor is written here, and no Dirac row is read: E_p/p is a
+factor of the symbol.  rho is read only as the gate that refuses a symbol
+that is not a multiple of the fundamental one (`characters._rho`).
 
 A curve point is scaled by N = #E(F_{p^f'}), the count of the residue field
 of its own ring Z[zeta_m'] (m' = 1 for a rational point, f' the order of p
@@ -32,28 +34,25 @@ Z[zeta_m] (m' | m), and a point outside it is refused; then f' divides f,
 E(F_{p^f'}) is a subgroup of E(F_{p^f}), and #E(F_{p^f}) divides M, so
 M/N is an integer.
 
-Every Lambda_p is l(x), l a logarithm (its n-th coefficient has
-v_p >= -v_p(n)) and v_p(x) >= 1, so v_p(Lambda_p) >= 1, and a multiple of
-the fundamental symbol has coefficients of v_p >= -1: the one division by p
-in `_apply_symbol` is exact and spends one digit.  Term n of l(x) has
-valuation at least n - floor(log_p n), nondecreasing in n, and one helper
-derives every budget from that bound (`exact_arith.log_budget`): the series
+Every Lambda_p has v_p >= 1 (l a logarithm, its n-th coefficient of
+v_p >= -v_p(n), at x of v_p(x) >= e + 1), and a multiple of the
+fundamental symbol has coefficients of v_p >= -1: the one division by p in
+`_apply_symbol` is exact and spends the one digit a budget spends.
+l(x) mod p^K depends only on x mod p^K, whatever p-powers the coefficients
+divide by (proved in `_series_value`), so a curve's t gets N + 1 digits,
+and a unit's x gets N + 1 + e, e of them for the division by p^e.  Term n
+of l(x) has valuation at least n - floor(log_p n), nondecreasing in n, and
+the order comes from that bound (`exact_arith.log_budget`): the series
 stops at the last n with n - floor(log_p n) <= N at the smallest prime of
-P, so later terms vanish mod p**(N+1) at every prime; t gets
-N + 1 + floor(log_p order) digits, one for the division by p and the rest
-for the divisions by n <= order; a unit gets N + 1 (the G_m coefficients
-p^(n-1)/n are p-integral).  `_series_value` reports only the digits its
-argument and order fix, so a short budget fails the final reduction to N
-digits instead of giving wrong ones.
+P, so later terms vanish mod p**(N+1) at every prime.  `_series_value`
+reports every digit its argument and order fix and no more, so a short
+budget fails the final reduction to N digits instead of giving wrong ones.
 
 Each per-prime series is summed by one Horner pass on integer residues
 (`cyclotomic._series_mod`; in plain ints when the argument has no
-zeta-part), its coefficients reduced to integers once per (series, p).
-The curve's logarithm comes as integer (numerator, denominator) pairs from
-`series_fgl._log_terms`, at most once per evaluation, and is summed at t
-with no Fraction for an integral model (see `_series_value`); the unit's
-after a p-power descent, in about N/(k+1) terms instead of N (see
-`_gm_log`).
+zeta-part), its integer pairs reduced once per (series, p) as far as they
+can move a digit: no Fraction for a curve with an integral model, and
+about N/(e+1) of G_m's ((-1)^(j-1), j) after the unit's descent.
 """
 
 from __future__ import annotations
@@ -128,20 +127,24 @@ class AdelePoint:
     @classmethod
     def from_components(cls, components: Sequence[PadicCyclotomic],
                         primes: PrimeSet, precision: int) -> "AdelePoint":
-        """Independent per-prime unit components (no global origin claimed)."""
+        """Independent per-prime unit components (no global origin claimed),
+        all at one level m."""
         if len(components) != len(primes):
             raise DomainError("one component per prime required")
+        config = components[0].config
         for p, comp in zip(primes, components):
             if comp.p != p:
                 raise DomainError("component prime mismatch at %d" % p)
+            if comp.config.m != config.m:
+                raise DomainError("component at %d lives at level %d, the"
+                                  " first at %d" % (p, comp.config.m, config.m))
             if not comp.is_unit():
                 raise NonUnitError("component at %d is not a unit" % p)
             if comp.precision < precision + 1:
                 raise DomainError("component at %d has %d digits, precision %d"
                                   " needs %d" % (p, comp.precision, precision,
                                                  precision + 1))
-        return cls(components[0].config, primes, precision,
-                   list(components), None)
+        return cls(config, primes, precision, list(components), None)
 
     @classmethod
     def elliptic(cls, point: CurvePoint, primes: PrimeSet, precision: int,
@@ -194,38 +197,24 @@ class EvaluationResult:
 # per-prime operator values
 # ---------------------------------------------------------------------------
 
-def _gm_log(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
-    """Lambda = log(u^(q-1))/(q-1) modulo p**(precision+1), the formal
-    logarithm of the unit u's image in the kernel of reduction; q = p^f,
-    f the order of p mod m.
+def _gm_log(u: PadicCyclotomic, p: int, precision: int):
+    """The unit u's kernel image (x, e, 1/(q-1)): x = u^((q-1) p^e) - 1 mod
+    p**(precision+1+e), q = p^f, f the order of p mod m, so that
+    log(u^(q-1))/(q-1) = l(x) / (p^e (q-1)), l = log(1 + T).
 
     Z_p[zeta_m]/p is a product of fields F_q, so u^(q-1) = 1 mod p, and
-    y = u^((q-1) p^k) too (x -> x^p is injective there), exactly when u is
-    a unit; a non-unit raises NonUnitError.  Lambda = p G/(q-1), G the sum
-    below, has valuation >= 1 and precision + 1 digits (q - 1 is prime to p).
+    u^((q-1) p^e) too (x -> x^p is injective there), exactly when u is a
+    unit; a non-unit raises NonUnitError.
 
-    - Digit gain.  For x = 1 mod p, x^p - 1 = (x - 1)(1 + x + ... + x^(p-1))
+    - Digit gain.  For y = 1 mod p, y^p - 1 = (y - 1)(1 + y + ... + y^(p-1))
       and the second factor is p = 0 mod p, so each p-th power of a 1-unit
-      gains a digit: y = u^((q-1) p^k) = 1 mod p^(k+1).  By the same gain,
-      moving u by p^K (K = precision + 1) multiplies u^(q-1) by some
-      1 + p^K e and y by (1 + p^K e)^(p^k) = 1 mod p^(K+k), so u's first
-      precision + 1 digits fix y mod p^(precision+1+k), and that is the
-      modulus of the descent.
-    - The sum.  With z = (y - 1)/p^(k+1), known mod p^precision,
-      G = p^(-k-1) log(1 + p^(k+1) z) = sum_n (-1)^(n-1) p^((k+1)(n-1))/n z^n.
-      For n = p^s n', n' prime to p, the coefficient p^((k+1)(n-1)-s)/n' is
-      p-integral (s <= n - 1): each is reduced once to an integer, and
-      moving z by p^precision moves no term below p^precision, so z is
-      needed to `precision` digits.  The sum is one Horner pass at z
-      (`_series_mod`).
-    - Truncation.  Term n has valuation at least
-      b(n) = (k+1)(n-1) - floor(log_p n), which never decreases (each step
-      adds k + 1 >= 1, the floor at most 1), so the sum stops before the
-      first n with b(n) >= precision: every later term vanishes mod
-      p^precision.  About precision/(k+1) terms remain.
-    - Choice of k.  The descent costs k c_p multiplies, c_p those of one
-      x -> x^p in `_powmod`, and the sum one per term, about
-      precision/(k+1); k = isqrt(precision // c_p) balances the two.
+      gains a digit: x = 0 mod p^(e+1).  By the same gain, moving u by p^K
+      (K = precision + 1) multiplies u^(q-1) by some 1 + p^K d and
+      u^((q-1) p^e) by (1 + p^K d)^(p^e) = 1 mod p^(K+e), so u's first
+      precision + 1 digits fix x mod p^(precision+1+e), and l(x) as well.
+    - Choice of e.  The descent costs e c_p multiplies, c_p those of one
+      y -> y^p in `_powmod`, and the sum one per term, about
+      precision/(e+1); e = isqrt(precision // c_p) balances the two.
 
     u^(q-1) costs about 2 f log2(p) multiplies, as scaling a curve point by
     #E(F_{p^f}) does: f <= 2 on every benchmark workload, and at p = 101,
@@ -236,95 +225,88 @@ def _gm_log(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
     if u.precision < precision + 1:
         raise DomainError("need precision %d, component has %d"
                           % (precision + 1, u.precision))
-    config, phi = u.config, u.config.phi
-    c_p = p.bit_length() + bin(p).count("1") - 2    # _mulmod calls in x^p
-    k = math.isqrt(precision // c_p)
+    config = u.config
+    c_p = p.bit_length() + bin(p).count("1") - 2    # _mulmod calls in y^p
+    e = math.isqrt(precision // c_p)
     q = p ** len(_frobenius_orbit(p, config.m))
-    y = _powmod(u.coeffs, (q - 1) * p ** k, phi, p ** (precision + 1 + k))
-    y[0] -= 1
-    if any(c % p for c in y):
+    x = _powmod(u.coeffs, (q - 1) * p ** e, config.phi, p ** (precision + 1 + e))
+    x[0] -= 1
+    if any(c % p for c in x):
         raise NonUnitError("element is not a unit mod %d" % p)
-    z = [c // p ** (k + 1) for c in y]
-    modulus = p ** precision
-    ints = []
-    n = 1
-    while (k + 1) * (n - 1) - _ilog(n, p) < precision:
-        s, unit = _split_prime(n, p)
-        ints.append((-1) ** (n - 1) * pow(p, (k + 1) * (n - 1) - s, modulus)
-                    * pow(unit, -1, modulus) % modulus)
-        n += 1
-    r = p * pow(q - 1, -1, modulus)
-    return PadicCyclotomic(config, p, precision + 1,
-                           [g * r for g in _series_mod(ints, z, phi, modulus)])
+    return PadicCyclotomic(config, p, precision + 1 + e, x), e, Fraction(1, q - 1)
 
 
 def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
     """(1/p) log((phi u)/u^p) modulo p**precision, the Gm operator: E_p/p on
-    the unit's logarithm (`_gm_log`).  Input must carry one digit beyond
-    `precision`, spent by the division by p; a non-unit raises NonUnitError.
+    the logarithm of the unit's kernel image (`_gm_log`).  Input must carry
+    one digit beyond `precision`, spent by the division by p; a non-unit
+    raises NonUnitError.
     """
-    return _apply_symbol(_class_sums(euler_polynomial(p) / p, u.config.m),
-                         _gm_log(u, p, precision))
-
-
-def _split_prime(n: int, p: int) -> Tuple[int, int]:
-    """(s, u) with n = p^s * u and u prime to p, for an integer n >= 1."""
-    s = 0
-    while n % p == 0:
-        n //= p
-        s += 1
-    return s, n
+    return _symbol_values(lambda k, p: (_gm_log(u, p, precision), 1), None,
+                          (p,), euler_polynomial(p) / p, precision)[0][0]
 
 
 def _series_value(terms: Sequence[Tuple[int, int]], t: PadicCyclotomic
                   ) -> PadicCyclotomic:
-    """Evaluate a logarithm-type series at an element of positive valuation.
+    """Sum a logarithm-type series at an element of positive valuation, to
+    every digit that t and the series' order fix.
 
     The series is sum_j c_j T^j, j = 1..order, given as integer pairs
     (numerator, denominator) with c_j = numerator/denominator, not
     necessarily reduced, a positive denominator, and order = len(terms).
-    Coefficients may carry powers of p in their denominators (logarithms
-    do).  With s_j = max(0, -v_p(c_j)), found by splitting p off the
-    denominator and cancelling it against the numerator, S the largest s_j
-    and K the precision of t, the integers a_j = p^S c_j mod p^(K+S) are
-    reduced once each, as numerator * p^(S-s_j) * unit^-1, unit the part of
-    the denominator prime to p; no Fraction is formed.  They are summed at
-    t's residues by Horner's rule (`_series_mod`).  The sum is p^S times
-    the value, so it divides by p^S exactly (each a_j t^j has valuation
-    >= S - s_j + j v(t) >= S).  Any lift of t will do: moving t by p^K moves
-    a_j t^j by at least K + (j-1) v(t) + S - s_j >= K digits, so the sum
-    fixes K - S digits.  Terms with j v(t) >= K + S vanish mod p^(K+S) and
-    are not summed.  The terms beyond the series' order are not known; for
-    a logarithm (v_p(c_j) >= -v_p(j)) term j has valuation at least
-    j v(t) - floor(log_p j), which never decreases with j, so they cannot
-    change the first (order+1) v(t) - floor(log_p(order+1)) digits.  The
-    precision returned is the smaller of the two counts.
+    It must be logarithm-type: v_p(c_j) >= -v_p(j); a pair that is not
+    raises DomainError (only the pairs that are summed are read).  Let K be
+    the precision of t and v = v_p(t) >= 1.
+
+    - Any lift of t will do.  For t' = t + p^K d,
+      c_j (t'^j - t^j) = sum_{i>=1} c_j C(j,i) t^(j-i) (p^K d)^i, and
+      i C(j,i) = j C(j-1,i-1) gives v_p(c_j C(j,i)) >= -v_p(i), so the
+      i-th term has valuation >= (j-i) v + i K - v_p(i)
+      >= K + (j-1) v + (i-1)(K-v) - v_p(i) >= K + (j-1) v when v < K
+      (v_p(i) <= i - 1).  So l(t) mod p^K depends only on t mod p^K, and
+      all K digits are fixed.
+    - The terms beyond the order are not known.  Term j has valuation at
+      least j v - floor(log_p j), which never decreases with j, so they
+      cannot change the first tail = (order+1) v - floor(log_p(order+1))
+      digits.  The precision returned is min(K, tail).
+    - The sum.  By the same bound only the n terms with
+      j v - floor(log_p j) < K are read.  s_j = max(0, -v_p(c_j)), found by
+      splitting p off the denominator and cancelling it against the
+      numerator, is at most S = floor(log_p n), so a_j = p^S c_j mod
+      p^(K+S) is an integer, numerator * p^(S-s_j) * unit^-1 (unit the
+      denominator's part prime to p; no Fraction is formed).  Horner's rule
+      (`_series_mod`) sums them at t's residues; the sum divides by p^S
+      exactly (a_j t^j has valuation >= S - s_j + j v >= S), and the terms
+      left out vanish mod p^(K+S).
     """
     p, K = t.p, t.precision
     v = t.min_valuation()
     if v < 1:
         raise DomainError("series evaluation needs valuation >= 1")
-    split = []
-    for j, (num, den) in enumerate(terms, 1):
-        s, unit = _split_prime(den, p) if num else (0, 1)
+    if v >= K:
+        return PadicCyclotomic.zero(t.config, p, K)
+    order = len(terms)
+    n = min((K - 1) // v, order)
+    while n < order and (n + 1) * v - _ilog(n + 1, p) < K:
+        n += 1
+    S = _ilog(n, p) if n else 0
+    modulus = p ** (K + S)
+    ints = []
+    for j, (num, den) in enumerate(terms[:n], 1):
+        s = 0
+        while den % p == 0:
+            den //= p
+            s += 1
         while s and num % p == 0:
             num //= p
             s -= 1
-        if s > j * v:
-            raise DomainError("element is not divisible by %d^%d" % (p, s))
-        split.append((num, s, unit))
-    S = max((s for _, s, _ in split), default=0)
-    if K - S < 1:
-        raise DomainError("no precision left")
-    if t.is_zero():
-        return PadicCyclotomic.zero(t.config, p, K - S)
-    modulus = p ** (K + S)
-    ints = [num * p ** (S - s) * pow(unit, -1, modulus) % modulus
-            for num, s, unit in split[:(K + S - 1) // v]]
+        if s and j % p ** s:
+            raise DomainError("T^%d has %d^%d in its denominator: not a"
+                              " logarithm" % (j, p, s))
+        ints.append(num * p ** (S - s) * pow(den, -1, modulus) % modulus)
     total = _series_mod(ints, t.coeffs, t.config.phi, modulus)
-    order = len(terms)
     tail = (order + 1) * v - _ilog(order + 1, p)
-    return PadicCyclotomic(t.config, p, min(K - S, tail),
+    return PadicCyclotomic(t.config, p, min(K, tail),
                            [c // p ** S for c in total])
 
 
@@ -343,22 +325,28 @@ def _class_sums(sym: SymbolPoly, m: int) -> dict:
     return classes
 
 
-def _apply_symbol(classes: dict, value: PadicCyclotomic) -> PadicCyclotomic:
-    """(1/p) sum_r (p C_r) sigma_r(value), the symbol on a value of
-    valuation >= 1 through its `_class_sums` at the value's level.
+def _apply_symbol(classes: dict, value: PadicCyclotomic, shift: int,
+                  cofactor) -> PadicCyclotomic:
+    """(1/p^(1+shift)) sum_r (p C_r) sigma_r(cofactor value), the symbol on
+    cofactor value / p^shift through its `_class_sums` at the value's level;
+    value must have valuation >= 1 + shift, cofactor be rational and
+    p-integral.
 
     The p C_r are p-integral for a multiple of the fundamental symbol
-    (E_p/p times P-local coefficients), so the sum divides by p exactly.
+    (E_p/p times P-local coefficients), so the sum divides by p^(1+shift)
+    exactly; the rational cofactor commutes with every sigma_r.
     """
     if value.is_zero():
-        return value.divide_by_prime_power(1)
+        return value.divide_by_prime_power(1 + shift)
     p = value.p
     total = [0] * value.config.degree
     for r, c in classes.items():
         k = fraction_mod(c * p, p, value.precision)
         total = [a + k * b for a, b in zip(total, value.frobenius(r).coeffs)]
+    k = fraction_mod(cofactor, p, value.precision)
     return PadicCyclotomic(value.config, p, value.precision,
-                           total).divide_by_prime_power(1)
+                           [a * k for a in total]
+                           ).divide_by_prime_power(1 + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -371,23 +359,21 @@ def elliptic_formal_value(curve, point: CurvePoint, p: int, precision: int
     on the formal logarithm l(t).
 
     The point must reduce to the identity mod p; its parameter is embedded
-    p-adically in its own ring.
+    p-adically in its own ring, to precision + 1 digits.
     """
     config = CyclotomicConfig(_ring_level(point), (p,))
-    order, (work,) = log_budget(precision, (p,))
     t_exact = to_formal_parameter(point, p)
     if isinstance(t_exact, CyclotomicElement):
-        t = PadicCyclotomic.from_cyclotomic(t_exact, p, work)
+        t = PadicCyclotomic.from_cyclotomic(t_exact, p, precision + 1)
     else:
-        t = PadicCyclotomic.from_rational(config, t_exact, p, work)
+        t = PadicCyclotomic.from_rational(config, t_exact, p, precision + 1)
     euler = euler_polynomial(p, count_points_ap(curve, p)) / p
-    w = _apply_symbol(_class_sums(euler, t.config.m),
-                      _series_value(_log_terms(curve, order), t))
-    return w.reduce_to(min(precision, w.precision))
+    return _symbol_values(lambda k, p: ((t, 0, 1), 1), curve, (p,), euler,
+                          precision)[0][0]
 
 
 def _unit_step(c: Character, q, precision: int):
-    """The G_m local step: `_gm_log` at each component, scaling 1."""
+    """The G_m local step: a component's kernel image (`_gm_log`)."""
     if not isinstance(q, AdelePoint):
         q = AdelePoint.multiplicative(q, c.primes, precision)
     if q.components is None:
@@ -396,19 +382,17 @@ def _unit_step(c: Character, q, precision: int):
 
 
 def _curve_step(c: Character, q, precision: int):
-    """The curve local step: l(t(N_k Q)) M_k/N_k, with scaling M_k.
+    """The curve local step: the kernel image (t(N_k Q), 0, M_k/N_k), with
+    scaling M_k.
 
     M_k is the order of the reduction group of E over Z[zeta_m]/p, so M_k Q
     is in the kernel of reduction; Q is scaled only by N_k, and the value
     multiplied by M_k/N_k (see the module docstring).  A point whose
     ring Z[zeta_m'] is not inside Z[zeta_m] is refused before any
-    arithmetic.  Every component, zero or not, lives in Z_p[zeta_m'] (in
-    Z_p[zeta_m] for a rational Q); a zero has precision + 1 digits, one for
-    the symbol's division by p.  Q's completed-square coordinates are
-    formed once per call (`elliptic._completed_square`).  The curve's
-    logarithm, as the integer pairs of `series_fgl._log_terms`, is derived
-    at most once per call, to the order `log_budget` gives at the smallest
-    prime, and only when some component needs it.
+    arithmetic.  t lives in Z_p[zeta_m'] (in Z_p[zeta_m] for a rational Q)
+    and has precision + 1 digits, one for the symbol's division by p.  Q's
+    completed-square coordinates are formed once per call
+    (`elliptic._completed_square`).
     """
     point = q.point if isinstance(q, AdelePoint) else q
     if not isinstance(point, CurvePoint):
@@ -422,26 +406,42 @@ def _curve_step(c: Character, q, precision: int):
     if config.m % level:
         raise DomainError("the point lies over Q(zeta_%d), which is not inside"
                           " the adele's level Q(zeta_%d)" % (level, config.m))
-    order, digits = log_budget(precision, c.primes)
     square = _completed_square(point)
-    log = None
 
     def step(k, p):
-        nonlocal log
         scale = reduction_group_order(c.curve, p, config.m)
         count = _residue_field_count(c.curve, p, level)[0]
-        t = _scaled_parameter(square, count, p, digits[k], config)
-        cofactor = scale // count
-        # on the kernel [p] raises v(t) by exactly one (p odd, v(t) >= 1)
-        # and a multiplier prime to p keeps it: so t(M Q) vanishes mod p^K
-        # exactly when this holds, and the value is 0 mod p^precision
-        if t.min_valuation() + vp(cofactor, p) >= t.precision:
-            return PadicCyclotomic.zero(t.config, p, precision + 1), scale
-        if log is None:
-            log = _log_terms(c.curve, order)
-        return _series_value(log, t) * cofactor, scale
+        t = _scaled_parameter(square, count, p, precision + 1, config)
+        return (t, 0, scale // count), scale
 
     return q, step
+
+
+def _symbol_values(step, curve, primes, symbol: SymbolPoly, precision: int):
+    """(values, scalings): the symbol on l(x) cofactor / p^e at each prime,
+    (x, e, cofactor) the kernel image step(k, p) gives with its scaling, l
+    the logarithm of `_log_terms(curve, ...)`; the one place a logarithm is
+    summed.  x has precision + 1 + e digits and `_series_value` reports all
+    of them.  l(x) has the valuation of x (p odd, v(x) >= 1, l'(0) = 1), so
+    the value is zero exactly when v(x) + v_p(cofactor) >= x.precision; the
+    pairs are derived once, to the `log_budget` order, when a value is not.
+    """
+    values, scalings, sums, terms = [], [], {}, None
+    for k, p in enumerate(primes):
+        (x, e, cofactor), scaling = step(k, p)
+        if x.min_valuation() + vp(cofactor, p) >= x.precision:
+            value = PadicCyclotomic.zero(x.config, p, x.precision)
+        else:
+            if terms is None:
+                terms = _log_terms(curve, log_budget(precision, primes))
+            value = _series_value(terms, x)
+        m = x.config.m
+        if m not in sums:
+            sums[m] = _class_sums(symbol, m)
+        values.append(_apply_symbol(sums[m], value, e, cofactor
+                                    ).reduce_to(precision))
+        scalings.append(scaling)
+    return values, scalings
 
 
 _LOCAL_STEPS = {"Gm": _unit_step, "Elliptic": _curve_step}
@@ -450,8 +450,9 @@ _LOCAL_STEPS = {"Gm": _unit_step, "Elliptic": _curve_step}
 def evaluate(c: Character, q, precision: int) -> EvaluationResult:
     """The character's value at q, an `AdelePoint` or a global unit or
     curve point (embedded at every prime of P), one component per prime:
-    c.symbol applied to each local step's logarithm (`_apply_symbol`).
-    An `AdelePoint` must be given to at least `precision` digits."""
+    c.symbol on the logarithm of each local step's kernel image
+    (`_symbol_values`).  An `AdelePoint` must be given to at least
+    `precision` digits."""
     if type(precision) is not int or precision < 1:
         raise DomainError("precision must be an integer >= 1, not %r"
                           % (precision,))
@@ -465,14 +466,8 @@ def evaluate(c: Character, q, precision: int) -> EvaluationResult:
         raise DomainError("the point is given to precision %d, below the"
                           " requested %d" % (q.precision, precision))
     _rho(c)     # refuses a symbol that is no multiple of the fundamental one
-    values, scalings, sums = [], [], {}
-    for k, p in enumerate(c.primes):
-        value, scaling = step(k, p)
-        m = value.config.m
-        if m not in sums:
-            sums[m] = _class_sums(c.symbol, m)
-        values.append(_apply_symbol(sums[m], value).reduce_to(precision))
-        scalings.append(scaling)
+    values, scalings = _symbol_values(step, c.curve, c.primes, c.symbol,
+                                      precision)
     return EvaluationResult(c.primes, values, precision, scalings)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -193,22 +193,23 @@ def _ilog(n: int, p: int) -> int:
     return v
 
 
-def log_budget(precision: int, primes: Sequence[int]) -> Tuple[int, List[int]]:
-    """(order, digits) that give (1/p) l(x) mod p**precision at each prime.
+def log_budget(precision: int, primes: Sequence[int]) -> int:
+    """The order of a logarithm that gives (1/p) l(x) mod p**precision at
+    each prime from x mod p**(precision + 1).
 
     For a logarithm l = sum c_n x^n (v_p(c_n) >= -v_p(n)) and v_p(x) >= 1,
     term n has valuation >= n - floor(log_p n), nondecreasing in n and in p:
     the bound cyclotomic.padic_log stops on, as in Mazur-Stein-Tate (2006).
-    `order` is the last n with n - floor(log_p n) <= precision at the
+    The order is the last n with n - floor(log_p n) <= precision at the
     smallest prime, so later terms vanish mod p**(precision + 1) at every
-    prime; x is needed to digits = precision + 1 + floor(log_p order) at
-    each, since the kept terms divide by at most that power of p.
+    prime.  The divisions by n spend no digit of x: l(x) mod p^K depends
+    only on x mod p^K (`evaluation._series_value`).
     """
     p = min(primes)
     order = precision
     while order + 1 - _ilog(order + 1, p) <= precision:
         order += 1
-    return order, [precision + 1 + _ilog(order, q) for q in primes]
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ phi_n * l = l(T^n).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import cycle
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -338,10 +339,8 @@ def additive_group(order: int) -> FormalGroupLaw:
 
 
 def gm_log(order: int) -> TruncSeries:
-    if order < 0:
-        raise DomainError("bad series shape")
-    return TruncSeries._from_clean(1, order, {
-        (n,): Fraction((-1) ** (n - 1), n) for n in range(1, order + 1)})
+    """log(1 + T), from the pairs of `_log_terms`."""
+    return _log_series(None, order)
 
 
 def gm_group(order: int) -> FormalGroupLaw:
@@ -432,29 +431,33 @@ def _differential(curve, order: int) -> list:
 
 
 def _log_terms(curve, order: int) -> List[Tuple[int, int]]:
-    """The curve's logarithm in T as integer pairs, one per j = 1..order.
+    """A logarithm in T as integer pairs, one per j = 1..order.
 
-    l(z) = sum b_n z^n / n integrates omega, and T = -z/2 turns it into
-    l(T) = sum_j b_j (-2)^(j-1) T^j / j; the pair for T^j is
+    With no curve, G_m's log(1 + T), the pair for T^j is ((-1)^(j-1), j).
+    A curve's l(z) = sum b_n z^n / n integrates omega, and T = -z/2 turns
+    it into l(T) = sum_j b_j (-2)^(j-1) T^j / j; the pair for T^j is
     (numerator(b_j) (-2)^(j-1), denominator(b_j) j), not reduced.
     """
+    if curve is None:
+        return list(zip(cycle((1, -1)), range(1, order + 1)))
     return [(b.numerator * (-2) ** j, b.denominator * (j + 1))
             for j, b in enumerate(_differential(curve, order))]
 
 
-def elliptic_log(curve, order: int) -> TruncSeries:
-    """The logarithm of the curve's formal group in T = x/(2y), with l'(0)=1.
-
-    Its coefficients are the pairs of `_log_terms`, each made one normalized
-    Fraction; the b_n are integral when the curve is, so only the division
-    by j brings a denominator (beside b_j's own, for a rational model).
-    """
+def _log_series(curve, order: int) -> TruncSeries:
+    """The pairs of `_log_terms`, each made one normalized Fraction."""
     if order < 0:
         raise DomainError("bad series shape")
     # the kernel stores no zero, and b_n can vanish (b_2 = 0 when c1 = 0)
     return TruncSeries._from_clean(1, order, {
         (j,): Fraction(num, den)
         for j, (num, den) in enumerate(_log_terms(curve, order), 1) if num})
+
+
+def elliptic_log(curve, order: int) -> TruncSeries:
+    """The logarithm of the curve's formal group in T = x/(2y), with l'(0)=1;
+    only the division by j brings a denominator to an integral model."""
+    return _log_series(curve, order)
 
 
 def elliptic_group(curve, order: int) -> FormalGroupLaw:

@@ -101,6 +101,23 @@ def test_adele_construction():
         AdelePoint.from_components(comps, P35, 20)
 
 
+def test_adele_components_share_one_level():
+    """Components at different levels are refused: 2 at p = 3 over Q and
+    1 + zeta_4 at p = 5 over Q(i) do not make one adele, whichever comes
+    first; at one level they do, and the adele takes that level."""
+    two = PadicCyclotomic.from_rational(CFG1, 2, 3, 20)
+    gauss = PadicCyclotomic.from_cyclotomic(1 + Z4, 5, 20)
+    with pytest.raises(DomainError, match="level 4, the first at 1"):
+        AdelePoint.from_components([two, gauss], P35, 10)
+    with pytest.raises(DomainError, match="level 1, the first at 4"):
+        AdelePoint.from_components(
+            [PadicCyclotomic.from_rational(CFG4, 2, 3, 20),
+             PadicCyclotomic.from_rational(CFG1, 2, 5, 20)], P35, 10)
+    same = AdelePoint.from_components(
+        [PadicCyclotomic.from_rational(CFG4, 2, 3, 20), gauss], P35, 10)
+    assert same.config.m == 4
+
+
 def test_gm_ode_values():
     one = PadicCyclotomic.from_rational(CFG1, 1, 3, 12)
     assert eval_gm_ode(one, 3, 10).is_zero()
@@ -186,13 +203,17 @@ def _dirac_evaluate(c, q, precision, by_m=False):
     point, times M/N), then rho * euler_symbol(P, k) one term at a time,
     prime by prime.  With `by_m` a curve point is scaled by M itself, with
     no cofactor: the group law runs on from N Q to M Q inside the kernel of
-    reduction, and the value at M Q is computed directly."""
+    reduction, and the value at M Q is computed directly.  t gets
+    N + 1 + floor(log_p order) digits, one more for each p-power a kept
+    term divides by, not the N + 1 `evaluate` gives it: the padded route
+    checks that the sharp digit count is enough, rather than following it."""
     rho = decompose_over_fundamental(c)
     if c.group == "Elliptic":
         point, config = q.point, q.config
         level = (point.x.config.m if isinstance(point.x, CyclotomicElement)
                  else 1)
-        order, digits = log_budget(precision, c.primes)
+        order = log_budget(precision, c.primes)
+        digits = [precision + 1 + _ilog(order, p) for p in c.primes]
         log = _log_terms(c.curve, order)
     values, scalings = [], []
     for k, p in enumerate(c.primes):
@@ -229,50 +250,69 @@ def _random_element(rng, config, p, precision, valuation):
     return PadicCyclotomic(config, p, precision, coeffs)
 
 
+# logarithm-type pairs: G_m's, and curves' for integral and rational models,
+# with c6 = 0 (the omega recurrence) and c6 != 0 (the w-recurrence)
+LOG_SOURCES = [None, E37, WeierstrassCurve(0, -1, 1, -10, -20),
+               WeierstrassCurve(F(1, 2), F(-1, 3), 1, F(2, 5), 0),
+               WeierstrassCurve(F(1, 3), 2, F(-5, 7), 1, 3)]
+
+
+def _series_of(terms):
+    """The series of (numerator, denominator) pairs, T^1..T^len(terms)."""
+    return TruncSeries(1, len(terms), {(j,): F(n, d)
+                                       for j, (n, d) in enumerate(terms, 1)})
+
+
+def _lift(rng, t, extra):
+    """A random lift of t to `extra` more digits."""
+    p, k = t.p, t.precision
+    return PadicCyclotomic(t.config, p, k + extra,
+                           [c + p ** k * rng.randrange(p ** extra)
+                            for c in t.coeffs])
+
+
 def test_series_value_matches_term_by_term():
+    """`_series_value` reports min(K, tail) digits, K those of t and tail
+    the first the terms past the order can move, and each of them is the
+    same on random lifts of t, for the series as given and for the same
+    logarithm to a higher order: the sharp count, with nothing spent on the
+    divisions by j."""
     rng = random.Random(6301)
     for m, primes in SERIES_RINGS:
         config = CyclotomicConfig(m, PrimeSet(sorted(primes)))
         for p in primes:
-            for v in (1, 1, 2):
-                k = rng.randint(6, 30)
-                order = rng.randint(1, 3 * k)
-                coeffs = {}
-                for j in range(1, order + 1):
-                    if rng.random() < 0.2:
-                        continue            # some zero coefficients
-                    s = rng.randint(0, min(j * v, k - 1, 4))
-                    if v == 1 and j <= 3 and rng.random() < 0.5:
-                        s = j               # s_j = j at v(t) = 1
-                    unit = rng.choice([u for u in (1, 2, 7, 11, 26) if u % p])
-                    coeffs[(j,)] = F(rng.randrange(-p ** 6, p ** 6) or 1,
-                                     p ** s * unit)
-                series = TruncSeries(1, order, coeffs)
-                t = _random_element(rng, config, p, k, v)
-                top = max((vp(c.denominator, p) for c in coeffs.values()),
-                          default=0)
-                if k - top < 1:
+            for curve in LOG_SOURCES:
+                if curve is not None and not curve.has_integral_reduction(p):
                     continue
-                got = _series_value(_pairs(series), t)
-                want = _series_reference(series, t)
-                assert want.precision == k - top
-                # terms past the order may move digits from the tail bound on
-                tail = (order + 1) * v - _ilog(order + 1, p)
-                assert got.precision == min(k - top, tail)
-                assert got.coeffs == want.reduce_to(got.precision).coeffs, (
-                    m, p, v, k)
-                # unreduced pairs: a common factor, powers of p included,
-                # cancels before s_j is read, so the sum is the same
-                g = [rng.choice((1, 2, p, 2 * p * p)) for _ in range(order)]
-                loose = [(n * f, d * f) for (n, d), f in zip(_pairs(series), g)]
-                again = _series_value(loose, t)
-                assert (again.precision, again.coeffs) == (got.precision,
-                                                           got.coeffs)
+                for v in (1, 2, 3):
+                    k = rng.randint(v + 4, 30)
+                    order = rng.randint(1, 2 * k // v + 2)
+                    terms = _log_terms(curve, order)
+                    longer = _series_of(_log_terms(curve, max(order, k) + 3))
+                    t = _random_element(rng, config, p, k, v)
+                    got = _series_value(terms, t)
+                    tail = (order + 1) * v - _ilog(order + 1, p)
+                    assert got.precision == min(k, tail), (m, p, v, k, order)
+                    for _ in range(4):
+                        lift = _lift(rng, t, 12)
+                        for series in (_series_of(terms), longer):
+                            want = _series_reference(series, lift)
+                            assert want.precision >= got.precision
+                            assert got.coeffs == want.reduce_to(
+                                got.precision).coeffs, (m, p, curve, v, k)
+                    # unreduced pairs: a common factor, powers of p included,
+                    # cancels before s_j is read, so the sum is the same
+                    g = [rng.choice((1, 2, p, 2 * p * p)) for _ in terms]
+                    loose = [(n * f, d * f) for (n, d), f in zip(terms, g)]
+                    again = _series_value(loose, t)
+                    assert (again.precision, again.coeffs) == (got.precision,
+                                                               got.coeffs)
 
 
 def test_series_value_on_elliptic_logs():
     # the logarithm's own coefficients b_n (-2)^(n-1)/n, and the formal value
-    # against the three term-by-term sums at t, phi t and phi^2 t
+    # against the three term-by-term sums at t, phi t and phi^2 t, which
+    # lose a digit for each p-power a term divides by
     rng = random.Random(4409)
     curves = [E11, E37, WeierstrassCurve(0, 1, 1, 0, 0),
               WeierstrassCurve(F(1, 3), 2, F(-5, 7), 1, 3),
@@ -291,27 +331,29 @@ def test_series_value_on_elliptic_logs():
                 t = _random_element(rng, config, p, k, rng.choice((1, 1, 2)))
                 got = _series_value(terms, t)
                 want = _series_reference(log, t)
-                assert (got.precision, got.coeffs) == (want.precision, want.coeffs)
+                assert got.precision == k >= want.precision
+                assert got.reduce_to(want.precision).coeffs == want.coeffs
                 ap = count_points_ap(curve, p)
                 t1 = t.frobenius()
                 combo = (_series_reference(log, t1.frobenius())
                          - _series_reference(log, t1).times_rational(ap)
                          + want.times_rational(p)).divide_by_prime_power(1)
                 value = _dirac_formal_value(curve, t, k, terms)
-                assert value.precision == combo.precision
-                assert value.coeffs == combo.coeffs
+                assert value.precision == k - 1
+                assert value.reduce_to(combo.precision).coeffs == combo.coeffs
 
 
 def test_series_value_cut_below_budget():
     # at p = 13 and N = 12 the budget keeps T^13, whose coefficient has 13 in
-    # its denominator; a logarithm cut shorter reports fewer digits, and the
-    # digits it drops are ones the cut gets wrong
+    # its denominator, and t gets N + 1 digits, none for the division by 13;
+    # a logarithm cut shorter reports fewer digits, and the digits it drops
+    # are ones the cut gets wrong
     config = CyclotomicConfig(1, PrimeSet((13,)))
-    order, (digits,) = log_budget(12, (13,))
-    assert (order, digits) == (13, 14)
+    order = log_budget(12, (13,))
+    assert order == 13
     full = elliptic_log(E37, order)
     assert vp(full.coefficient(13), 13) == -1
-    t = PadicCyclotomic(config, 13, digits, [13 * 5 + 13 ** 2 * 7])
+    t = PadicCyclotomic(config, 13, 13, [13 * 5 + 13 ** 2 * 7])
     whole = _series_value(_log_terms(E37, order), t)
     assert whole.precision == 13
     for cut in range(1, order):
@@ -326,19 +368,32 @@ def test_series_value_cut_below_budget():
 
 def test_series_value_domain_errors():
     config = CyclotomicConfig(4, P35)
-    series = TruncSeries(1, 4, {(1,): F(1), (2,): F(1, 9), (4,): F(5, 3)})
-    unit = PadicCyclotomic(config, 3, 10, [1, 3])
+    terms = _log_terms(None, 6)
     with pytest.raises(DomainError):
-        _series_value(_pairs(series), unit)     # v(t) < 1
+        _series_value(terms, PadicCyclotomic(config, 3, 10, [1, 3]))  # v < 1
     t = PadicCyclotomic(config, 3, 10, [3, 9])
-    with pytest.raises(DomainError):
-        _series_value(_pairs(TruncSeries(1, 2, {(1,): F(1, 9)})), t)  # s_1 > v(t)
-    assert _series_value(_pairs(series), t) == _series_reference(series, t)
-    with pytest.raises(DomainError):
-        _series_value(_pairs(series),
-                      PadicCyclotomic(config, 3, 2, [3, 9]))  # K - S < 1
-    zero = PadicCyclotomic.zero(config, 3, 10)
-    assert _series_value(_pairs(series), zero).precision == 8
+    assert _series_value(terms, t) == _series_reference(_series_of(terms), t)
+    zero = _series_value(terms, PadicCyclotomic.zero(config, 3, 10))
+    assert zero.is_zero() and zero.precision == 10
+    assert _series_value([], t).precision == 1      # tail = v(t) = 1
+
+
+def test_series_value_refuses_non_logarithms():
+    """A pair with more of p in its denominator than its index has
+    (v_p(c_j) < -v_p(j)) is refused, as its digits would depend on the lift
+    of t; v_p(c_j) = -v_p(j) is a logarithm, and so is an unreduced pair
+    whose numerator cancels the excess."""
+    config = CyclotomicConfig(4, P35)
+    t = PadicCyclotomic(config, 3, 10, [3, 9])
+    ones = [(1, 1)] * 8
+    for terms in ([(1, 3)], [(1, 1), (1, 9)], [(1, 1), (0, 1), (2, 9)],
+                  ones + [(1, 27)], [(1, 1), (-1, 2), (1, 3), (1, 9)]):
+        with pytest.raises(DomainError, match="not a logarithm"):
+            _series_value(terms, t)
+    for terms in (ones + [(1, 9)], [(1, 1), (1, 1), (3, 9)],
+                  ones[:5] + [(3, 18)]):
+        assert _series_value(terms, t) == _series_reference(
+            _series_of(terms), t)
 
 
 def test_gm_ode_matches_term_by_term():
