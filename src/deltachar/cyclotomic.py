@@ -10,13 +10,14 @@ One dense kernel acts on integer lists: Q(zeta_m) (CyclotomicElement) is an
 integer vector over one denominator, Z_p[zeta_m] (PadicCyclotomic) a vector
 of residues mod p**precision, and Z_p is PadicCyclotomic at m = 1, with
 `padic_log` and the small root of x^2 - a x + p (`hensel_quadratic_root`).
-Both multiply by reducing mod the monic Phi_m and invert through the Galois
-group: a * adj(a) = N(a), adj(a) the product of the conjugates sigma_j(a),
-j != 1, and N(a) an integer.  Over Z_p, a is a unit exactly when N(a) is,
-also when p splits: Z_p[zeta_m] is then a product of local rings, and N(a)
-is the product of the local norms.
+Both multiply by folding the product's top slots with the rows x^k mod
+Phi_m (`_power_rows`, which also give the Galois action) and invert
+through the Galois group: a * adj(a) = N(a), adj(a) the product of the
+conjugates sigma_j(a), j != 1, and N(a) an integer.  Over Z_p, a is a
+unit exactly when N(a) is, also when p splits: Z_p[zeta_m] is then a
+product of local rings, and N(a) is the product of the local norms.
 A power series with integer coefficients is summed at an element on the
-same kernel, by Horner's rule (`_series_mod`).
+same kernel, by baby-step giant-step (`_series_mod`).
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ def _trim(c: List) -> List:
     return c
 
 
-def _poly_mul(a: Sequence, b: Sequence) -> List:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
 def _poly_divmod_monic(a: Sequence, b: Sequence) -> Tuple[List, List]:
     """Divide by a monic polynomial; exact in any coefficient ring."""
     a = list(a)
@@ -78,22 +69,45 @@ def _poly_divmod_monic(a: Sequence, b: Sequence) -> Tuple[List, List]:
 
 
 def _mulmod(a, b, phi, modulus=None):
-    """a*b mod the monic phi, on integer lists of length deg(phi), reduced
-    mod `modulus` when it is given."""
-    if len(a) == 1:
+    """a*b mod phi = Phi_m, on lists of length d = deg(phi), reduced mod
+    `modulus` when it is given: the schoolbook product in 2d - 1 slots
+    (d(d+1)/2 products when a is b), slot k >= d folded down with the row
+    x^k = x^(k mod m) of `_power_rows`, then one `% modulus` per slot."""
+    d = len(a)
+    if d == 1:
         c = a[0] * b[0]
         return [c if modulus is None else c % modulus]
-    _, rem = _poly_divmod_monic(_poly_mul(a, b), phi)
-    if modulus is not None:
-        rem = [c % modulus for c in rem]
-    return rem + [0] * (len(a) - len(rem))
+    prod = [0] * (2 * d - 1)
+    if a is b:
+        for i, ai in enumerate(a):
+            if ai:
+                prod[2 * i] += ai * ai
+                ai += ai
+                for j, aj in enumerate(a[i + 1:], 2 * i + 1):
+                    prod[j] += ai * aj
+    else:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+    rows = _power_rows(phi)
+    for k in range(d, 2 * d - 1):
+        c = prod[k]
+        if c:
+            for i, r in rows[k % len(rows)]:
+                prod[i] += c * r
+    del prod[d:]
+    return prod if modulus is None else [c % modulus for c in prod]
 
 
 def _powmod(a, k, phi, modulus=None):
     """a**k mod phi, with the same coefficient rules as _mulmod: a new list,
-    from the top bit of k down, bit_length + popcount - 2 _mulmod calls."""
+    from the top bit of k down, bit_length + popcount - 2 _mulmod calls
+    (bit_length - 1 of them squarings); at degree 1 the builtin pow."""
     if k == 0:
         return [1] + [0] * (len(a) - 1)
+    if len(a) == 1:
+        return [a[0] ** k if modulus is None else pow(a[0], k, modulus)]
     result = list(a) if modulus is None else [c % modulus for c in a]
     for bit in bin(k)[3:]:
         result = _mulmod(result, result, phi, modulus)
@@ -103,23 +117,34 @@ def _powmod(a, k, phi, modulus=None):
 
 
 def _series_mod(ints, x, phi, modulus):
-    """sum_{j>=1} ints[j-1] * x^j mod (phi, modulus), by Horner's rule.
+    """sum_{j>=1} ints[j-1] * x^j mod (phi, modulus), by baby-step giant-step
+    (Paterson-Stockmeyer 1973): about 2 sqrt(n) multiply-reduces for n terms.
 
     `ints` are integers (the series coefficients, already reduced) and `x` is
-    a coefficient list of length deg(phi); one multiply-reduce per term.  An
-    x with no zeta-part (every x at m = 1, and a rational point's parameter
-    at any level) keeps the sum in Z: Horner runs on its constant
-    coefficient in plain ints, and the result is padded back to deg(phi).
+    a coefficient list of length deg(phi).  x^1..x^k, k = isqrt(n), are
+    formed once; each block of k terms is a sum of int multiples of them,
+    reduced once, and Horner runs over the blocks with x^k.  An x with no
+    zeta-part (every x at m = 1, and a rational point's parameter at any
+    level) keeps the sum in Z: Horner runs on its constant coefficient in
+    plain ints, and the result is padded back to deg(phi).
     """
     if not any(x[1:]):
         acc, x0 = 0, x[0]
         for c in reversed(ints):
             acc = (acc + c) * x0 % modulus
         return [acc] + [0] * (len(x) - 1)
+    n = len(ints)
+    k = math.isqrt(n) or 1
+    powers = [None, x]                  # powers[r] = x^r
+    for r in range(2, k + 1):
+        powers.append(_mulmod(powers[r // 2], powers[r - r // 2], phi, modulus))
     acc = [0] * len(x)
-    for c in reversed(ints):
-        acc[0] += c
-        acc = _mulmod(acc, x, phi, modulus)
+    for i in reversed(range(0, n, k)):
+        if i + k < n:
+            acc = _mulmod(acc, powers[k], phi, modulus)
+        for c, power in zip(ints[i:i + k], powers[1:]):
+            acc = [s + c * e for s, e in zip(acc, power)]
+        acc = [s % modulus for s in acc]
     return acc
 
 
@@ -190,14 +215,14 @@ class CyclotomicConfig:
 
 
 @lru_cache(maxsize=None)
-def _power_reduction_table(m: int) -> Tuple[Tuple[int, ...], ...]:
-    """x^k mod Phi_m as integer coefficient rows, for 0 <= k < m."""
-    phi = cyclotomic_polynomial(m)
+def _power_rows(phi: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """x^k mod phi = Phi_m for 0 <= k < m, as the (index, coefficient) pairs
+    of its nonzero coefficients: x has order m, so the rows stop at the first
+    k > 0 with x^k = 1, and row k mod m is x^k for every k >= 0."""
     deg = len(phi) - 1
-    rows = []
-    cur = [1]
-    for _ in range(m):
-        rows.append(tuple(cur + [0] * (deg - len(cur))))
+    rows, cur = [], [1]
+    while not rows or cur != [1]:
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
         cur = [0] + cur
         if len(cur) > deg:
             _, cur = _poly_divmod_monic(cur, phi)
@@ -209,13 +234,12 @@ def _galois_image(config: CyclotomicConfig, coeffs: Sequence, j: int) -> list:
     if math.gcd(j, config.m) != 1:
         raise DomainError("%d is not coprime to %d" % (j, config.m))
     m = config.m
-    table = _power_reduction_table(m)
+    rows = _power_rows(config.phi)
     out = [0] * config.degree
     for k, c in enumerate(coeffs):
         if c:
-            for idx, r in enumerate(table[j * k % m]):
-                if r:
-                    out[idx] += c * r
+            for idx, r in rows[j * k % m]:
+                out[idx] += c * r
     return out
 
 
@@ -278,7 +302,7 @@ class CyclotomicElement:
     @classmethod
     def zeta(cls, config: CyclotomicConfig) -> "CyclotomicElement":
         """x mod Phi_m (so zeta_1 = 1 and zeta_2 = -1)."""
-        return cls(config, _power_reduction_table(config.m)[1 % config.m])
+        return cls(config, _galois_image(config, (0, 1), 1))
 
     @classmethod
     def from_rational(cls, config: CyclotomicConfig, a) -> "CyclotomicElement":

@@ -48,8 +48,8 @@ P, so later terms vanish mod p**(N+1) at every prime.  `_series_value`
 reports every digit its argument and order fix and no more, so a short
 budget fails the final reduction to N digits instead of giving wrong ones.
 
-Each per-prime series is summed by one Horner pass on integer residues
-(`cyclotomic._series_mod`; in plain ints when the argument has no
+Each per-prime series is summed on integer residues by baby-step giant-step
+(`cyclotomic._series_mod`; by Horner in plain ints when the argument has no
 zeta-part), its integer pairs reduced once per (series, p) as far as they
 can move a digit: no Fraction for a curve with an integral model, and
 about N/(e+1) of G_m's ((-1)^(j-1), j) after the unit's descent.
@@ -212,9 +212,13 @@ def _gm_log(u: PadicCyclotomic, p: int, precision: int):
       (K = precision + 1) multiplies u^(q-1) by some 1 + p^K d and
       u^((q-1) p^e) by (1 + p^K d)^(p^e) = 1 mod p^(K+e), so u's first
       precision + 1 digits fix x mod p^(precision+1+e), and l(x) as well.
-    - Choice of e.  The descent costs e c_p multiplies, c_p those of one
-      y -> y^p in `_powmod`, and the sum one per term, about
-      precision/(e+1); e = isqrt(precision // c_p) balances the two.
+    - Choice of e.  The descent costs e c_p multiplies (c_p those of one
+      y -> y^p in `_powmod`, squarings at half cost), the sum of its
+      n = precision/(e+1) terms about 2 sqrt(n) (`_series_mod`); at m = 1,
+      one builtin pow and n int steps.  e = isqrt(precision // c_p)
+      balances e c_p against n, and a smaller e is slower at m = 1: at
+      P = {3, 5, 7}, N = 160, the point 2, isqrt / 1.5 and / 2 took 0.330
+      and 0.363 ms against 0.301 (best of 28 x 10, Python 3.11, 2 vCPUs).
 
     u^(q-1) costs about 2 f log2(p) multiplies, as scaling a curve point by
     #E(F_{p^f}) does: f <= 2 on every benchmark workload, and at p = 101,
@@ -246,10 +250,11 @@ def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
                           (p,), euler_polynomial(p) / p, precision)[0][0]
 
 
-def _series_value(terms: Sequence[Tuple[int, int]], t: PadicCyclotomic
-                  ) -> PadicCyclotomic:
+def _series_value(terms: Sequence[Tuple[int, int]], t: PadicCyclotomic,
+                  v: Optional[int] = None) -> PadicCyclotomic:
     """Sum a logarithm-type series at an element of positive valuation, to
-    every digit that t and the series' order fix.
+    every digit that t and the series' order fix; v is v_p(t), taken here
+    when the caller has not taken it.
 
     The series is sum_j c_j T^j, j = 1..order, given as integer pairs
     (numerator, denominator) with c_j = numerator/denominator, not
@@ -274,13 +279,13 @@ def _series_value(terms: Sequence[Tuple[int, int]], t: PadicCyclotomic
       splitting p off the denominator and cancelling it against the
       numerator, is at most S = floor(log_p n), so a_j = p^S c_j mod
       p^(K+S) is an integer, numerator * p^(S-s_j) * unit^-1 (unit the
-      denominator's part prime to p; no Fraction is formed).  Horner's rule
-      (`_series_mod`) sums them at t's residues; the sum divides by p^S
+      denominator's part prime to p; no Fraction is formed).
+      `_series_mod` sums them at t's residues; the sum divides by p^S
       exactly (a_j t^j has valuation >= S - s_j + j v >= S), and the terms
       left out vanish mod p^(K+S).
     """
     p, K = t.p, t.precision
-    v = t.min_valuation()
+    v = t.min_valuation() if v is None else v
     if v < 1:
         raise DomainError("series evaluation needs valuation >= 1")
     if v >= K:
@@ -429,12 +434,13 @@ def _symbol_values(step, curve, primes, symbol: SymbolPoly, precision: int):
     values, scalings, sums, terms = [], [], {}, None
     for k, p in enumerate(primes):
         (x, e, cofactor), scaling = step(k, p)
-        if x.min_valuation() + vp(cofactor, p) >= x.precision:
+        v = x.min_valuation()
+        if v + vp(cofactor, p) >= x.precision:
             value = PadicCyclotomic.zero(x.config, p, x.precision)
         else:
             if terms is None:
                 terms = _log_terms(curve, log_budget(precision, primes))
-            value = _series_value(terms, x)
+            value = _series_value(terms, x, v)
         m = x.config.m
         if m not in sums:
             sums[m] = _class_sums(symbol, m)

@@ -335,14 +335,52 @@ def test_padic_cyclotomic_rejects_ramified():
         PadicCyclotomic.from_rational(cfg, 1, 3, 4)
 
 
+def _schoolbook_mulmod(a, b, phi, modulus):
+    """a*b mod the monic phi: the full product, then long division."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    d = len(phi) - 1
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        for j, f in enumerate(phi):
+            prod[k - d + j] -= c * f
+    return prod[:d] if modulus is None else [c % modulus for c in prod[:d]]
+
+
+def test_mulmod_matches_schoolbook():
+    # the folded product, and the square of one list (a is b), against the
+    # product reduced by long division: exactly, with negative entries, and
+    # mod p^K
+    rng = random.Random(28)
+    for m in list(range(1, 41)) + [100]:
+        phi = cyclotomic_polynomial(m)
+        d = len(phi) - 1
+        for modulus in (None, 7 ** 30):
+            bound = 10 ** 12 if modulus is None else modulus
+            lo = -bound if modulus is None else 0
+            for trial in range(3):
+                a = [rng.randrange(lo, bound) for _ in range(d)]
+                b = [rng.randrange(lo, bound) for _ in range(d)]
+                if trial == 2:          # zero entries skip their row
+                    a[rng.randrange(d)] = 0
+                    b[-1] = 0
+                want = _schoolbook_mulmod(a, b, phi, modulus)
+                assert _mulmod(a, b, phi, modulus) == want, (m, modulus)
+                square = _schoolbook_mulmod(a, a, phi, modulus)
+                assert _mulmod(a, a, phi, modulus) == square, (m, modulus)
+
+
 def test_series_mod_matches_power_sum():
-    # Horner against sum_j ints[j-1] * x^j with the powers built one by one
+    # the blocked sum against sum_j ints[j-1] * x^j with the powers built
+    # one by one, at n on both sides of the block boundaries k^2
     rng = random.Random(7)
     for m in (1, 3, 4, 8, 12):
         phi = cyclotomic_polynomial(m)
         deg = len(phi) - 1
         for modulus in (5 ** 9, 7 ** 20, 13 ** 4):
-            for n in (0, 1, 2, 17):
+            for n in (0, 1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 63, 64, 65, 200):
                 ints = [rng.randrange(-modulus, modulus) for _ in range(n)]
                 # a general x, and one with no zeta-part (summed in ints)
                 for x in ([rng.randrange(modulus) for _ in range(deg)],
