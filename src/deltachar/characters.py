@@ -182,26 +182,19 @@ def _ordinary_ap(curve: Optional[WeierstrassCurve], p: int) -> Optional[int]:
     if curve is None:
         return None
     ap = count_points_ap(curve, p)         # validates p and integrality
-    if vp(curve.discriminant(), p):
+    if not curve.is_good(p):
         raise DomainError("bad reduction at %d" % p)
     if ap % p == 0:
         raise DomainError("supersingular reduction at %d (a_p = %d)" % (p, ap))
     return ap
 
 
-def euler_symbol(primes: PrimeSet, k: int,
-                 curve: Optional[WeierstrassCurve] = None) -> SymbolPoly:
-    """prod E_l/E_l(0) over the primes but the k-th (1-based): 1 - phi_l/l
-    (coefficients mu(n)/n) for G_m, 1 - a_l phi_l/l + phi_l^2/l for a curve."""
-    if not 1 <= k <= len(primes):
-        raise DomainError("prime index %d out of range 1..%d" % (k, len(primes)))
-    return _euler_symbols(primes, curve)[1][k - 1]
-
-
 def _euler_symbols(primes: PrimeSet, curve: Optional[WeierstrassCurve] = None
                    ) -> Tuple[List[Optional[int]], List[SymbolPoly]]:
-    """The a_p of every prime (None for G_m) and euler_symbol(primes, k,
-    curve) for every k, each E_l/E_l(0) formed once."""
+    """The a_p of every prime (None for G_m) and, for each k, the Euler
+    symbol prod E_l/E_l(0) over the primes but the k-th: 1 - phi_l/l
+    (coefficients mu(n)/n) for G_m, 1 - a_l phi_l/l + phi_l^2/l for a
+    curve; each E_l/E_l(0) is formed once."""
     aps = [_ordinary_ap(curve, p) for p in primes]
     factors = [_euler_over(p, ap, None) for p, ap in zip(primes, aps)]
     symbols = []
@@ -217,8 +210,8 @@ def _euler_symbols(primes: PrimeSet, curve: Optional[WeierstrassCurve] = None
 def full_symbol(primes: PrimeSet,
                 curve: Optional[WeierstrassCurve] = None) -> SymbolPoly:
     """The fundamental symbol, -prod(1 - phi_p/p) for G_m and
-    prod(1 - a_p phi_p/p + phi_p^2/p) for a curve: E_p/p times
-    euler_symbol(primes, 1) at the first prime p, and since E_p(0) is
+    prod(1 - a_p phi_p/p + phi_p^2/p) for a curve: E_p/p times the Euler
+    symbol of the first prime p (`_euler_symbols`), and since E_p(0) is
     (-1)^deg p the same product at every other."""
     out = None
     for k, p in enumerate(primes):

@@ -35,10 +35,10 @@ from .exact_arith import (
     NotPLocalError,
     PrimeSet,
     Rational,
-    _ilog,
     _is_rational,
     _rational,
     fraction_mod,
+    log_prefix,
     vp,
 )
 
@@ -630,7 +630,8 @@ def padic_log(u: PadicCyclotomic) -> PadicCyclotomic:
 
     Requires u = 1 (mod p).  Partial sums are accumulated as exact rationals
     (so division by n is exact) and reduced once at the end; the tail is cut
-    when every remaining term vanishes modulo p**precision.
+    where every remaining term vanishes modulo p**(precision + 1)
+    (`log_prefix` at valuation 1).
     """
     p, prec = u.p, u.precision
     if u.residue % p != 1 % p:
@@ -640,14 +641,9 @@ def padic_log(u: PadicCyclotomic) -> PadicCyclotomic:
         return PadicCyclotomic.zero(u.config, p, prec)
     total = Fraction(0)
     tn = 1
-    n = 1
-    while True:
-        # terms from n onward have valuation >= n - floor(log_p n) > prec: stop
-        if n - _ilog(n, p) > prec:
-            break
+    for n in range(1, log_prefix(prec + 1, 1, p) + 1):
         tn *= t
         total += Fraction((-1) ** (n - 1) * tn, n)
-        n += 1
     return PadicCyclotomic(u.config, p, prec, [total])
 
 

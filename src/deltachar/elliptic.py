@@ -5,7 +5,7 @@ rational coefficients.  Point arithmetic on `CurvePoint` is exact and generic
 over the coordinate field — rationals or cyclotomic elements.  The evaluation
 pipeline does not use it to reach the kernel of reduction: it scales a point
 by the point count of its residue field in E(Z_p[zeta_m]/p^K) with
-`scaled_formal_parameter`, whose cost does not grow with the height of the
+`_scaled_parameter`, whose cost does not grow with the height of the
 scaled point; the exact group law stays as the reference it is tested
 against.  That scaling has one copy of the projective formulas: a rational
 point runs them on plain ints mod p^K, a point over Q(zeta_m) on coefficient
@@ -268,13 +268,6 @@ def _count_points_ap(coefficients, p: int) -> int:
     return p - _affine_count(coefficients, p)
 
 
-def is_ordinary(curve: WeierstrassCurve, p: int) -> bool:
-    """Good reduction with a_p not divisible by p."""
-    if not curve.is_good(p):
-        return False
-    return count_points_ap(curve, p) % p != 0
-
-
 def frobenius_trace_power(ap: int, p: int, f: int) -> int:
     """alpha^f + beta^f for the Frobenius roots of x^2 - ap x + p."""
     s_prev, s = 2, ap
@@ -355,13 +348,12 @@ def lseries_coefficients(curve: WeierstrassCurve, bound: int) -> Dict[int, int]:
             for n in range(p * p, bound + 1, p):
                 if spf[n] == n:
                     spf[n] = p
-    discriminant = curve.discriminant()
     a = [0, 1] + [None] * (bound - 1)
     for n in range(2, bound + 1):
         p = spf[n]
         if p == n:
             ap = a[p] = count_points_ap(curve, p)
-            good = vp(discriminant, p) == 0
+            good = curve.is_good(p)
             pk = p
             while pk * p <= bound:
                 a[pk * p] = ap * a[pk] - (p * a[pk // p] if good else 0)
@@ -598,9 +590,10 @@ def _completed_square(Q: CurvePoint):
     return exact, ring, b2 / 4, b4 / 2, c
 
 
-def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
-                            config: CyclotomicConfig) -> PadicCyclotomic:
-    """t = x/(2y) of scale*Q modulo p**precision; scale*Q must reduce to O.
+def _scaled_parameter(square, scale: int, p: int, precision: int,
+                      config: CyclotomicConfig) -> PadicCyclotomic:
+    """t = x/(2y) of scale*Q modulo p**precision, from the point's
+    `_completed_square`; scale*Q must reduce to O.
 
     Equal to to_formal_parameter(scale * Q, p) reduced mod p**precision, but
     scale*Q is computed in E(Z_p[zeta_m]/p^K), one local factor at a time, on
@@ -615,13 +608,6 @@ def scaled_formal_parameter(Q: CurvePoint, scale: int, p: int, precision: int,
     at a higher K.  The result lives in Q's cyclotomic ring, or in `config`
     for a rational Q.
     """
-    return _scaled_parameter(_completed_square(Q), scale, p, precision,
-                             config)
-
-
-def _scaled_parameter(square, scale: int, p: int, precision: int,
-                      config: CyclotomicConfig) -> PadicCyclotomic:
-    """`scaled_formal_parameter` on the point's `_completed_square`."""
     if scale < 1:
         raise DomainError("scale must be positive")
     if square is None:

@@ -6,17 +6,18 @@ loop (`_symbol_values`) sums the group's formal logarithm there and applies
 the character's own symbol to it (`_apply_symbol`).  A local step gives a
 kernel image (x, e, cofactor): Lambda_p = l(x) cofactor / p^e, l the
 logarithm of `series_fgl._log_terms`.  For G_m, x = u^((q-1) p^e) - 1,
-q = p^f, f the order of p mod m, and cofactor 1/(q-1), with scaling 1
-(`_gm_log`); for a curve, x = t(N Q), e = 0 and cofactor M/N, with scaling
-M, t the formal parameter of N Q scaled p-adically in E(Z_p[zeta_m']/p^K)
-by `elliptic.scaled_formal_parameter`.  For p prime to m, phi_n acts on
-Z_p[zeta_m] as the Galois element sigma_(n mod m), so the value at p is
-(1/p) sum_r (p C_r) sigma_r(Lambda_p), C_r the sum of the c_n with
-n = r mod m.  What is the same at every prime is formed once per
-evaluation, not in the loop: the logarithm's pairs, only when some value
-needs them; the C_r for each level m of the values (`_class_sums`; a curve
-point over Q(zeta_m') gives values at m', not at the adele's level); and a
-curve point's completed-square coordinates (`elliptic._completed_square`).
+q = p^f, f the order of p mod m, and cofactor the inverse of q - 1 mod
+p^(precision+1+e), with scaling 1 (`_gm_log`); for a curve, x = t(N Q),
+e = 0 and cofactor M/N, with scaling M, t the formal parameter of N Q
+scaled p-adically in E(Z_p[zeta_m']/p^K) by `elliptic._scaled_parameter`.
+For p prime to m, phi_n acts on Z_p[zeta_m] as the Galois element
+sigma_(n mod m), so the value at p is (1/p) sum_r (p C_r)
+sigma_r(Lambda_p), C_r the sum of the c_n with n = r mod m.  What is the
+same at every prime is formed once per evaluation, not in the loop: the
+logarithm's pairs, only when some value needs them; the C_r for each
+level m of the values (`_class_sums`; a curve point over Q(zeta_m') gives
+values at m', not at the adele's level); and a curve point's
+completed-square coordinates (`elliptic._completed_square`).
 No Euler factor is written here, and no Dirac row is read: E_p/p is a
 factor of the symbol.  rho is read only as the gate that refuses a symbol
 that is not a multiple of the fundamental one (`characters._rho`).
@@ -89,6 +90,7 @@ from .exact_arith import (
     _ilog,
     fraction_mod,
     log_budget,
+    log_prefix,
     rational_reconstruct,
     vp,
 )
@@ -198,9 +200,11 @@ class EvaluationResult:
 # ---------------------------------------------------------------------------
 
 def _gm_log(u: PadicCyclotomic, p: int, precision: int):
-    """The unit u's kernel image (x, e, 1/(q-1)): x = u^((q-1) p^e) - 1 mod
+    """The unit u's kernel image (x, e, cofactor): x = u^((q-1) p^e) - 1 mod
     p**(precision+1+e), q = p^f, f the order of p mod m, so that
-    log(u^(q-1))/(q-1) = l(x) / (p^e (q-1)), l = log(1 + T).
+    log(u^(q-1))/(q-1) = l(x) / (p^e (q-1)), l = log(1 + T); the cofactor
+    is the integer inverse of q - 1 mod p**(precision+1+e), which q - 1
+    has, being prime to p, and which stands for 1/(q-1) at x's digits.
 
     Z_p[zeta_m]/p is a product of fields F_q, so u^(q-1) = 1 mod p, and
     u^((q-1) p^e) too (x -> x^p is injective there), exactly when u is a
@@ -233,11 +237,13 @@ def _gm_log(u: PadicCyclotomic, p: int, precision: int):
     c_p = p.bit_length() + bin(p).count("1") - 2    # _mulmod calls in y^p
     e = math.isqrt(precision // c_p)
     q = p ** len(_frobenius_orbit(p, config.m))
-    x = _powmod(u.coeffs, (q - 1) * p ** e, config.phi, p ** (precision + 1 + e))
+    modulus = p ** (precision + 1 + e)
+    x = _powmod(u.coeffs, (q - 1) * p ** e, config.phi, modulus)
     x[0] -= 1
     if any(c % p for c in x):
         raise NonUnitError("element is not a unit mod %d" % p)
-    return PadicCyclotomic(config, p, precision + 1 + e, x), e, Fraction(1, q - 1)
+    return (PadicCyclotomic(config, p, precision + 1 + e, x), e,
+            pow(q - 1, -1, modulus))
 
 
 def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
@@ -251,10 +257,9 @@ def eval_gm_ode(u: PadicCyclotomic, p: int, precision: int) -> PadicCyclotomic:
 
 
 def _series_value(terms: Sequence[Tuple[int, int]], t: PadicCyclotomic,
-                  v: Optional[int] = None) -> PadicCyclotomic:
+                  v: int) -> PadicCyclotomic:
     """Sum a logarithm-type series at an element of positive valuation, to
-    every digit that t and the series' order fix; v is v_p(t), taken here
-    when the caller has not taken it.
+    every digit that t and the series' order fix; v is v_p(t).
 
     The series is sum_j c_j T^j, j = 1..order, given as integer pairs
     (numerator, denominator) with c_j = numerator/denominator, not
@@ -275,25 +280,23 @@ def _series_value(terms: Sequence[Tuple[int, int]], t: PadicCyclotomic,
       cannot change the first tail = (order+1) v - floor(log_p(order+1))
       digits.  The precision returned is min(K, tail).
     - The sum.  By the same bound only the n terms with
-      j v - floor(log_p j) < K are read.  s_j = max(0, -v_p(c_j)), found by
-      splitting p off the denominator and cancelling it against the
-      numerator, is at most S = floor(log_p n), so a_j = p^S c_j mod
-      p^(K+S) is an integer, numerator * p^(S-s_j) * unit^-1 (unit the
-      denominator's part prime to p; no Fraction is formed).
+      j v - floor(log_p j) < K are read (`log_prefix`).
+      s_j = max(0, -v_p(c_j)), found by splitting p off the denominator
+      and cancelling it against the numerator, is at most
+      S = floor(log_p n), so a_j = p^S c_j mod p^(K+S) is an integer,
+      numerator * p^(S-s_j) * unit^-1 (unit the denominator's part prime
+      to p; no Fraction is formed).
       `_series_mod` sums them at t's residues; the sum divides by p^S
       exactly (a_j t^j has valuation >= S - s_j + j v >= S), and the terms
       left out vanish mod p^(K+S).
     """
     p, K = t.p, t.precision
-    v = t.min_valuation() if v is None else v
     if v < 1:
         raise DomainError("series evaluation needs valuation >= 1")
     if v >= K:
         return PadicCyclotomic.zero(t.config, p, K)
     order = len(terms)
-    n = min((K - 1) // v, order)
-    while n < order and (n + 1) * v - _ilog(n + 1, p) < K:
-        n += 1
+    n = min(log_prefix(K, v, p), order)
     S = _ilog(n, p) if n else 0
     modulus = p ** (K + S)
     ints = []
@@ -334,12 +337,11 @@ def _apply_symbol(classes: dict, value: PadicCyclotomic, shift: int,
                   cofactor) -> PadicCyclotomic:
     """(1/p^(1+shift)) sum_r (p C_r) sigma_r(cofactor value), the symbol on
     cofactor value / p^shift through its `_class_sums` at the value's level;
-    value must have valuation >= 1 + shift, cofactor be rational and
-    p-integral.
+    value must have valuation >= 1 + shift, and cofactor be an integer.
 
     The p C_r are p-integral for a multiple of the fundamental symbol
     (E_p/p times P-local coefficients), so the sum divides by p^(1+shift)
-    exactly; the rational cofactor commutes with every sigma_r.
+    exactly; the integer cofactor commutes with every sigma_r.
     """
     if value.is_zero():
         return value.divide_by_prime_power(1 + shift)
@@ -348,9 +350,8 @@ def _apply_symbol(classes: dict, value: PadicCyclotomic, shift: int,
     for r, c in classes.items():
         k = fraction_mod(c * p, p, value.precision)
         total = [a + k * b for a, b in zip(total, value.frobenius(r).coeffs)]
-    k = fraction_mod(cofactor, p, value.precision)
     return PadicCyclotomic(value.config, p, value.precision,
-                           [a * k for a in total]
+                           [a * cofactor for a in total]
                            ).divide_by_prime_power(1 + shift)
 
 

@@ -193,23 +193,37 @@ def _ilog(n: int, p: int) -> int:
     return v
 
 
+def log_prefix(K: int, v: int, p: int) -> int:
+    """The largest n >= 0 with n v - floor(log_p n) < K (v >= 1): how many
+    leading terms of a logarithm-type series at valuation v can be nonzero
+    mod p^K.
+
+    Term j, c_j T^j with v_p(c_j) >= -v_p(j) >= -floor(log_p j), has
+    valuation at least f(j) = j v - floor(log_p j) at T of valuation v.
+    f never decreases: j + 1 <= p j, so floor(log_p) grows by at most 1
+    from j to j + 1 while j v grows by v >= 1.  The j with f(j) < K are
+    thus 1..n, every later term vanishes mod p^K, and f(j) <= j v makes
+    floor((K - 1)/v) a lower bound to count up from.
+    """
+    n = (K - 1) // v
+    while (n + 1) * v - _ilog(n + 1, p) < K:
+        n += 1
+    return n
+
+
 def log_budget(precision: int, primes: Sequence[int]) -> int:
     """The order of a logarithm that gives (1/p) l(x) mod p**precision at
     each prime from x mod p**(precision + 1).
 
     For a logarithm l = sum c_n x^n (v_p(c_n) >= -v_p(n)) and v_p(x) >= 1,
-    term n has valuation >= n - floor(log_p n), nondecreasing in n and in p:
-    the bound cyclotomic.padic_log stops on, as in Mazur-Stein-Tate (2006).
-    The order is the last n with n - floor(log_p n) <= precision at the
-    smallest prime, so later terms vanish mod p**(precision + 1) at every
-    prime.  The divisions by n spend no digit of x: l(x) mod p^K depends
-    only on x mod p^K (`evaluation._series_value`).
+    term n has valuation >= n - floor(log_p n), nondecreasing in n and in p,
+    as in Mazur-Stein-Tate (2006).  The order is `log_prefix` at v = 1,
+    K = precision + 1 and the smallest prime, so later terms vanish mod
+    p**(precision + 1) at every prime.  The divisions by n spend no digit
+    of x: l(x) mod p^K depends only on x mod p^K
+    (`evaluation._series_value`).
     """
-    p = min(primes)
-    order = precision
-    while order + 1 - _ilog(order + 1, p) <= precision:
-        order += 1
-    return order
+    return log_prefix(precision + 1, 1, min(primes))
 
 
 # ---------------------------------------------------------------------------

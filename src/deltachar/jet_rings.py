@@ -13,7 +13,7 @@ recursion, memoized in one table; the library has no phi-coordinates.
 from __future__ import annotations
 
 from itertools import product as _cartesian
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .delta_calculus import iterated_delta
 from .exact_arith import DomainError, PrimeSet, _is_rational, ensure_p_local
@@ -37,17 +37,6 @@ def _zero_index(d: int) -> MultiIndex:
 
 def _bump(idx: MultiIndex, k: int) -> MultiIndex:
     return idx[:k] + (idx[k] + 1,) + idx[k + 1:]
-
-
-def _generator_key(primes: PrimeSet, name: str, idx: MultiIndex):
-    """The MPoly variable of d^i x, after checking the multi-index."""
-    if len(idx) != len(primes):
-        raise DomainError("multi-index length %d != %d primes"
-                          % (len(idx), len(primes)))
-    if not all(isinstance(e, int) and e >= 0 for e in idx):
-        raise DomainError("multi-index %r is not of non-negative integers"
-                          % (tuple(idx),))
-    return (_DEL, name, tuple(idx))
 
 
 def generator_name(name: str, idx: MultiIndex, primes: PrimeSet) -> str:
@@ -115,11 +104,6 @@ class DeltaPolynomial:
         return cls(primes, MPoly.const(value))
 
     @classmethod
-    def delta_generator(cls, primes: PrimeSet, name: str,
-                        idx: MultiIndex) -> "DeltaPolynomial":
-        return cls(primes, MPoly.variable(_generator_key(primes, name, idx)))
-
-    @classmethod
     def from_base_polynomial(cls, primes: PrimeSet, poly: MPoly) -> "DeltaPolynomial":
         """Lift a polynomial in plain string variables to order-zero jets."""
         if not poly.denominators_coprime_to(primes):
@@ -134,7 +118,13 @@ class DeltaPolynomial:
             if not (isinstance(var, tuple) and len(var) == 3 and var[0] == _DEL
                     and isinstance(var[2], tuple)):
                 raise DomainError("%r is not a delta-generator key" % (var,))
-            _generator_key(primes, var[1], var[2])
+            idx = var[2]
+            if len(idx) != len(primes):
+                raise DomainError("multi-index length %d != %d primes"
+                                  % (len(idx), len(primes)))
+            if not all(isinstance(e, int) and e >= 0 for e in idx):
+                raise DomainError("multi-index %r is not of non-negative"
+                                  " integers" % (idx,))
         return cls(primes, poly)
 
     # -- ring structure -------------------------------------------------------
@@ -216,70 +206,10 @@ class DeltaPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# presentations of jet rings, canonical lifts, localization multipliers
+# canonical lifts
 # ---------------------------------------------------------------------------
-
-class JetPresentation:
-    """An affine presentation: variables, relation polynomials, jet order."""
-
-    __slots__ = ("primes", "variables", "relations", "order")
-
-    def __init__(self, primes: PrimeSet, variables: Sequence[str],
-                 relations: Sequence[MPoly], order: Sequence[int]):
-        if len(order) != len(primes):
-            raise DomainError("order length %d != %d primes"
-                              % (len(order), len(primes)))
-        if any(e < 0 for e in order):
-            raise DomainError("negative jet order")
-        self.primes = primes
-        self.variables = tuple(variables)
-        self.relations = tuple(relations)
-        self.order = tuple(order)
-
-
-def _iterated_delta_poly(f: DeltaPolynomial, idx: MultiIndex) -> DeltaPolynomial:
-    """d^i f, primes ascending with the first prime applied last."""
-    out = f
-    for k in range(len(idx) - 1, -1, -1):
-        for _ in range(idx[k]):
-            out = out.apply_delta(f.primes[k])
-    return out
-
-
-def jet_generators(X: JetPresentation):
-    """Generator names and prolonged relations of the order-r jet ring.
-
-    Returns (generators, relations): `generators` lists the delta-generator
-    names d^i x_j, and `relations` the delta-polynomials d^i f, both over all
-    multi-indices i <= X.order in canonical order.
-    """
-    names = [generator_name(v, idx, X.primes)
-             for idx in multi_indices(X.order) for v in X.variables]
-    lifted = [DeltaPolynomial.from_base_polynomial(X.primes, f)
-              for f in X.relations]
-    relations = [_iterated_delta_poly(f, idx)
-                 for idx in multi_indices(X.order) for f in lifted]
-    return names, relations
-
 
 def canonical_lift(a, order: Sequence[int], primes: PrimeSet):
     """The jet coordinates (d^i a) of a P-local rational point, i <= order."""
     ensure_p_local(a, primes)
     return tuple(iterated_delta(a, primes, idx) for idx in multi_indices(order))
-
-
-def jet_localizer(f: Union[MPoly, DeltaPolynomial], order: Sequence[int],
-                  primes: PrimeSet = None) -> DeltaPolynomial:
-    """The multiplier prod_{i <= order} phi^i(f) that localizes jets at f != 0."""
-    if isinstance(f, MPoly):
-        if primes is None:
-            raise DomainError("an MPoly needs primes to be lifted to jets")
-        f = DeltaPolynomial.from_base_polynomial(primes, f)
-    out = DeltaPolynomial.constant(f.primes, 1)
-    for idx in multi_indices(order):
-        shifted = f
-        for k, e in enumerate(idx):
-            for _ in range(e):
-                shifted = shifted.apply_phi(f.primes[k])
-        out = out * shifted
-    return out

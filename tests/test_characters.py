@@ -8,6 +8,7 @@ import pytest
 from deltachar.characters import (
     Character,
     SymbolPoly,
+    _euler_symbols,
     build_elliptic_character,
     build_ga_character,
     build_gm_character,
@@ -17,13 +18,12 @@ from deltachar.characters import (
     decompose_over_fundamental,
     divide_by_euler_factor,
     euler_polynomial,
-    euler_symbol,
     full_symbol,
     honda_integrality_check,
     symbol_of_character,
     symbol_order,
 )
-from deltachar.elliptic import (WeierstrassCurve, count_points_ap, is_ordinary,
+from deltachar.elliptic import (WeierstrassCurve, count_points_ap,
                                lseries_coefficients)
 from deltachar.exact_arith import DomainError, PrimeSet, vp
 from deltachar.series_fgl import TruncSeries, elliptic_log, gm_log
@@ -37,6 +37,16 @@ E43 = WeierstrassCurve(0, 1, 1, 0, 0)
 E389 = WeierstrassCurve(0, 1, 1, -2, 0)
 
 GM35_SYMBOL = {1: F(-1), 3: F(1, 3), 5: F(1, 5), 15: F(-1, 15)}
+
+
+def _euler_symbol(primes, k, curve=None):
+    """prod E_l/E_l(0) over the primes but the k-th (1-based)."""
+    return _euler_symbols(primes, curve)[1][k - 1]
+
+
+def _is_ordinary(curve, p):
+    """Good reduction with a_p not divisible by p."""
+    return curve.is_good(p) and count_points_ap(curve, p) % p != 0
 
 
 def smooth_values(primes, bound):
@@ -79,24 +89,22 @@ def test_symbol_ring_basics():
 
 
 def test_euler_symbol_gm():
-    assert euler_symbol(P35, 2) == SymbolPoly({1: 1, 3: F(-1, 3)})
-    assert euler_symbol(P3, 1) == SymbolPoly.one()
-    sym = euler_symbol(P357, 3)
+    assert _euler_symbol(P35, 2) == SymbolPoly({1: 1, 3: F(-1, 3)})
+    assert _euler_symbol(P3, 1) == SymbolPoly.one()
+    sym = _euler_symbol(P357, 3)
     assert sym == SymbolPoly({1: 1, 3: F(-1, 3), 5: F(-1, 5), 15: F(1, 15)})
     # Moebius oracle: the product over primes other than p_k expands with
     # coefficient mu(n)/n at each squarefree n built from those primes
     for n, mu in ((1, 1), (3, -1), (5, -1), (15, 1)):
         assert sym.coefficient(n) == F(mu, n)
-    with pytest.raises(DomainError):
-        euler_symbol(P35, 3)
 
 
 def test_euler_symbol_elliptic():
-    assert euler_symbol(P35, 2, E11) == SymbolPoly({1: 1, 3: F(1, 3), 9: F(1, 3)})
-    assert euler_symbol(P35, 1, E11) == SymbolPoly({1: 1, 5: F(-1, 5), 25: F(1, 5)})
-    assert euler_symbol(P3, 1, E11) == SymbolPoly.one()
+    assert _euler_symbol(P35, 2, E11) == SymbolPoly({1: 1, 3: F(1, 3), 9: F(1, 3)})
+    assert _euler_symbol(P35, 1, E11) == SymbolPoly({1: 1, 5: F(-1, 5), 25: F(1, 5)})
+    assert _euler_symbol(P3, 1, E11) == SymbolPoly.one()
     with pytest.raises(DomainError):
-        euler_symbol(P35, 2, E37)  # supersingular at 3
+        _euler_symbol(P35, 2, E37)  # supersingular at 3
 
 
 def test_build_ga_character():
@@ -179,12 +187,12 @@ def test_dirac_consistency():
 def test_stored_euler_symbols_match_the_reference():
     """A built character stores rho = 1, and its Dirac rows hold, for every
     k, the product of E_l/E_l(0) over the primes but the k-th, formed here
-    from `euler_polynomial` and `count_points_ap`; `euler_symbol` gives the
+    from `euler_polynomial` and `count_points_ap`; `_euler_symbols` gives the
     same, and ode x euler of the first row is the symbol and E_p/p times
     the first product, at |P| = 1..4 on G_m and four curves."""
     for curve in (None, E11, E37, E43, E389):
         ordinary = [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-                    if curve is None or is_ordinary(curve, p)][:4]
+                    if curve is None or _is_ordinary(curve, p)][:4]
         for size in range(1, 5):
             primes = PrimeSet(ordinary[:size])
             c = (build_gm_character(primes, 6) if curve is None
@@ -199,7 +207,7 @@ def test_stored_euler_symbols_match_the_reference():
             rho, stored = c._twist, [d.euler_symbol for d in c.dirac]
             assert rho == SymbolPoly.one()
             assert stored == reference, (curve, primes)
-            assert [euler_symbol(primes, k, curve)
+            assert [_euler_symbol(primes, k, curve)
                     for k in range(1, size + 1)] == stored
             assert [d.euler_symbol for d in c.dirac] == stored
             first = c.dirac[0]
@@ -244,7 +252,7 @@ def test_divide_by_euler_factor_frozen():
     full = full_symbol(P35, E11)
     q, r = divide_by_euler_factor(full, 3, -1)
     assert r.is_zero()
-    assert q == euler_symbol(P35, 1, E11) / 3
+    assert q == _euler_symbol(P35, 1, E11) / 3
 
 
 def test_divide_by_euler_factor_reconstruction():

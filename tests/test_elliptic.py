@@ -8,13 +8,13 @@ from deltachar.elliptic import (
     BadReductionError,
     SingularCurveError,
     WeierstrassCurve,
+    _completed_square,
     _count_points_ap,
+    _scaled_parameter,
     count_points_ap,
     frobenius_trace_power,
-    is_ordinary,
     lseries_coefficients,
     reduction_group_order,
-    scaled_formal_parameter,
     to_formal_parameter,
     torsion_multiple,
 )
@@ -22,6 +22,16 @@ from deltachar.exact_arith import DomainError, is_prime, vp
 
 E11 = WeierstrassCurve.from_label("11a")
 E37 = WeierstrassCurve.from_label("37a")
+
+
+def _scaled(Q, scale, p, precision, config):
+    """t = x/(2y) of scale*Q modulo p**precision (`_scaled_parameter`)."""
+    return _scaled_parameter(_completed_square(Q), scale, p, precision, config)
+
+
+def _is_ordinary(curve, p):
+    """Good reduction with a_p not divisible by p."""
+    return curve.is_good(p) and count_points_ap(curve, p) % p != 0
 
 
 def brute_force_ap(curve, p):
@@ -102,10 +112,10 @@ def test_hasse_bound_up_to_100():
 
 
 def test_ordinary_and_supersingular():
-    assert is_ordinary(E11, 3)
-    assert is_ordinary(E11, 5)
-    assert not is_ordinary(E37, 3)  # a_3 = -3
-    assert is_ordinary(E37, 5)
+    assert _is_ordinary(E11, 3)
+    assert _is_ordinary(E11, 5)
+    assert not _is_ordinary(E37, 3)  # a_3 = -3
+    assert _is_ordinary(E37, 5)
     with pytest.raises(DomainError):
         count_points_ap(E11, 4)
 
@@ -349,7 +359,7 @@ def _assert_matches_exact(Q, scale, p, precisions, config):
             want = PadicCyclotomic.from_cyclotomic(exact, p, precision)
         else:
             want = PadicCyclotomic.from_rational(config, exact, p, precision)
-        got = scaled_formal_parameter(Q, scale, p, precision, config)
+        got = _scaled(Q, scale, p, precision, config)
         assert got.precision == precision
         assert got.coeffs == want.coeffs, (Q, scale, p, precision)
     return got
@@ -409,8 +419,8 @@ def test_scaled_parameter_of_a_kernel_point():
         config = CyclotomicConfig(m, (3,))
         for scale in (1, 2, 7, reduction_group_order(E37, 3, m)):
             _assert_matches_exact(R, scale, 3, (17,), config)
-    assert scaled_formal_parameter(E37.infinity(), 5, 3, 9,
-                                   CyclotomicConfig(1, (3,))).is_zero()
+    assert _scaled(E37.infinity(), 5, 3, 9,
+                   CyclotomicConfig(1, (3,))).is_zero()
 
 
 def test_scaled_parameter_with_gaussian_coordinates():
@@ -450,19 +460,19 @@ def test_scaled_parameter_with_gaussian_coordinates():
         _assert_matches_exact(mixed, reduction_group_order(E43, p, 4), p,
                               (12,), config)
     with pytest.raises(DomainError):
-        scaled_formal_parameter(Q, 1, 5, 12, config)
+        _scaled(Q, 1, 5, 12, config)
     for p, scale in ((3, 3), (29, 18)):
         with pytest.raises(DomainError):
             to_formal_parameter(scale * Q, p)
         with pytest.raises(DomainError):
-            scaled_formal_parameter(Q, scale, p, 12, config)
+            _scaled(Q, scale, p, 12, config)
 
 
 def test_scaled_parameter_rejects_points_outside_the_kernel():
     config = CyclotomicConfig(1, (5,))
     with pytest.raises(DomainError):
-        scaled_formal_parameter(E37.point(0, 0), 1, 5, 10, config)
+        _scaled(E37.point(0, 0), 1, 5, 10, config)
     with pytest.raises(DomainError):
-        scaled_formal_parameter(E37.point(0, 0), 4, 5, 10, config)  # M = 8
+        _scaled(E37.point(0, 0), 4, 5, 10, config)  # M = 8
     with pytest.raises(DomainError):
-        scaled_formal_parameter(E37.point(0, 0), 0, 5, 10, config)
+        _scaled(E37.point(0, 0), 0, 5, 10, config)

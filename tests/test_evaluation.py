@@ -13,13 +13,13 @@ from deltachar.characters import (
     Character,
     DiracComponent,
     SymbolPoly,
+    _euler_symbols,
     build_elliptic_character,
     build_ga_character,
     build_gm_character,
     character_from_json_dict,
     decompose_over_fundamental,
     euler_polynomial,
-    euler_symbol,
     formal_group,
     full_symbol,
 )
@@ -34,16 +34,17 @@ from deltachar.elliptic import (
     WeierstrassCurve,
     _FactorCurve,
     _PrecisionExhausted,
+    _completed_square,
     _factor_idempotents,
     _residue_field_count,
+    _scaled_parameter,
     count_points_ap,
-    is_ordinary,
     reduction_group_order,
-    scaled_formal_parameter,
 )
 from deltachar.evaluation import (
     AdelePoint,
     EvaluationResult,
+    _gm_log,
     _series_value,
     eval_gm_ode,
     elliptic_formal_value,
@@ -190,7 +191,7 @@ def _dirac_formal_value(curve, t, precision, log):
     """(1/p)[l(t)^(phi^2) - a_p l(t)^phi + p l(t)], l(t) summed once at t:
     E_p/p written out on the curve's logarithm."""
     p = t.p
-    l0 = _series_value(log, t)
+    l0 = _series_value(log, t, t.min_valuation())
     l1 = l0.frobenius()
     w = (l1.frobenius() - l1 * count_points_ap(curve, p)
          + l0 * p).divide_by_prime_power(1)
@@ -200,14 +201,16 @@ def _dirac_formal_value(curve, t, precision, log):
 def _dirac_evaluate(c, q, precision, by_m=False):
     """`evaluate` through the Dirac rows: E_p/p on the point's value
     (`eval_gm_ode` at a unit; `_dirac_formal_value` at the scaled curve
-    point, times M/N), then rho * euler_symbol(P, k) one term at a time,
-    prime by prime.  With `by_m` a curve point is scaled by M itself, with
-    no cofactor: the group law runs on from N Q to M Q inside the kernel of
-    reduction, and the value at M Q is computed directly.  t gets
+    point, times M/N), then rho times the k-th Euler symbol
+    (`_euler_symbols`) one term at a time, prime by prime.  With `by_m` a
+    curve point is scaled by M itself, with no cofactor: the group law runs
+    on from N Q to M Q inside the kernel of reduction, and the value at M Q
+    is computed directly.  t gets
     N + 1 + floor(log_p order) digits, one more for each p-power a kept
     term divides by, not the N + 1 `evaluate` gives it: the padded route
     checks that the sharp digit count is enough, rather than following it."""
     rho = decompose_over_fundamental(c)
+    euler = _euler_symbols(c.primes, c.curve)[1]
     if c.group == "Elliptic":
         point, config = q.point, q.config
         level = (point.x.config.m if isinstance(point.x, CyclotomicElement)
@@ -223,7 +226,8 @@ def _dirac_evaluate(c, q, precision, by_m=False):
             scale = reduction_group_order(c.curve, p, config.m)
             count = (scale if by_m
                      else _residue_field_count(c.curve, p, level)[0])
-            t = scaled_formal_parameter(point, count, p, digits[k], config)
+            t = _scaled_parameter(_completed_square(point), count, p,
+                                  digits[k], config)
             cofactor = scale // count
             if t.min_valuation() + vp(cofactor, p) >= t.precision:
                 value = PadicCyclotomic.zero(t.config, p, precision)
@@ -231,8 +235,7 @@ def _dirac_evaluate(c, q, precision, by_m=False):
                 value = _dirac_formal_value(c.curve, t, precision,
                                             log) * cofactor
         if not value.is_zero():
-            value = _dirac_apply(rho * euler_symbol(c.primes, k + 1, c.curve),
-                                 value)
+            value = _dirac_apply(rho * euler[k], value)
         values.append(value.reduce_to(precision))
         scalings.append(scale)
     return EvaluationResult(c.primes, values, precision, scalings)
@@ -290,7 +293,7 @@ def test_series_value_matches_term_by_term():
                     terms = _log_terms(curve, order)
                     longer = _series_of(_log_terms(curve, max(order, k) + 3))
                     t = _random_element(rng, config, p, k, v)
-                    got = _series_value(terms, t)
+                    got = _series_value(terms, t, t.min_valuation())
                     tail = (order + 1) * v - _ilog(order + 1, p)
                     assert got.precision == min(k, tail), (m, p, v, k, order)
                     for _ in range(4):
@@ -304,7 +307,7 @@ def test_series_value_matches_term_by_term():
                     # cancels before s_j is read, so the sum is the same
                     g = [rng.choice((1, 2, p, 2 * p * p)) for _ in terms]
                     loose = [(n * f, d * f) for (n, d), f in zip(terms, g)]
-                    again = _series_value(loose, t)
+                    again = _series_value(loose, t, t.min_valuation())
                     assert (again.precision, again.coeffs) == (got.precision,
                                                                got.coeffs)
 
@@ -329,7 +332,7 @@ def test_series_value_on_elliptic_logs():
                 assert [F(n, d) for n, d in terms] == [
                     log.coefficient(j) for j in range(1, k + 9)]
                 t = _random_element(rng, config, p, k, rng.choice((1, 1, 2)))
-                got = _series_value(terms, t)
+                got = _series_value(terms, t, t.min_valuation())
                 want = _series_reference(log, t)
                 assert got.precision == k >= want.precision
                 assert got.reduce_to(want.precision).coeffs == want.coeffs
@@ -354,10 +357,11 @@ def test_series_value_cut_below_budget():
     full = elliptic_log(E37, order)
     assert vp(full.coefficient(13), 13) == -1
     t = PadicCyclotomic(config, 13, 13, [13 * 5 + 13 ** 2 * 7])
-    whole = _series_value(_log_terms(E37, order), t)
+    v = t.min_valuation()
+    whole = _series_value(_log_terms(E37, order), t, v)
     assert whole.precision == 13
     for cut in range(1, order):
-        short = _series_value(_log_terms(E37, cut), t)
+        short = _series_value(_log_terms(E37, cut), t, v)
         assert short.precision == cut + 1 - _ilog(cut + 1, 13) < 13
         assert short.coeffs == whole.reduce_to(short.precision).coeffs
     # summed to full precision, the cut at T^12 is wrong in the 13th digit
@@ -370,12 +374,15 @@ def test_series_value_domain_errors():
     config = CyclotomicConfig(4, P35)
     terms = _log_terms(None, 6)
     with pytest.raises(DomainError):
-        _series_value(terms, PadicCyclotomic(config, 3, 10, [1, 3]))  # v < 1
+        unit = PadicCyclotomic(config, 3, 10, [1, 3])
+        _series_value(terms, unit, unit.min_valuation())  # v < 1
     t = PadicCyclotomic(config, 3, 10, [3, 9])
-    assert _series_value(terms, t) == _series_reference(_series_of(terms), t)
-    zero = _series_value(terms, PadicCyclotomic.zero(config, 3, 10))
+    v = t.min_valuation()
+    assert _series_value(terms, t, v) == _series_reference(_series_of(terms), t)
+    zero = PadicCyclotomic.zero(config, 3, 10)
+    zero = _series_value(terms, zero, zero.min_valuation())
     assert zero.is_zero() and zero.precision == 10
-    assert _series_value([], t).precision == 1      # tail = v(t) = 1
+    assert _series_value([], t, v).precision == 1      # tail = v(t) = 1
 
 
 def test_series_value_refuses_non_logarithms():
@@ -389,10 +396,10 @@ def test_series_value_refuses_non_logarithms():
     for terms in ([(1, 3)], [(1, 1), (1, 9)], [(1, 1), (0, 1), (2, 9)],
                   ones + [(1, 27)], [(1, 1), (-1, 2), (1, 3), (1, 9)]):
         with pytest.raises(DomainError, match="not a logarithm"):
-            _series_value(terms, t)
+            _series_value(terms, t, t.min_valuation())
     for terms in (ones + [(1, 9)], [(1, 1), (1, 1), (3, 9)],
                   ones[:5] + [(3, 18)]):
-        assert _series_value(terms, t) == _series_reference(
+        assert _series_value(terms, t, t.min_valuation()) == _series_reference(
             _series_of(terms), t)
 
 
@@ -451,6 +458,22 @@ def test_gm_ode_descent_matches_term_by_term():
         eval_gm_ode(u, 13, 30)  # no digit left for the division by p
 
 
+def test_gm_log_cofactor_is_an_integer_inverse():
+    # the cofactor stands for 1/(q - 1) at x's digits: an int, a p-adic unit,
+    # inverse to q - 1 mod p^(precision + 1 + e), q the residue field order
+    for m, primes in DESCENT_RINGS:
+        config = CyclotomicConfig(m, PrimeSet(primes))
+        for p in primes:
+            q = p ** next(f for f in range(1, m + 1) if (p ** f - 1) % m == 0)
+            for precision in (1, 12, 40):
+                u = PadicCyclotomic(config, p, precision + 1,
+                                    [2] if m == 1 else [3, 1])
+                x, e, cofactor = _gm_log(u, p, precision)
+                assert type(cofactor) is int and vp(cofactor, p) == 0
+                assert x.precision == precision + 1 + e
+                assert cofactor * (q - 1) % p ** x.precision == 1
+
+
 def _random_rho(rng, primes):
     """A P-local symbol on three of 1, p, p', p p', p^2 (p, p' the least
     and largest prime of P), with augmentation 0 about a third of the time."""
@@ -478,8 +501,8 @@ def _random_unit_components(rng, config, primes, digits):
 def test_evaluate_matches_the_dirac_route():
     """`evaluate` applies the character's own symbol to the point's formal
     logarithm; the reference applies E_p/p to the point's value and then
-    rho * euler_symbol(P, k) one Galois image per term.  The two agree byte
-    for byte, errors included, on random P-local rho at m in
+    rho times the k-th Euler symbol one Galois image per term.  The two
+    agree byte for byte, errors included, on random P-local rho at m in
     {1, 3, 4, 5, 8, 12} and precision in {1, 2, 5, 12, 40}: G_m rationals,
     roots of unity, nontorsion units and per-prime adeles, and points of
     11a, 37a and 43a, among them 43a's Q(i) point."""
@@ -707,7 +730,7 @@ def test_built_characters_evaluate_without_rebuilding_symbols(monkeypatch):
     gm = build_gm_character(PrimeSet((3, 5, 7)), 4)
     ell = build_elliptic_character(E37, P57, 8)
     for module in (deltachar.characters, deltachar.evaluation):
-        for name in ("full_symbol", "euler_symbol"):
+        for name in ("full_symbol", "_euler_symbols"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert not evaluate(gm, 2, 20).is_zero()
@@ -917,7 +940,8 @@ def test_elliptic_precision_at_primes_above_n():
     cases = [("37a", E37, (0, 0)), ("37a", E37, (1, 0)), ("43a", E43, (0, 0))]
     seen = set()
     for label, curve, xy in cases:
-        ordinary = [p for p in (13, 17, 19, 23, 29, 31) if is_ordinary(curve, p)]
+        ordinary = [p for p in (13, 17, 19, 23, 29, 31)
+                    if curve.is_good(p) and count_points_ap(curve, p) % p]
         q = curve.point(*xy)
         for primes in itertools.combinations(ordinary, 2):
             ps = PrimeSet(primes)
@@ -1082,10 +1106,10 @@ def test_scaled_parameter_same_on_ints_and_coefficient_lists(monkeypatch):
                 for scale in (reduction_group_order(curve, p, 1),
                               reduction_group_order(curve, p, m)):
                     for precision in (1, 12, 24):
-                        a = scaled_formal_parameter(q, scale, p, precision,
-                                                    config)
-                        b = scaled_formal_parameter(lifted, scale, p,
-                                                    precision, config)
+                        a = _scaled_parameter(_completed_square(q), scale, p,
+                                              precision, config)
+                        b = _scaled_parameter(_completed_square(lifted),
+                                              scale, p, precision, config)
                         assert a.config == b.config
                         assert (a.precision, a.coeffs) == (b.precision,
                                                            b.coeffs), (

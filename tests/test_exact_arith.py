@@ -26,6 +26,7 @@ from deltachar.exact_arith import (
     is_p_local,
     is_prime,
     log_budget,
+    log_prefix,
     rational_reconstruct,
     smooth_exponents,
     vp,
@@ -323,6 +324,18 @@ def test_log_budget_meets_the_valuation_bound():
         s = sum(Fraction((-1) ** (n - 1) * (7 * p) ** n, n)
                 for n in range(1, order + 1))
         assert fraction_mod(s, p, 20) == whole
+
+
+def test_log_prefix_matches_a_scan():
+    # the largest n with n v - floor(log_p n) < K, by scanning n = 1..2K + 2
+    # (beyond it n v - floor(log_p n) >= n - n/2 > K)
+    for p in (3, 5, 7, 13, 997):
+        for v in range(1, 5):
+            for K in range(1, 81):
+                below = [n for n in range(1, 2 * K + 3)
+                         if n * v - _floor_log(n, p) < K]
+                assert log_prefix(K, v, p) == max(below, default=0), (p, v, K)
+                assert below == list(range(1, len(below) + 1))
 
 
 def test_padic_log_rejects_non_one_unit():

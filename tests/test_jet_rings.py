@@ -8,17 +8,52 @@ from deltachar.delta_calculus import commutator_polynomial, fermat_quotient, ite
 from deltachar.exact_arith import DomainError, NotPLocalError, PrimeSet
 from deltachar.jet_rings import (
     DeltaPolynomial,
-    JetPresentation,
     canonical_lift,
     generator_name,
-    jet_generators,
-    jet_localizer,
     multi_indices,
 )
 from deltachar.polys import MPoly
 
 P35 = PrimeSet((3, 5))
 P3 = PrimeSet((3,))
+
+
+def _generator(primes, idx, name="x"):
+    """d^i x as a jet element."""
+    return DeltaPolynomial.from_delta_generators(
+        primes, MPoly.variable(("delta", name, idx)))
+
+
+def _prolong(f, idx):
+    """d^i f, primes ascending with the first prime applied last."""
+    for k in range(len(idx) - 1, -1, -1):
+        for _ in range(idx[k]):
+            f = f.apply_delta(f.primes[k])
+    return f
+
+
+def _jet_ring(primes, variables, relations, order):
+    """The generator names d^i x and the prolonged relations d^i f of a
+    presentation's order-r jet ring, both over the multi-indices i <= r."""
+    names = [generator_name(v, idx, primes)
+             for idx in multi_indices(order) for v in variables]
+    lifted = [DeltaPolynomial.from_base_polynomial(primes, f)
+              for f in relations]
+    return names, [_prolong(f, idx)
+                   for idx in multi_indices(order) for f in lifted]
+
+
+def _localizer(f, order):
+    """prod_{i <= order} phi^i(f), the multiplier that localizes jets at
+    f != 0."""
+    out = DeltaPolynomial.constant(f.primes, 1)
+    for idx in multi_indices(order):
+        shifted = f
+        for k, e in enumerate(idx):
+            for _ in range(e):
+                shifted = shifted.apply_phi(f.primes[k])
+        out = out * shifted
+    return out
 
 
 def test_multi_indices_order():
@@ -38,7 +73,7 @@ def test_generator_names():
 def test_apply_delta_on_generator_and_square():
     x = DeltaPolynomial.variable(P3, "x")
     dx = x.apply_delta(3)
-    assert dx == DeltaPolynomial.delta_generator(P3, "x", (1,))
+    assert dx == _generator(P3, (1,))
 
     # oracle: expand ((x^3 + 3t)^2 - x^6)/3 by hand in a fresh polynomial ring
     t = MPoly.variable("t")
@@ -208,7 +243,7 @@ def test_from_delta_generators_rejects_bad_keys():
         with pytest.raises(DomainError):
             DeltaPolynomial.from_delta_generators(P35, x + MPoly.variable(key))
     with pytest.raises(DomainError):
-        DeltaPolynomial.delta_generator(P35, "x", (1,))
+        _generator(P35, (1,))
     f = DeltaPolynomial.from_delta_generators(
         P35, MPoly.variable(("delta", "x", (1, 1))))
     assert f.describe() == "d3(d5(x))"
@@ -243,7 +278,7 @@ def test_frobenius_images_fix_canonical_lifts():
         idxs = sorted({i for order in orders for i in multi_indices(order)})
         for a in (2, -3, Fraction(1, 2), Fraction(-4, 11)):
             for idx in idxs:
-                gen = DeltaPolynomial.delta_generator(primes, "x", idx)
+                gen = _generator(primes, idx)
                 for p in primes:
                     image = gen.apply_phi(p).poly
                     got = image.evaluate({v: iterated_delta(a, primes, v[2])
@@ -281,19 +316,16 @@ def test_canonical_lift_values():
 
 
 def test_jet_generators_names_and_relations():
-    X = JetPresentation(P35, ("x",), (), (1, 1))
-    names, relations = jet_generators(X)
+    names, relations = _jet_ring(P35, ("x",), (), (1, 1))
     assert names == ["x", "d3(x)", "d5(x)", "d3(d5(x))"]
     assert relations == []
 
     xv = MPoly.variable("x")
-    X2 = JetPresentation(P3, ("x",), (xv,), (1,))
-    _, rels = jet_generators(X2)
+    _, rels = _jet_ring(P3, ("x",), (xv,), (1,))
     assert rels[0] == DeltaPolynomial.variable(P3, "x")
-    assert rels[1] == DeltaPolynomial.delta_generator(P3, "x", (1,))
+    assert rels[1] == _generator(P3, (1,))
 
-    X3 = JetPresentation(P3, ("x",), (xv * xv - xv,), (1,))
-    _, rels3 = jet_generators(X3)
+    _, rels3 = _jet_ring(P3, ("x",), (xv * xv - xv,), (1,))
     lifted = DeltaPolynomial.from_base_polynomial(P3, xv * xv - xv)
     assert rels3[1] == lifted.apply_delta(3)
 
@@ -309,25 +341,20 @@ def test_specialization_commutes_with_delta():
     F = DeltaPolynomial.from_base_polynomial(P35, f)
     value_lift = canonical_lift(f.evaluate({"x": Fraction(a)}), (1, 1), P35)
     for pos, idx in enumerate(multi_indices((1, 1))):
-        prolonged = F
-        for k in range(len(idx) - 1, -1, -1):
-            for _ in range(idx[k]):
-                prolonged = prolonged.apply_delta(P35[k])
-        got = prolonged.delta_expansion().evaluate(
+        got = _prolong(F, idx).delta_expansion().evaluate(
             {("delta", "x", j): coords[j] for j in multi_indices((1, 1))})
         assert got == value_lift[pos]
 
 
 def test_jet_localizer():
-    xv = MPoly.variable("x")
-    loc = jet_localizer(xv, (1,), P3)
+    x = DeltaPolynomial.from_base_polynomial(P3, MPoly.variable("x"))
+    loc = _localizer(x, (1,))
     d0 = MPoly.variable(("delta", "x", (0,)))
     d1 = MPoly.variable(("delta", "x", (1,)))
     assert loc.delta_expansion() == d0 * (d0 ** 3 + 3 * d1)
-    assert jet_localizer(MPoly.const(1), (1, 1), P35).poly == MPoly.const(1)
-    assert jet_localizer(xv, (0,), P3) == DeltaPolynomial.variable(P3, "x")
-    with pytest.raises(DomainError):
-        jet_localizer(xv, (1,))
+    one = DeltaPolynomial.from_base_polynomial(P35, MPoly.const(1))
+    assert _localizer(one, (1, 1)).poly == MPoly.const(1)
+    assert _localizer(x, (0,)) == DeltaPolynomial.variable(P3, "x")
     # iterating deltas on the localizer stays integral (localization lemma)
     assert loc.apply_delta(3).is_p_local()
 
