@@ -4,7 +4,9 @@ A "symbol" is an element of the monoid algebra over the P-smooth positive
 integers: the basis element indexed by n stands for the composite Frobenius
 operator of weight n, and indices multiply.  Symbols act on power series by
 sending T^j to T^{jn} (see series_fgl.star_apply); the representing series of
-a character is its symbol applied to the formal-group logarithm.
+a character is its symbol applied to the formal-group logarithm.  A builder
+applies the symbol straight to the logarithm's integer pairs
+(`series_fgl._log_terms`), so it forms no logarithm series.
 
 Extraction goes the other way: {l(T^n)}_{n>=1} is triangular in the T-basis,
 so the coefficients c_n of f = sum c_n l(T^n) are recovered by a divisor
@@ -16,7 +18,9 @@ Every fundamental symbol is derived from one Euler factor per prime,
 curve.  The local operator at p is E_p/p, the Euler symbol at p is the
 product of E_l/E_l(0) over the other primes, the fundamental symbol is their
 product at any p, and decomposition divides by the same E_p.  A builder
-forms the fundamental symbol as one product of |P| factors (`full_symbol`);
+forms the fundamental symbol as one product of |P| factors (`full_symbol`),
+each a few integer (index, numerator, denominator) triples summed in one
+pass (`_product`);
 the Euler symbols of a prime set, formed by `_euler_symbols`, make its Dirac
 rows, derived when first read (`Character.dirac`): evaluation never reads
 them.  A character's twist rho is stored on it by the builders (rho = 1)
@@ -46,9 +50,10 @@ from .exact_arith import (
     smooth_exponents,
     vp,
 )
-from .polys import _ZERO, _add_into, _combine, _convolve, _coprime_to, _scale
-from .series_fgl import (FormalGroupLaw, TruncSeries, additive_group,
-                         elliptic_group, gm_group, star_apply)
+from .polys import (_ZERO, _add_into, _combine, _convolve, _coprime_to,
+                    _scale, _sum_terms)
+from .series_fgl import (FormalGroupLaw, TruncSeries, _log_terms, _star_terms,
+                         additive_group, elliptic_group, gm_group, star_apply)
 
 
 class SymbolPoly:
@@ -167,14 +172,25 @@ def _as_symbol(x) -> SymbolPoly:
 def euler_polynomial(p: int, ap: Optional[int] = None) -> SymbolPoly:
     """The Euler factor E_p, monic in phi_p: phi_p - p for G_m (ap None) and
     phi_p^2 - a_p phi_p + p for a curve; its constant term is (-1)^deg p."""
-    return _euler_over(p, ap, 1)
+    return _product([_euler_terms(p, ap, 1)])
 
 
-def _euler_over(p: int, ap: Optional[int], d: Optional[int]) -> SymbolPoly:
-    """E_p / d, built as a clean dict; d None divides by the constant term."""
-    coeffs = {p: 1, 1: -p} if ap is None else {p * p: 1, p: -ap, 1: p}
-    d = coeffs[1] if d is None else d
-    return SymbolPoly._from_clean({n: Fraction(c, d) for n, c in coeffs.items() if c})
+def _euler_terms(p: int, ap: Optional[int], d: Optional[int]) -> List[Tuple]:
+    """E_p / d as (index, numerator, denominator) int triples, each
+    denominator positive; d None divides by the constant term E_p(0)."""
+    coeffs = ((p, 1), (1, -p)) if ap is None else ((p * p, 1), (p, -ap), (1, p))
+    d = coeffs[-1][1] if d is None else d
+    sign = -1 if d < 0 else 1
+    return [(n, sign * c, sign * d) for n, c in coeffs if c]
+
+
+def _product(factors: Iterable[List[Tuple]]) -> SymbolPoly:
+    """The product of symbols given as `_euler_terms` triples, each index
+    summed in ints by one `_sum_terms` pass; 1 for no factors."""
+    terms = [(1, 1, 1)]
+    for factor in factors:
+        terms = [(n * k, a * b, d * e) for n, a, d in terms for k, b, e in factor]
+    return SymbolPoly._from_clean(_sum_terms(terms))
 
 
 def _ordinary_ap(curve: Optional[WeierstrassCurve], p: int) -> Optional[int]:
@@ -194,17 +210,11 @@ def _euler_symbols(primes: PrimeSet, curve: Optional[WeierstrassCurve] = None
     """The a_p of every prime (None for G_m) and, for each k, the Euler
     symbol prod E_l/E_l(0) over the primes but the k-th: 1 - phi_l/l
     (coefficients mu(n)/n) for G_m, 1 - a_l phi_l/l + phi_l^2/l for a
-    curve; each E_l/E_l(0) is formed once."""
+    curve; each E_l/E_l(0) is formed once, as triples."""
     aps = [_ordinary_ap(curve, p) for p in primes]
-    factors = [_euler_over(p, ap, None) for p, ap in zip(primes, aps)]
-    symbols = []
-    for k in range(len(primes)):
-        out = SymbolPoly.one()
-        for j, factor in enumerate(factors):
-            if j != k:
-                out = out * factor
-        symbols.append(out)
-    return aps, symbols
+    factors = [_euler_terms(p, ap, None) for p, ap in zip(primes, aps)]
+    return aps, [_product(f for j, f in enumerate(factors) if j != k)
+                 for k in range(len(primes))]
 
 
 def full_symbol(primes: PrimeSet,
@@ -212,12 +222,11 @@ def full_symbol(primes: PrimeSet,
     """The fundamental symbol, -prod(1 - phi_p/p) for G_m and
     prod(1 - a_p phi_p/p + phi_p^2/p) for a curve: E_p/p times the Euler
     symbol of the first prime p (`_euler_symbols`), and since E_p(0) is
-    (-1)^deg p the same product at every other."""
-    out = None
-    for k, p in enumerate(primes):
-        factor = _euler_over(p, _ordinary_ap(curve, p), None if k else p)
-        out = factor if out is None else out * factor
-    return out
+    (-1)^deg p the same product at every other.  The |P| factors are
+    multiplied as int triples (`_product`), so each coefficient becomes
+    one Fraction; every prime's a_p is checked ordinary (`_ordinary_ap`)."""
+    return _product(_euler_terms(p, _ordinary_ap(curve, p), None if k else p)
+                    for k, p in enumerate(primes))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +244,7 @@ class DiracComponent:
         self.prime = prime
         self.ap = ap
         self.euler_symbol = euler_symbol
-        self.ode_symbol = _euler_over(prime, ap, prime)
+        self.ode_symbol = _product([_euler_terms(prime, ap, prime)])
 
     @property
     def kind(self) -> str:
@@ -403,12 +412,20 @@ def _fundamental_character(primes: PrimeSet, n_t: int,
                            curve: Optional[WeierstrassCurve] = None
                            ) -> Character:
     """full_symbol(primes, curve) applied to the group logarithm, with Dirac
-    rows derived on first read; G_m when there is no curve."""
+    rows derived on first read; G_m when there is no curve.
+
+    The logarithm enters as the integer pairs of `_log_terms`, which
+    `_star_terms` multiplies into the symbol: no `FormalGroupLaw`, no
+    logarithm series and no Fraction per logarithm term is formed.  The
+    series' denominators are then checked prime to P."""
     if n_t < 2:
         raise DomainError("truncation order must be at least 2")
     symbol = full_symbol(primes, curve)     # validates ordinary reduction
     group = "Gm" if curve is None else "Elliptic"
-    series = symbol.star(formal_group(group, n_t, curve).log)
+    # b_2 = 0 when c1 = 0: a zero numerator makes no term
+    log = [(j, num, den)
+           for j, (num, den) in enumerate(_log_terms(curve, n_t), 1) if num]
+    series = _star_terms(symbol.coeffs, log, n_t)
     if not series.denominators_coprime_to(primes):
         raise DomainError("integrality failure in the fundamental series (bug)")
     c = Character(group, primes, symbol, series, curve=curve)

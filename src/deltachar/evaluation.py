@@ -94,6 +94,7 @@ from .exact_arith import (
     rational_reconstruct,
     vp,
 )
+from .polys import _sum_terms
 from .series_fgl import _log_terms
 
 class AdelePoint:
@@ -326,11 +327,13 @@ def _ring_level(point: CurvePoint) -> int:
 def _class_sums(sym: SymbolPoly, m: int) -> dict:
     """{r: C_r}, C_r the sum of the symbol's c_n with n = r mod m: phi_n
     acts on Z_p[zeta_m] as zeta -> zeta^n (n is prime to m, as a `Character`
-    stores only P-smooth symbols), so these fix the symbol at every p."""
-    classes = {}
-    for n, c in sym.coeffs.items():
-        classes[n % m] = classes.get(n % m, 0) + c
-    return classes
+    stores only P-smooth symbols), so these fix the symbol at every p.
+
+    Each class is summed in ints by one `_sum_terms` pass and becomes one
+    Fraction; a class that sums to 0 is left out, which `_apply_symbol`
+    reads as adding nothing, as a zero C_r would."""
+    return _sum_terms((n % m, c.numerator, c.denominator)
+                      for n, c in sym.coeffs.items())
 
 
 def _apply_symbol(classes: dict, value: PadicCyclotomic, shift: int,

@@ -2,16 +2,19 @@
 
 The kernel (`_add_into`, `_combine`, `_scale`, `_sum_terms`, `_convolve`,
 `_power`, `_coprime_to`) acts on {key: Fraction} dicts that store no zero; a
-missing coefficient reads as the shared `_ZERO`.  `MPoly`,
+missing coefficient reads as the shared `_ZERO`.  `_coprime_to`, the
+P-locality check of every sparse type, takes one gcd of each denominator
+with the product of the primes.  `MPoly`,
 `series_fgl.TruncSeries` and `characters.SymbolPoly` are built on it:
 constructors take outside input (int or Fraction coefficients and divisors,
 through `exact_arith._rational`; int indices and exponents; each MPoly
 monomial put in the form `_mono_mul` gives), and `_from_clean` stores
-kernel output as it is.  Products (`_convolve`, hence `_power`) and the star action
-(`series_fgl.star_apply`) hand their terms to `_sum_terms` as integer
-(key, numerator, denominator) triples, so each coefficient is summed in ints
-and becomes one Fraction, rather than paying a Fraction multiply and add per
-pair of terms.
+kernel output as it is.  Products (`_convolve`, hence `_power`), the star
+action (`series_fgl._star_terms`), the fundamental symbol
+(`characters._product`) and evaluation's class sums hand their terms to
+`_sum_terms` as integer (key, numerator, denominator) triples, so each
+coefficient is summed in ints and becomes one Fraction, rather than paying
+a Fraction multiply and add per pair of terms.
 
 Monomials are stored as sorted tuples of (variable, exponent) pairs mapping to
 Fraction coefficients; variables are arbitrary (mutually sortable) hashable
@@ -22,7 +25,7 @@ keys, which lets the jet-ring module use structured names like
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .exact_arith import DomainError, _is_rational, _rational
@@ -108,8 +111,10 @@ def _power(a: Dict, k: int, key_mul: Callable, one: Dict,
 
 
 def _coprime_to(a: Dict, primes: Iterable[int]) -> bool:
-    ps = tuple(primes)
-    return all(all(c.denominator % p for p in ps) for c in a.values())
+    """Whether every denominator is prime to each of the primes: one gcd
+    with their product per coefficient (True for no primes)."""
+    product = prod(primes)
+    return all(gcd(c.denominator, product) == 1 for c in a.values())
 
 
 def _monomial(mono: Iterable) -> Monomial:

@@ -18,12 +18,14 @@ phi_n * l = l(T^n).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import cycle
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exact_arith import DomainError, _is_rational, _json_int, _rational
+from .exact_arith import (DomainError, Rational, _is_rational, _json_int,
+                          _rational)
 from .polys import (_ONE, _ZERO, _add_into, _combine, _convolve, _coprime_to,
                     _power, _scale, _sum_terms)
 
@@ -281,23 +283,38 @@ class TruncSeries:
 # star action of Frobenius symbols
 # ---------------------------------------------------------------------------
 
-def star_apply(symbol: Mapping[int, Fraction], f: TruncSeries) -> TruncSeries:
+def star_apply(symbol: Mapping[int, Rational], f: TruncSeries) -> TruncSeries:
     """Apply sum_n c_n phi_n to a univariate series: phi_n * T^j = T^(jn).
 
-    Every product c_n f_j goes to `_sum_terms` as an integer triple, so each
-    coefficient of the result is one Fraction built from an int sum.
+    The symbol's values are ints or Fractions (a float or bool is refused);
+    f's coefficients go to `_star_terms` as integer (j, numerator,
+    denominator) triples.
     """
     if f.nvars != 1:
         raise DomainError("the star action is defined on univariate series")
+    return _star_terms(symbol, [(j, c.numerator, c.denominator)
+                                for (j,), c in sorted(f.coeffs.items())],
+                       f.order)
+
+
+def _star_terms(symbol: Mapping[int, Rational], terms: Sequence[Tuple],
+                order: int) -> TruncSeries:
+    """sum_n c_n phi_n on the series sum_j (a_j/d_j) T^j, to `order`.
+
+    `terms` are the series' (j, a_j, d_j) integer triples in increasing j,
+    d_j > 0 and a_j/d_j not necessarily reduced; each symbol value is read
+    through `_rational`.  Only the j <= order/n meet c_n, and every product
+    c_n a_j / d_j goes to `_sum_terms` as an integer triple, so each
+    coefficient of the result is one Fraction built from an int sum.
+    """
     if any(n < 1 for n in symbol):
         raise DomainError("symbol indices must be positive")
     left = [(n, q.numerator, q.denominator)
-            for n, q in zip(symbol, map(Fraction, symbol.values())) if q]
-    right = [(j, c.numerator, c.denominator) for (j,), c in f.coeffs.items()]
-    order = f.order
+            for n, q in zip(symbol, map(_rational, symbol.values())) if q]
+    js = [j for j, _, _ in terms]
     return TruncSeries._from_clean(1, order, _sum_terms(
-        ((j * n,), cn * fn, cd * fd)
-        for n, cn, cd in left for j, fn, fd in right if j * n <= order))
+        ((j * n,), cn * fn, cd * fd) for n, cn, cd in left
+        for j, fn, fd in terms[:bisect_right(js, order // n)]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from deltachar.characters import (
     decompose_over_fundamental,
     divide_by_euler_factor,
     euler_polynomial,
+    formal_group,
     full_symbol,
     honda_integrality_check,
     symbol_of_character,
@@ -213,6 +214,43 @@ def test_stored_euler_symbols_match_the_reference():
             first = c.dirac[0]
             assert first.ode_symbol * first.euler_symbol == c.symbol == (
                 euler[0] / primes[0] * reference[0]) == full_symbol(primes, curve)
+
+
+def test_build_matches_the_route_through_the_logarithm_series():
+    """The build forms its symbol and series from integer triples; on seeded
+    G_m and curve characters (11a, 37a, 43a, and 11a1, where c6 != 0) at
+    |P| = 1..3 and orders 2..400, one of them below the least prime,
+    `full_symbol` is the product of `euler_polynomial` factors, each
+    divided by its constant term and the first by p, the series is the
+    symbol starred onto the group's logarithm series, and the order is 1
+    (G_m) or 2 (a curve) at every prime."""
+    rng = random.Random(3001)
+    E11a1 = WeierstrassCurve(0, -1, 1, -10, -20)
+    assert E11a1.c6
+    cases = [(None, (3, 5, 7, 11, 13)), (E11, (3, 5, 7, 13)),
+             (E37, (5, 7, 11, 13)), (E43, (3, 5, 11, 13)),
+             (E11a1, (3, 5, 7, 13))]
+    for curve, pool in cases:
+        group = "Gm" if curve is None else "Elliptic"
+        for size in (1, 2, 3):
+            primes = PrimeSet(sorted(rng.sample(pool, size)))
+            orders = (2, primes[0] - 1, rng.randint(3, 60), rng.choice(
+                (100, 200, 400)))
+            euler = [euler_polynomial(p, None if curve is None
+                                      else count_points_ap(curve, p))
+                     for p in primes]
+            want = math.prod((e / e.coefficient(1) for e in euler[1:]),
+                             start=euler[0] / primes[0])
+            assert full_symbol(primes, curve) == want, (curve, primes)
+            for n in orders:
+                c = (build_gm_character(primes, n) if curve is None
+                     else build_elliptic_character(curve, primes, n))
+                log = formal_group(group, n, curve).log
+                assert c.symbol == want
+                assert c.series.order == n
+                assert c.series.coeffs == c.symbol.star(log).coeffs, (
+                    curve, primes, n)
+                assert c.order == (1 if curve is None else 2,) * size
 
 
 def test_check_additivity():

@@ -828,6 +828,35 @@ def test_evaluate_forms_per_evaluation_data_once(monkeypatch):
             label, m)
 
 
+def test_class_sums_match_term_by_term():
+    """`_class_sums` sums each class n mod m in ints; it equals the sum of
+    the symbol's Fraction coefficients taken one term at a time, less the
+    classes that sum to 0, on built G_m and curve symbols and on twists of
+    them at m = 1, 3, 4, 8, 12 (a twist by 1 - phi_3 has augmentation 0,
+    so at m = 1 its one class is left out)."""
+    rng = random.Random(3012)
+    symbols = []
+    for curve, pool in ((None, (3, 5, 7, 11)), (E11, (3, 5, 7, 13)),
+                        (E37, (5, 7, 11, 13)), (E43, (3, 5, 11, 13))):
+        for size in (1, 2, 3):
+            primes = PrimeSet(sorted(rng.sample(pool, size)))
+            base = deltachar.characters.full_symbol(primes, curve)
+            rho = SymbolPoly({n: F(rng.randint(-6, 6), rng.choice((1, 2, 7)))
+                              for n in (1, primes[0], primes[-1] ** 2)})
+            symbols += [base, rho * base, (1 - SymbolPoly.phi(primes[0])) * base]
+    dropped = 0
+    for sym in symbols:
+        for m in (1, 3, 4, 8, 12):
+            ref = {}
+            for n, c in sym.coeffs.items():
+                ref[n % m] = ref.get(n % m, 0) + c
+            got = deltachar.evaluation._class_sums(sym, m)
+            assert got == {r: c for r, c in ref.items() if c}, (sym, m)
+            assert all(type(c) is F for c in got.values())
+            dropped += len(ref) - len(got)
+    assert dropped
+
+
 def test_independent_components():
     c = build_gm_character(P35, 4)
     comps = [PadicCyclotomic.from_rational(CFG1, 2, 3, 25),

@@ -3,6 +3,7 @@ dict references, on seeded random inputs, with their stored-form invariants:
 every stored coefficient is a nonzero Fraction, and a series stores no
 exponent above its order."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from deltachar.characters import SymbolPoly
 from deltachar.exact_arith import DomainError, PrimeSet
 from deltachar.jet_rings import DeltaPolynomial
-from deltachar.polys import MPoly, _convolve
+from deltachar.polys import MPoly, _convolve, _coprime_to
 from deltachar.series_fgl import TruncSeries, star_apply
 
 VARS = ("a", "b", "c")
@@ -218,6 +219,35 @@ def test_mpoly_p_locality_scan():
     assert MPoly().denominators_coprime_to((3,))
 
 
+def test_coprime_to_matches_the_per_prime_rule():
+    """`_coprime_to` takes one gcd with the product of the primes; its
+    verdict is that of testing every prime on every denominator, on seeded
+    dicts with prime-power and mixed denominators and numerators beyond 64
+    bits, and for the empty prime set, which every dict passes."""
+    rng = random.Random(3030)
+    pool = (3, 5, 7, 11, 13)
+    verdicts = set()
+    for _ in range(400):
+        a = {}
+        for k in range(rng.randint(0, 5)):
+            den = math.prod(rng.choice(pool + (2, 17)) ** rng.randint(1, 4)
+                            for _ in range(rng.randint(0, 3)))
+            a[k] = Fraction(rng.choice((1, -1)) * rng.randint(1, 2 ** 90), den)
+        primes = tuple(sorted(rng.sample(pool, rng.randint(0, 3))))
+        want = all(c.denominator % p for c in a.values() for p in primes)
+        assert _coprime_to(a, primes) == want, (a, primes)
+        assert _coprime_to(a, ())
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    power = {1: Fraction(1, 3 ** 7), 2: Fraction(3 ** 80, 5)}
+    assert not _coprime_to(power, (3,))
+    assert _coprime_to(power, (7, 11)) and not _coprime_to(power, (5,))
+    mixed = {1: Fraction(2 ** 70 + 3, 3 * 5 ** 2 * 7)}
+    assert [_coprime_to(mixed, (p,)) for p in (3, 5, 7, 11)] == [
+        False, False, False, True]
+    assert _coprime_to({}, (3, 5)) and _coprime_to({}, ())
+
+
 # ---------------------------------------------------------------------------
 # TruncSeries
 # ---------------------------------------------------------------------------
@@ -408,6 +438,25 @@ def test_kernel_sums_match_naive_double_loop():
     got = star_apply({1: 1, 2: Fraction(1, 2), 4: Fraction(-51, 70)}, f)
     assert got.coeffs == {(1,): Fraction(1, 3), (2,): Fraction(1, 5) + Fraction(1, 6)}
     assert_series_clean(got)
+
+
+def test_star_apply_reads_ints_and_fractions_and_refuses_the_rest():
+    """Symbol values may be ints or Fractions, as the sparse constructors
+    take them; a float or bool value is refused with a DomainError."""
+    f = TruncSeries(1, 9, {(1,): 1, (2,): Fraction(-1, 2), (3,): Fraction(1, 3),
+                           (5,): Fraction(2 ** 70, 7)})
+    by_int = star_apply({1: 2, 3: -1}, f)
+    by_fraction = star_apply({1: Fraction(2), 3: Fraction(-1)}, f)
+    mixed = star_apply({1: 2, 3: Fraction(-1, 3)}, f)
+    assert by_int.coeffs == by_fraction.coeffs == ref_star({1: 2, 3: -1}, f)
+    assert mixed.coeffs == ref_star({1: 2, 3: Fraction(-1, 3)}, f)
+    assert_series_clean(by_int)
+    assert_series_clean(mixed)
+    for bad in (0.5, 2.0, 0.0, True, False):
+        with pytest.raises(DomainError):
+            star_apply({1: 1, 3: bad}, f)
+        with pytest.raises(DomainError):
+            SymbolPoly({1: 1, 3: bad})
 
 
 # ---------------------------------------------------------------------------
