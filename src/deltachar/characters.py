@@ -4,14 +4,18 @@ A "symbol" is an element of the monoid algebra over the P-smooth positive
 integers: the basis element indexed by n stands for the composite Frobenius
 operator of weight n, and indices multiply.  Symbols act on power series by
 sending T^j to T^{jn} (see series_fgl.star_apply); the representing series of
-a character is its symbol applied to the formal-group logarithm.  A builder
-applies the symbol straight to the logarithm's integer pairs
-(`series_fgl._log_terms`), so it forms no logarithm series.
+a character is its symbol applied to the group logarithm.  A group's
+logarithm is its integer (j, numerator, denominator) triples (`_log_pairs`:
+T for G_a, and `series_fgl._log_terms` for G_m and a curve), and one helper,
+`_character_series`, applies a symbol to them: both builders form their
+series there, `character_from_json_dict` checks a series against it, and
+with the symbol 1 it is the logarithm series that `symbol_of_character`
+and `check_additivity` read.
 
 Extraction goes the other way: {l(T^n)}_{n>=1} is triangular in the T-basis,
 so the coefficients c_n of f = sum c_n l(T^n) are recovered by a divisor
-recursion; f came from a character exactly when the support is P-smooth and
-the c_n are P-local.
+recursion (`symbol_of_character`); f came from a character exactly when the
+support is P-smooth and the c_n are P-local.
 
 Every fundamental symbol is derived from one Euler factor per prime,
 `euler_polynomial`: E_p = phi_p - p for G_m, phi_p^2 - a_p phi_p + p for a
@@ -45,6 +49,7 @@ from .exact_arith import (
     Rational,
     _ilog,
     _is_rational,
+    _json_fraction,
     _json_int,
     _rational,
     smooth_exponents,
@@ -52,8 +57,7 @@ from .exact_arith import (
 )
 from .polys import (_ZERO, _add_into, _combine, _convolve, _coprime_to,
                     _scale, _sum_terms)
-from .series_fgl import (FormalGroupLaw, TruncSeries, _log_terms, _star_terms,
-                         additive_group, elliptic_group, gm_group, star_apply)
+from .series_fgl import TruncSeries, _log_terms, _star_terms, star_apply
 
 
 class SymbolPoly:
@@ -315,9 +319,8 @@ class Character:
         return "Character(%s, P=%s, %r)" % (self.group, tuple(self.primes), self.symbol)
 
 
-def _symbol_from_json(rows: Iterable[dict]) -> SymbolPoly:
-    return SymbolPoly({_json_int(t["n"]): Fraction(_json_int(t["num"]),
-                                                   _json_int(t["den"]))
+def _symbol_from_json(rows: Iterable[dict], field: str) -> SymbolPoly:
+    return SymbolPoly({_json_int(t["n"]): _json_fraction(t, field)
                        for t in rows})
 
 
@@ -336,14 +339,16 @@ def character_from_json_dict(data: dict) -> Character:
                                    for c in data["curve"]))
     dirac = []
     for d in data.get("dirac", []):
-        comp = DiracComponent(_json_int(d["p"]), _symbol_from_json(d["euler"]),
+        comp = DiracComponent(_json_int(d["p"]),
+                              _symbol_from_json(d["euler"], "Dirac euler"),
                               ap=None if d["ap"] is None else _json_int(d["ap"]))
         if comp.kind != d["kind"]:
             raise DomainError("Dirac row at %d: kind %r does not match ap %r"
                               % (comp.prime, d["kind"], d["ap"]))
         dirac.append(comp)
     order = tuple(_json_int(n) for n in data["order"])
-    c = Character(data["group"], primes, _symbol_from_json(data["symbol"]),
+    c = Character(data["group"], primes,
+                  _symbol_from_json(data["symbol"], "symbol"),
                   TruncSeries.from_json_dict(data["series"]),
                   curve=curve, dirac=dirac)
     if order != c.order:
@@ -357,8 +362,7 @@ def character_from_json_dict(data: dict) -> Character:
         if d.ode_symbol * d.euler_symbol != c.symbol:
             raise DomainError("Dirac row at %d: ode times euler is not the"
                               " symbol" % d.prime)
-    log = formal_group(c.group, c.series.order, curve).log
-    if c.symbol.star(log) != c.series:
+    if _character_series(c.symbol, c.group, c.series.order, curve) != c.series:
         raise DomainError("series is not the symbol applied to the logarithm"
                           " to order %d" % c.series.order)
     return c
@@ -374,18 +378,30 @@ def symbol_order(symbol: SymbolPoly, primes: PrimeSet) -> Tuple[int, ...]:
     return tuple(map(max, zip((0,) * len(primes), *exps)))
 
 
-def formal_group(group: str, order: int,
-                 curve: Optional[WeierstrassCurve] = None) -> FormalGroupLaw:
-    """The formal group of "Ga", "Gm" or "Elliptic" (with its curve)."""
+def _log_pairs(group: str, order: int,
+               curve: Optional[WeierstrassCurve] = None) -> List[Tuple]:
+    """The logarithm of "Ga", "Gm" or "Elliptic" (with its curve) through
+    T^order as (j, numerator, denominator) int triples in increasing j,
+    with no zero numerator: [(1, 1, 1)] (l = T) for G_a, and the pairs of
+    `_log_terms` for G_m (any curve ignored) and for a curve."""
     if group == "Ga":
-        return additive_group(order)
+        return [(1, 1, 1)]
     if group == "Gm":
-        return gm_group(order)
-    if group == "Elliptic":
-        if curve is None:
-            raise DomainError("elliptic group needs a curve")
-        return elliptic_group(curve, order)
-    raise DomainError("unknown group %r" % (group,))
+        curve = None
+    elif group != "Elliptic":
+        raise DomainError("unknown group %r" % (group,))
+    elif curve is None:
+        raise DomainError("elliptic group needs a curve")
+    # b_2 = 0 when c1 = 0: a zero numerator makes no term
+    return [(j, num, den)
+            for j, (num, den) in enumerate(_log_terms(curve, order), 1) if num]
+
+
+def _character_series(symbol: SymbolPoly, group: str, order: int,
+                      curve: Optional[WeierstrassCurve] = None) -> TruncSeries:
+    """The symbol applied to the group's logarithm, through T^order; with
+    the symbol 1 it is the logarithm itself."""
+    return _star_terms(symbol.coeffs, _log_pairs(group, order, curve), order)
 
 
 def build_ga_character(L: SymbolPoly, primes: PrimeSet) -> Character:
@@ -393,7 +409,7 @@ def build_ga_character(L: SymbolPoly, primes: PrimeSet) -> Character:
     the largest index plus one."""
     if not L.is_p_local(primes):
         raise DomainError("symbol coefficients are not P-local")
-    series = L.star(TruncSeries.var(max(L.support(), default=1) + 1))
+    series = _character_series(L, "Ga", max(L.support(), default=1) + 1)
     return Character("Ga", primes, L, series)
 
 
@@ -414,18 +430,14 @@ def _fundamental_character(primes: PrimeSet, n_t: int,
     """full_symbol(primes, curve) applied to the group logarithm, with Dirac
     rows derived on first read; G_m when there is no curve.
 
-    The logarithm enters as the integer pairs of `_log_terms`, which
-    `_star_terms` multiplies into the symbol: no `FormalGroupLaw`, no
-    logarithm series and no Fraction per logarithm term is formed.  The
-    series' denominators are then checked prime to P."""
+    The series is `_character_series`: the logarithm enters as integer
+    triples, so no logarithm series and no Fraction per logarithm term is
+    formed.  The series' denominators are then checked prime to P."""
     if n_t < 2:
         raise DomainError("truncation order must be at least 2")
     symbol = full_symbol(primes, curve)     # validates ordinary reduction
     group = "Gm" if curve is None else "Elliptic"
-    # b_2 = 0 when c1 = 0: a zero numerator makes no term
-    log = [(j, num, den)
-           for j, (num, den) in enumerate(_log_terms(curve, n_t), 1) if num]
-    series = _star_terms(symbol.coeffs, log, n_t)
+    series = _character_series(symbol, group, n_t, curve)
     if not series.denominators_coprime_to(primes):
         raise DomainError("integrality failure in the fundamental series (bug)")
     c = Character(group, primes, symbol, series, curve=curve)
@@ -438,36 +450,31 @@ def _fundamental_character(primes: PrimeSet, n_t: int,
 # symbol extraction and additivity
 # ---------------------------------------------------------------------------
 
-def series_symbol_solve(f0: TruncSeries, log: TruncSeries) -> Dict[int, Fraction]:
-    """Solve f0 = sum_n c_n log(T^n) for the c_n (triangular in T-degree).
+def symbol_of_character(f0: TruncSeries, group: str, primes: PrimeSet,
+                        curve: Optional[WeierstrassCurve] = None) -> SymbolPoly:
+    """Recover the symbol of a character series; error when it is not one.
 
-    log(T^n) contributes b_{m/n} at T^m for n | m (b = log coefficients,
-    b_1 = 1), so c_m = [T^m]f0 - sum_{n|m, n<m} c_n b_{m/n}.
+    Solves f0 = sum_n c_n l(T^n) for the c_n, triangular in T-degree: with
+    b_j the coefficients of the group logarithm l (b_1 = 1), l(T^n)
+    contributes b_{m/n} at T^m for n | m, so
+    c_m = [T^m]f0 - sum_{n|m, n<m} c_n b_{m/n}.  A series known only to
+    order 0 fixes no c_n and is refused.
     """
     if f0.nvars != 1:
         raise DomainError("expected a univariate series")
     if f0.constant_term():
         raise DomainError("a character series has no constant term")
-    order = min(f0.order, log.order)
-    b = {j: log.coefficient(j) for j in range(1, order + 1)}
-    if b.get(1) != 1:
-        raise DomainError("logarithm must be normalized with linear term 1")
+    if f0.order < 1:
+        raise DomainError("a character series is known through T at least")
+    log = _character_series(SymbolPoly.one(), group, f0.order, curve)
     c: Dict[int, Fraction] = {}
-    for m in range(1, order + 1):
+    for m in range(1, f0.order + 1):
         val = f0.coefficient(m)
         for n in list(c):
             if m % n == 0:
-                val -= c[n] * b[m // n]
+                val -= c[n] * log.coefficient(m // n)
         if val:
             c[m] = val
-    return c
-
-
-def symbol_of_character(f0: TruncSeries, group: str, primes: PrimeSet,
-                        curve: Optional[WeierstrassCurve] = None) -> SymbolPoly:
-    """Recover the symbol of a character series; error when it is not one."""
-    log = formal_group(group, f0.order, curve).log
-    c = series_symbol_solve(f0, log)
     bad = [n for n in c if smooth_exponents(n, primes) is None]
     if bad:
         raise DomainError(
@@ -487,11 +494,23 @@ def check_additivity(c: Character, depth: int) -> bool:
                             c.group, c.primes, c.curve)
     except DomainError:
         return False
-    group = formal_group(c.group, depth, c.curve)
-    log, law = group.log, group.law()
-    t1 = TruncSeries.var(depth, 0, 2)
-    t2 = TruncSeries.var(depth, 1, 2)
-    return log.compose([law]) == log.compose([t1]) + log.compose([t2])
+    log = _character_series(SymbolPoly.one(), c.group, depth, c.curve)
+    t1, t2 = (TruncSeries.var(depth, i, 2) for i in range(2))
+    return (log.compose([_formal_law(c.group, log)])
+            == log.compose([t1]) + log.compose([t2]))
+
+
+def _formal_law(group: str, log: TruncSeries) -> TruncSeries:
+    """The group law G(T1, T2) through log's order: T1 + T2 for "Ga",
+    T1 + T2 + T1 T2 for "Gm", and exp(log T1 + log T2) for a curve, exp the
+    compositional inverse of its logarithm `log`."""
+    t1, t2 = (TruncSeries.var(log.order, i, 2) for i in range(2))
+    if group == "Ga":
+        return t1 + t2
+    if group == "Gm":
+        return t1 + t2 + t1 * t2
+    return log.compositional_inverse().compose(
+        [log.compose([t1]) + log.compose([t2])])
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,15 @@ def _json_int(value) -> int:
     return int(value)
 
 
+def _json_fraction(row, field: str) -> Fraction:
+    """A JSON row's "num" and "den" integer fields as a Fraction; a zero
+    denominator is a DomainError that names the field the row is in."""
+    num, den = _json_int(row["num"]), _json_int(row["den"])
+    if not den:
+        raise DomainError("a %s term has denominator 0" % field)
+    return Fraction(num, den)
+
+
 # ---------------------------------------------------------------------------
 # primality / prime sets
 # ---------------------------------------------------------------------------

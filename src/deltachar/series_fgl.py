@@ -1,10 +1,12 @@
-"""Truncated power series with exact coefficients, and formal group laws.
+"""Truncated power series with exact coefficients, and group logarithms.
 
 Series are sparse dicts {exponent tuple: Fraction} kept through a stated
 total degree (`order`, inclusive), computed on the sparse-coefficient kernel
-of `polys` (a product is `_convolve` cut at `order`).  On top of them sit
-the three formal groups the characters live on: the additive and multiplicative groups and
-the formal group of a Weierstrass curve in the uniformizer T = x/(2y).  The
+of `polys` (a product is `_convolve` cut at `order`).  A group logarithm is
+its integer (numerator, denominator) pairs, one per power of T
+(`_log_terms`): log(1 + T) for the multiplicative group, and for a
+Weierstrass curve the logarithm of its formal group in the uniformizer
+T = x/(2y); `gm_log` and `elliptic_log` make the pairs a series.  The
 curve's logarithm integrates the invariant differential, whose coefficients
 lie in Z[c1..c6]: for c6 = 0 they come from omega = dz/sqrt(P(z)), P a
 quartic, by a four-term linear recurrence; otherwise from the coefficients
@@ -24,8 +26,8 @@ from itertools import cycle
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exact_arith import (DomainError, Rational, _is_rational, _json_int,
-                          _rational)
+from .exact_arith import (DomainError, Rational, _is_rational, _json_fraction,
+                          _json_int, _rational)
 from .polys import (_ONE, _ZERO, _add_into, _combine, _convolve, _coprime_to,
                     _power, _scale, _sum_terms)
 
@@ -192,10 +194,8 @@ class TruncSeries:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TruncSeries":
-        coeffs = {}
-        for t in data["terms"]:
-            coeffs[tuple(_json_int(e) for e in t["exp"])] = Fraction(
-                _json_int(t["num"]), _json_int(t["den"]))
+        coeffs = {tuple(_json_int(e) for e in t["exp"]):
+                  _json_fraction(t, "series") for t in data["terms"]}
         return cls(_json_int(data["vars"]), _json_int(data["order"]), coeffs)
 
     # -- calculus ---------------------------------------------------------
@@ -318,51 +318,12 @@ def _star_terms(symbol: Mapping[int, Rational], terms: Sequence[Tuple],
 
 
 # ---------------------------------------------------------------------------
-# formal group laws
+# group logarithms
 # ---------------------------------------------------------------------------
-
-class FormalGroupLaw:
-    """A one-parameter formal group with its logarithm and exponential.
-
-    `log` is normalized to T + O(T^2); `exp` is its compositional inverse,
-    and the two-variable law is  G(T1,T2) = exp(log T1 + log T2)  (for the
-    additive and multiplicative groups the law is written down exactly
-    instead).  Both are computed on each call.
-    """
-
-    def __init__(self, kind: str, order: int, log: TruncSeries):
-        self.kind = kind
-        self.order = order
-        self.log = log
-
-    def exp(self) -> TruncSeries:
-        return self.log.truncate(self.order).compositional_inverse()
-
-    def law(self) -> TruncSeries:
-        n = self.order
-        t1 = TruncSeries.var(n, 0, 2)
-        t2 = TruncSeries.var(n, 1, 2)
-        if self.kind == "additive":
-            return t1 + t2
-        if self.kind == "multiplicative":
-            return t1 + t2 + t1 * t2
-        # G = exp(log T1 + log T2)
-        log = self.log.truncate(n)
-        return self.exp().compose([log.compose([t1]) + log.compose([t2])])
-
-
-def additive_group(order: int) -> FormalGroupLaw:
-    return FormalGroupLaw("additive", order, TruncSeries.var(order))
-
 
 def gm_log(order: int) -> TruncSeries:
     """log(1 + T), from the pairs of `_log_terms`."""
     return _log_series(None, order)
-
-
-def gm_group(order: int) -> FormalGroupLaw:
-    """The multiplicative formal group: law T1+T2+T1T2, log = log(1+T)."""
-    return FormalGroupLaw("multiplicative", order, gm_log(order))
 
 
 def _curve_coefficients(curve) -> Tuple:
@@ -475,8 +436,3 @@ def elliptic_log(curve, order: int) -> TruncSeries:
     """The logarithm of the curve's formal group in T = x/(2y), with l'(0)=1;
     only the division by j brings a denominator to an integral model."""
     return _log_series(curve, order)
-
-
-def elliptic_group(curve, order: int) -> FormalGroupLaw:
-    """Formal group of a Weierstrass curve in the parameter T = x/(2y)."""
-    return FormalGroupLaw("weierstrass", order, elliptic_log(curve, order))

@@ -9,6 +9,7 @@ from deltachar.characters import (
     Character,
     SymbolPoly,
     _euler_symbols,
+    _log_pairs,
     build_elliptic_character,
     build_ga_character,
     build_gm_character,
@@ -18,7 +19,6 @@ from deltachar.characters import (
     decompose_over_fundamental,
     divide_by_euler_factor,
     euler_polynomial,
-    formal_group,
     full_symbol,
     honda_integrality_check,
     symbol_of_character,
@@ -231,7 +231,6 @@ def test_build_matches_the_route_through_the_logarithm_series():
              (E37, (5, 7, 11, 13)), (E43, (3, 5, 11, 13)),
              (E11a1, (3, 5, 7, 13))]
     for curve, pool in cases:
-        group = "Gm" if curve is None else "Elliptic"
         for size in (1, 2, 3):
             primes = PrimeSet(sorted(rng.sample(pool, size)))
             orders = (2, primes[0] - 1, rng.randint(3, 60), rng.choice(
@@ -245,12 +244,33 @@ def test_build_matches_the_route_through_the_logarithm_series():
             for n in orders:
                 c = (build_gm_character(primes, n) if curve is None
                      else build_elliptic_character(curve, primes, n))
-                log = formal_group(group, n, curve).log
+                log = (gm_log(n) if curve is None
+                       else elliptic_log(curve, n))
                 assert c.symbol == want
                 assert c.series.order == n
                 assert c.series.coeffs == c.symbol.star(log).coeffs, (
                     curve, primes, n)
                 assert c.order == (1 if curve is None else 2,) * size
+
+
+def test_log_pairs_per_group():
+    """G_a's logarithm is T, G_m's and a curve's are their `_log_terms`
+    without zero numerators, G_m ignores a curve it is passed, and an
+    unknown group or a curveless elliptic one is refused."""
+    assert _log_pairs("Ga", 6) == [(1, 1, 1)] == _log_pairs("Ga", 6, E11)
+    gm = [(j, (-1) ** (j - 1), j) for j in range(1, 13)]
+    assert _log_pairs("Gm", 12) == _log_pairs("Gm", 12, E11) == gm
+    for curve in (E11, E37, WeierstrassCurve(0, -1, 1, -10, -20)):
+        pairs = _log_pairs("Elliptic", 30, curve)
+        assert all(num for _, num, _ in pairs)
+        assert {(j,): F(num, den) for j, num, den in pairs} == (
+            elliptic_log(curve, 30).coeffs)
+    # 11a has c1 = 0, so b_2 = 0 and T^2 has no pair
+    assert [j for j, _, _ in _log_pairs("Elliptic", 4, E11)] == [1, 3, 4]
+    with pytest.raises(DomainError, match="^elliptic group needs a curve$"):
+        _log_pairs("Elliptic", 6)
+    with pytest.raises(DomainError, match="^unknown group 'Gx'$"):
+        _log_pairs("Gx", 6, E11)
 
 
 def test_check_additivity():
@@ -420,8 +440,11 @@ def test_character_json_shape():
     assert de["curve"] == ["0", "-1", "1", "0", "0"]
     assert de["series"]["order"] == 3
     assert [row["p"] for row in de["dirac"]] == [3, 5]
+    ga = build_ga_character(SymbolPoly({1: -3, 3: F(1, 2), 15: 2}), P35)
+    assert [t["exp"] for t in ga.to_json_dict()["series"]["terms"]] == [
+        [1], [3], [15]]
     # loader inverts the dict exactly, dirac data included
-    for d in (c.to_json_dict(), de):
+    for d in (c.to_json_dict(), de, ga.to_json_dict()):
         back = character_from_json_dict(json.loads(json.dumps(d)))
         assert back.to_json_dict() == d
         assert back.symbol == character_from_json_dict(d).symbol
@@ -431,6 +454,8 @@ def test_character_json_refuses_dirac_kind_mismatch():
     # a Dirac row's kind is derived from its ap: "gm" exactly when ap is null
     gm = build_gm_character(P35, 4).to_json_dict()
     ell = build_elliptic_character(E11, P35, 4).to_json_dict()
+    ga = build_ga_character(SymbolPoly({1: -3, 3: F(1, 2), 15: 2}),
+                            P35).to_json_dict()
     for base, key, value in ((gm, "kind", "elliptic"), (gm, "ap", 1),
                              (ell, "ap", None), (ell, "kind", "gm"),
                              (ell, "kind", "Elliptic")):
@@ -456,6 +481,9 @@ def test_character_json_refuses_dirac_kind_mismatch():
     # series that is not the symbol applied to the logarithm are refused
     first = dict(gm["series"], terms=[dict(gm["series"]["terms"][0], num="12345")]
                  + gm["series"]["terms"][1:])
+    ga_terms = ga["series"]["terms"]
+    ga_second = dict(ga["series"], terms=[ga_terms[0], dict(ga_terms[1], num="3")]
+                     + ga_terms[2:])
     for base, change in ((gm, {"dirac": [gm["dirac"][0],
                                          dict(gm["dirac"][1], p=7)]}),
                          (gm, {"dirac": gm["dirac"][::-1]}),
@@ -467,7 +495,22 @@ def test_character_json_refuses_dirac_kind_mismatch():
                                                euler=gm["dirac"][0]["euler"]),
                                           ell["dirac"][1]]}),
                          (gm, {"series": first}),
+                         (ga, {"series": ga_second}),
                          (gm, {"series": {"vars": 1, "order": 3, "terms": []}}),
                          (ell, {"series": gm["series"]})):
         with pytest.raises(DomainError):
             character_from_json_dict(dict(base, **change))
+
+
+def test_character_json_zero_denominator_is_a_domain_error():
+    """A zero "den" in a symbol row, a series term or a Dirac euler row is
+    a DomainError that names the field, not a ZeroDivisionError."""
+    gm = build_gm_character(P35, 4).to_json_dict()
+    for field, row in (("symbol", lambda d: d["symbol"][1]),
+                       ("series", lambda d: d["series"]["terms"][2]),
+                       ("Dirac euler", lambda d: d["dirac"][0]["euler"][1])):
+        data = json.loads(json.dumps(gm))
+        row(data)["den"] = "0"
+        with pytest.raises(DomainError, match="^a %s term has denominator 0$"
+                           % field):
+            character_from_json_dict(data)

@@ -243,7 +243,8 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
     _pipe(monkeypatch, json.dumps(dict(gm, series=dict(gm["series"], order=5001))))
     assert main(["decompose"]) == 2
     assert "above the --order limit 5000" in capsys.readouterr().err
-    # integer fields refuse floats and booleans rather than truncating them
+    # integer fields refuse floats and booleans rather than truncating them,
+    # and a zero denominator is an input error, not a ZeroDivisionError
     ell = build_elliptic_character(WeierstrassCurve.from_label("37a"),
                                    PrimeSet((5, 7)), 8).to_json_dict()
     for base, path, value in (
@@ -253,6 +254,9 @@ def test_decompose_twisted_and_rejects(capsys, monkeypatch):
             (gm, ("symbol", 0, "n"), 1.5),
             (gm, ("symbol", 0, "n"), True),
             (gm, ("symbol", 0, "num"), -1.0),
+            (gm, ("symbol", 0, "den"), "0"),
+            (gm, ("series", "terms", 0, "den"), "0"),
+            (gm, ("dirac", 1, "euler", 0, "den"), "0"),
             (gm, ("dirac", 0, "p"), 3.0),
             (gm, ("dirac", 1, "euler", 0, "n"), 1.5),
             (gm, ("series", "vars"), 1.0),
